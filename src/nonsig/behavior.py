@@ -222,13 +222,17 @@ def behavior_to_correlators(p: Behavior) -> Correlators:
 def violations(table, tol: float = EXTERNAL_TOL) -> list[Violation]:
     """All violated behavior constraints of a raw 16-entry table, worst first.
 
-    Checks normalization, positivity and the non-signaling marginals.  An
-    empty list means the table is a valid behavior at this tolerance.
+    Checks that every entry is finite, then normalization, positivity and
+    the non-signaling marginals.  An empty list means the table is a valid
+    behavior at this tolerance.
     """
     t = np.asarray(table, dtype=float)
     if t.shape != (2, 2, 2, 2):
         raise BehaviorError(f"expected table shape (2,2,2,2), got {t.shape}")
     out: list[Violation] = []
+    for idx in np.argwhere(~np.isfinite(t)):
+        x, y, a, b = idx
+        out.append(Violation(f"finite[x={x},y={y},a={a},b={b}]", np.inf))
     norms = t.sum(axis=(2, 3))
     for x in range(2):
         for y in range(2):

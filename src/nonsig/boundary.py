@@ -7,16 +7,14 @@ directly, keeps the other seven signed expressions at or below s (so the
 relabeling-maximized score is exactly s), and enforces the 16 positivity
 facets through a quadratic penalty with geometric growth.  The inner solver
 is gradient descent with Armijo backtracking (spectral trial steps), run on
-all restarts at once as one batched array program; the entropy kink at p = 0
-is softened on a schedule so iterates can slide along positivity facets, and
-every reported value is re-evaluated exactly after an exact feasibility
-repair.
+the restarts of many grid points at once as one batched array program; the
+entropy kink at p = 0 is softened on a schedule so iterates can slide along
+positivity facets, and every reported value is re-evaluated exactly after an
+exact feasibility repair.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -170,48 +168,70 @@ def _null_basis(w: np.ndarray) -> np.ndarray:
     return vt[1:].T
 
 
+#: Correlator anchor per unit score: the isotropic PR mixture at CHSH score s is s * _ANCHOR_DIR.
+_ANCHOR_DIR = np.array([0.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.25, -0.25])
+
+
 @dataclass(frozen=True)
-class _Job:
+class _Geometry:
+    """What the feasible set and mode fix at every score.
+
+    z-coordinates span the hyperplane of fixed canonical score; the slacks
+    c(z) = ca + az @ z of the 16 positivity and 7 dominance facets are affine
+    in z, with a jacobian ``az`` that does not depend on the score.
+    """
+
     set: FeasibleSet
     mode: ScanMode
-    s: float
     qtilde_cap: bool
-    emb: np.ndarray       # (8, d)
-    pinv: np.ndarray      # (d, 8)
-    null: np.ndarray      # (d, d-1)
-    anchor_v: np.ndarray  # (d,)
-    anchor_x: np.ndarray  # (8,)
-    ca: np.ndarray        # (23,) anchor slacks: 16 positivity then 7 dominance
-    az: np.ndarray        # (23, d-1) slack jacobian in z-coordinates
-    sigma: float          # +1 minimizes I, -1 maximizes
+    emb: np.ndarray   # (8, d)
+    pinv: np.ndarray  # (d, 8)
+    null: np.ndarray  # (d, d-1)
+    az: np.ndarray    # (23, d-1) slack jacobian in z-coordinates
+    sigma: float      # +1 minimizes I, -1 maximizes
+
+    def at(self, s) -> _Job:
+        """One job row per score in ``s``."""
+        s = np.asarray(s, dtype=float)
+        anchor_x = s[:, None] * _ANCHOR_DIR
+        ca = np.concatenate(
+            [0.25 * (1.0 + anchor_x @ _POS_M.T), s[:, None] - anchor_x @ _SLOT_W[1:].T], axis=1
+        )
+        return _Job(geo=self, s=s, anchor_v=anchor_x @ self.pinv.T, ca=ca)
 
 
-def _make_job(set_: FeasibleSet, mode: ScanMode, s: float, qtilde_cap: bool) -> _Job:
-    _check_s_range(s, qtilde_cap)
+@dataclass(frozen=True)
+class _Job:
+    """Solver rows of one geometry, each at its own score.
+
+    The anchor and the anchor slacks are affine in s.  Rows never interact,
+    so any rows of any scores can share one kernel call; a job with a single
+    row broadcasts over a whole batch of iterates.
+    """
+
+    geo: _Geometry
+    s: np.ndarray         # (r,)
+    anchor_v: np.ndarray  # (r, d)
+    ca: np.ndarray        # (r, 23) anchor slacks: 16 positivity then 7 dominance
+
+    def take(self, rows) -> _Job:
+        return _Job(geo=self.geo, s=self.s[rows], anchor_v=self.anchor_v[rows], ca=self.ca[rows])
+
+
+def _geometry(set_: FeasibleSet, mode: ScanMode, qtilde_cap: bool) -> _Geometry:
     if qtilde_cap and set_ is not FeasibleSet.C:
         raise BehaviorError("the arcsin cap is implemented on the correlation space only")
     emb = _embedding(set_)
-    pinv = np.linalg.pinv(emb)
-    w_v = emb.T @ _SLOT_W[0]
-    null = _null_basis(w_v)
-    anchor_x = np.array([0.0, 0.0, 0.0, 0.0, s / 4.0, s / 4.0, s / 4.0, -s / 4.0])
-    anchor_v = pinv @ anchor_x
-    # slack c(z) = ca + az @ z stays affine in the reduced coordinates
+    null = _null_basis(emb.T @ _SLOT_W[0])
     lift = emb @ null  # (8, d-1), z -> x displacement
-    ca = np.concatenate([0.25 * (1.0 + anchor_x @ _POS_M.T), s - anchor_x @ _SLOT_W[1:].T])
-    az = np.concatenate([0.25 * _POS_M @ lift, -_SLOT_W[1:] @ lift])
-    return _Job(
+    return _Geometry(
         set=set_,
         mode=mode,
-        s=float(s),
         qtilde_cap=qtilde_cap,
         emb=emb,
-        pinv=pinv,
+        pinv=np.linalg.pinv(emb),
         null=null,
-        anchor_v=anchor_v,
-        anchor_x=anchor_x,
-        ca=ca,
-        az=az,
+        az=np.concatenate([0.25 * _POS_M @ lift, -_SLOT_W[1:] @ lift]),
         sigma=1.0 if mode is ScanMode.MIN else -1.0,
     )
 
@@ -281,71 +301,41 @@ def _soft_slope(p: np.ndarray, eps: float) -> np.ndarray:
     return (np.log2(np.clip(q, GRAD_FLOOR, None)) + _LOG2E) * dq
 
 
-def _soft_info(x: np.ndarray, eps: float) -> np.ndarray:
-    p16 = 0.25 * (1.0 + x @ _POS_M.T)
-    joint = 0.25 * _soft_plogp(p16, eps).sum(axis=-1)
-    pa = 0.5 * (1.0 + x[..., :2, None] * OUTCOME_VALUES)
-    pb = 0.5 * (1.0 + x[..., 2:4, None] * OUTCOME_VALUES)
-    return (
-        joint
-        - 0.5 * _soft_plogp(pa, eps).sum(axis=(-1, -2))
-        - 0.5 * _soft_plogp(pb, eps).sum(axis=(-1, -2))
-    )
-
-
-def _penalty_value(job: _Job, z: np.ndarray, mu: float, eps: float) -> np.ndarray:
-    x = _x_from_z(job, z)
-    f = job.sigma * _soft_info(x, eps)
-    p16 = 0.25 * (1.0 + x @ _POS_M.T)
-    f += mu * (np.clip(-p16, 0.0, None) ** 2).sum(axis=-1)
-    slots = x @ _SLOT_W[1:].T
-    f += mu * (np.clip(slots - job.s, 0.0, None) ** 2).sum(axis=-1)
-    if job.qtilde_cap:
-        e = _qtilde_exprs(x[..., 4:])
-        f += mu * (np.clip(np.abs(e) - np.pi, 0.0, None) ** 2).sum(axis=-1)
-    return f
-
-
-def _penalty_value_grad(job: _Job, z: np.ndarray, mu: float, eps: float):
+def _penalty(job: _Job, z: np.ndarray, mu: float, eps: float, grad: bool = True):
+    """Softened, penalized objective of each row and, if ``grad``, its z-gradient."""
     x = _x_from_z(job, z)
     p16 = 0.25 * (1.0 + x @ _POS_M.T)
-
-    joint = 0.25 * _soft_plogp(p16, eps).sum(axis=-1)
     pa = 0.5 * (1.0 + x[:, :2, None] * OUTCOME_VALUES)
     pb = 0.5 * (1.0 + x[:, 2:4, None] * OUTCOME_VALUES)
     info = (
-        joint
+        0.25 * _soft_plogp(p16, eps).sum(axis=-1)
         - 0.5 * _soft_plogp(pa, eps).sum(axis=(-1, -2))
         - 0.5 * _soft_plogp(pb, eps).sum(axis=(-1, -2))
     )
-
-    gx = (_soft_slope(p16, eps) @ _POS_M) / 16.0
-    gx[:, :2] -= 0.25 * (_soft_slope(pa, eps) * OUTCOME_VALUES).sum(axis=-1)
-    gx[:, 2:4] -= 0.25 * (_soft_slope(pb, eps) * OUTCOME_VALUES).sum(axis=-1)
-    gx *= job.sigma
-    f = job.sigma * info
-
     viol_p = np.clip(-p16, 0.0, None)
-    f += mu * (viol_p**2).sum(axis=-1)
-    gx -= (0.5 * mu) * (viol_p @ _POS_M)
-
-    slots = x @ _SLOT_W[1:].T
-    viol_s = np.clip(slots - job.s, 0.0, None)
+    viol_s = np.clip(x @ _SLOT_W[1:].T - job.s[:, None], 0.0, None)
+    f = job.geo.sigma * info + mu * (viol_p**2).sum(axis=-1)
     f += mu * (viol_s**2).sum(axis=-1)
-    gx += (2.0 * mu) * (viol_s @ _SLOT_W[1:])
-
-    if job.qtilde_cap:
+    if job.geo.qtilde_cap:
         c4 = x[:, 4:]
         e = _qtilde_exprs(c4)
         up = np.clip(e - np.pi, 0.0, None)
         dn = np.clip(-e - np.pi, 0.0, None)
         f += mu * (up**2 + dn**2).sum(axis=-1)
+    if not grad:
+        return f
+
+    gx = (_soft_slope(p16, eps) @ _POS_M) / 16.0
+    gx[:, :2] -= 0.25 * (_soft_slope(pa, eps) * OUTCOME_VALUES).sum(axis=-1)
+    gx[:, 2:4] -= 0.25 * (_soft_slope(pb, eps) * OUTCOME_VALUES).sum(axis=-1)
+    gx *= job.geo.sigma
+    gx -= (0.5 * mu) * (viol_p @ _POS_M)
+    gx += (2.0 * mu) * (viol_s @ _SLOT_W[1:])
+    if job.geo.qtilde_cap:
         u = up - dn
         gt = 2.0 * (u.sum(axis=-1, keepdims=True) - 2.0 * u)
         gx[:, 4:] += mu * gt * _arcsin_slope(c4)
-
-    gz = (gx @ job.emb) @ job.null
-    return f, gz
+    return f, (gx @ job.geo.emb) @ job.geo.null
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +363,7 @@ def _project_arcsin_facet(job: _Job, z: np.ndarray, grad: np.ndarray) -> np.ndar
     coeff[rows, worst] = -1.0
     gx = np.zeros((len(z), 8))
     gx[:, 4:] = sign[:, None] * coeff * _arcsin_slope(c4)
-    gn = (gx @ job.emb) @ job.null
+    gn = (gx @ job.geo.emb) @ job.geo.null
     norms = np.linalg.norm(gn, axis=1)
     dots = (grad * gn).sum(axis=1)
     mask = active & (dots < 0.0) & (norms > 1e-12)
@@ -384,21 +374,23 @@ def _project_arcsin_facet(job: _Job, z: np.ndarray, grad: np.ndarray) -> np.ndar
 
 
 def _gradient_descent(
-    job: _Job, z: np.ndarray, alpha: np.ndarray, mu: float, eps: float, max_iter: int, gtol: float
-) -> tuple[np.ndarray, np.ndarray]:
+    job: _Job, z: np.ndarray, owner: np.ndarray, alpha: np.ndarray, mu: float, eps: float,
+    max_iter: int, gtol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Armijo-backtracked gradient descent on the penalty, batched over rows.
 
     A row is done when its gradient norm drops below ``gtol`` or its value
     stalls (no measurable progress over a 15-iteration window, the realistic
     endpoint on the stiff boundary-hugging subproblems).  Rows whose line
     search collapses are frozen.  Step sizes persist across calls through
-    ``alpha``.
+    ``alpha``.  ``owner`` maps rows to the points they start from: a point
+    whose rows are all done stops there, exactly as if it were solved alone.
     """
     r = z.shape[0]
     stuck = np.zeros(r, dtype=bool)
     stalled = np.zeros(r, dtype=bool)
-    f, grad = _penalty_value_grad(job, z, mu, eps)
-    if job.qtilde_cap:
+    f, grad = _penalty(job, z, mu, eps)
+    if job.geo.qtilde_cap:
         grad = _project_arcsin_facet(job, z, grad)
     z_prev = z.copy()
     g_prev = grad.copy()
@@ -415,7 +407,7 @@ def _gradient_descent(
             if remaining.size == 0:
                 break
             cand = z[remaining] - alpha[remaining, None] * grad[remaining]
-            fc = _penalty_value(job, cand, mu, eps)
+            fc = _penalty(job.take(remaining), cand, mu, eps, grad=False)
             ok = fc <= f[remaining] - 1e-4 * alpha[remaining] * gn2[remaining]
             good = remaining[ok]
             z[good] = cand[ok]
@@ -425,33 +417,37 @@ def _gradient_descent(
         stuck[remaining] = True
         moved = np.setdiff1d(idx, remaining, assume_unique=True)
         if moved.size:
-            f, grad_new = _penalty_value_grad(job, z, mu, eps)
-            if job.qtilde_cap:
-                grad_new = _project_arcsin_facet(job, z, grad_new)
+            moved_job = job.take(moved)
+            f[moved], g_moved = _penalty(moved_job, z[moved], mu, eps)
+            if job.geo.qtilde_cap:
+                g_moved = _project_arcsin_facet(moved_job, z[moved], g_moved)
             # spectral (Barzilai-Borwein) trial step for the next line search
             dz = z[moved] - z_prev[moved]
-            dg = grad_new[moved] - g_prev[moved]
+            dg = g_moved - g_prev[moved]
             denom = (dg * dg).sum(axis=1)
             num = (dz * dg).sum(axis=1)
             bb = np.divide(num, denom, out=alpha[moved].copy(), where=denom > 1e-300)
             alpha[moved] = np.clip(np.abs(bb), 1e-8, 1.0)
             z_prev[moved] = z[moved]
-            g_prev[moved] = grad_new[moved]
-            grad = grad_new
+            g_prev[moved] = g_moved
+            grad[moved] = g_moved
         if (it + 1) % 15 == 0:
-            stalled |= (f_mark - f) <= 5e-12 * (1.0 + np.abs(f))
+            live = np.isin(owner, owner[active])  # points with a row active this iteration
+            stalled |= live & ((f_mark - f) <= 5e-12 * (1.0 + np.abs(f)))
             f_mark = f.copy()
     gn2 = (grad * grad).sum(axis=1)
     return z, (gn2 <= gtol * gtol) | stalled, f
 
 
-def _solve(job: _Job, z0: np.ndarray, outers: int = len(_MU_SCHEDULE), tol: float = 1e-8):
+def _solve(
+    job: _Job, z0: np.ndarray, owner: np.ndarray, outers: int = len(_MU_SCHEDULE), tol: float = 1e-8
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the penalty schedule (last ``outers`` stages) from stacked starts.
 
-    Returns the solved iterates stacked on top of the untouched starts (a
-    start can beat its own descendant when the softened early stages walk off
-    an exact corner optimum), with matching convergence flags.  ``tol`` is the
-    final-stage progress threshold below which a point counts as converged.
+    Row k starts at ``z0[k]`` and solves at score ``job.s[k]`` for point
+    ``owner[k]``.  Returns the solved iterates and their
+    convergence flags; ``tol`` is the final-stage progress threshold below
+    which a row counts as converged.
     """
     z = np.array(z0, dtype=float)
     met = np.zeros(z.shape[0], dtype=bool)
@@ -460,14 +456,14 @@ def _solve(job: _Job, z0: np.ndarray, outers: int = len(_MU_SCHEDULE), tol: floa
     for k in range(len(_MU_SCHEDULE) - outers, len(_MU_SCHEDULE)):
         np.clip(alpha, 1e-6, None, out=alpha)
         z, met, f = _gradient_descent(
-            job, z, alpha, _MU_SCHEDULE[k], _EPS_SCHEDULE[k], _INNER_ITERS[k],
+            job, z, owner, alpha, _MU_SCHEDULE[k], _EPS_SCHEDULE[k], _INNER_ITERS[k],
             max(_GTOLS[k], tol),
         )
         if k == len(_MU_SCHEDULE) - 1 and f_prev is not None:
             # a final stage that barely moved the value is converged in practice
             met |= np.abs(f_prev - f) <= tol * (1.0 + np.abs(f))
         f_prev = f
-    return np.concatenate([z, z0]), np.concatenate([met, met])
+    return z, met
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +471,7 @@ def _solve(job: _Job, z0: np.ndarray, outers: int = len(_MU_SCHEDULE), tol: floa
 
 
 def _x_from_z(job: _Job, z: np.ndarray) -> np.ndarray:
-    return (job.anchor_v + z @ job.null.T) @ job.emb.T
+    return (job.anchor_v + z @ job.geo.null.T) @ job.geo.emb.T
 
 
 def _shrink_lambda(job: _Job, z: np.ndarray, margin: float) -> np.ndarray:
@@ -484,7 +480,7 @@ def _shrink_lambda(job: _Job, z: np.ndarray, margin: float) -> np.ndarray:
     Slacks are affine in z, so the bound is exact; each facet is kept at
     >= margin * (its anchor slack).
     """
-    slack_move = z @ job.az.T  # (r, 23), slack(lam*z) = ca + lam*slack_move
+    slack_move = z @ job.geo.az.T  # (r, 23), slack(lam*z) = ca + lam*slack_move
     budget = (1.0 - margin) * job.ca
     with np.errstate(divide="ignore", invalid="ignore"):
         lam_j = np.where(slack_move < -1e-13, budget / (-slack_move), np.inf)
@@ -499,22 +495,18 @@ def _project_active(job: _Job, z: np.ndarray) -> np.ndarray:
     violation; the violating component must be projected out instead (this
     happens at the edges of the score range, where the anchor is extremal).
     """
-    active = job.ca <= 1e-12
-    if not active.any():
-        return z
-    rows = job.az[active]
-    norms2 = (rows * rows).sum(axis=1)
-    keep = norms2 > 1e-20
-    rows, norms2 = rows[keep], norms2[keep]
-    if not len(rows):
+    az = job.geo.az
+    norms2 = (az * az).sum(axis=1)
+    facets = (job.ca <= 1e-12) & (norms2 > 1e-20)
+    if not facets.any():
         return z
     for _ in range(12):
-        viol = z @ rows.T
+        viol = np.where(facets, z @ az.T, np.inf)
         if viol.min() >= -1e-14:
             break
         jmin = viol.argmin(axis=1)
         amount = np.clip(-viol[np.arange(len(z)), jmin], 0.0, None) / norms2[jmin]
-        z = z + amount[:, None] * rows[jmin]
+        z = z + amount[:, None] * az[jmin]
     return z
 
 
@@ -536,37 +528,44 @@ def _qtilde_lambda(job: _Job, z: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.where(ok, lam, lo)
 
 
-def _repair(job: _Job, z: np.ndarray) -> np.ndarray:
+def _feasible_z(job: _Job, z: np.ndarray) -> np.ndarray:
     """Pull iterates back inside the feasible set, exactly, preserving the score."""
     z = _project_active(job, z)
     lam = _shrink_lambda(job, z, margin=0.0)
-    if job.qtilde_cap:
+    if job.geo.qtilde_cap:
         lam = _qtilde_lambda(job, z, lam)
-    return _x_from_z(job, lam[:, None] * z)
+    return lam[:, None] * z
 
 
-def _random_starts(job: _Job, n: int, rng: np.random.Generator) -> np.ndarray:
+def _repair(job: _Job, z: np.ndarray) -> np.ndarray:
+    return _x_from_z(job, _feasible_z(job, z))
+
+
+# The start builders below take a single-row job: one grid point.
+
+
+def _random_starts(point: _Job, n: int, rng: np.random.Generator) -> np.ndarray:
     """Spread starts inside the feasible slice: random directions from the
     anchor, stepped a random fraction of the distance to the nearest facet."""
-    dz = job.null.shape[1]
-    u = rng.standard_normal((n, dz))
+    geo = point.geo
+    u = rng.standard_normal((n, geo.null.shape[1]))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    active = job.ca <= 1e-12
+    active = point.ca[0] <= 1e-12
     if active.any():
         # anchor sits on a facet (score at the edge of its range); sample
         # inside the tangent cone instead of bouncing off immediately
-        basis = _null_basis_rows(job.az[active])
+        basis = _null_basis_rows(geo.az[active])
         u = u @ basis @ basis.T if basis.shape[1] else np.zeros_like(u)
         norms = np.linalg.norm(u, axis=1, keepdims=True)
         u = np.divide(u, norms, out=np.zeros_like(u), where=norms > 1e-12)
-    slope = u @ job.az.T
+    slope = u @ geo.az.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_j = np.where(slope < -1e-12, job.ca / (-slope), np.inf)
+        t_j = np.where(slope < -1e-12, point.ca / (-slope), np.inf)
     t_max = np.minimum(t_j.min(axis=-1), 8.0)
     beta = rng.uniform(0.2, 0.95, size=n)
     z0 = (beta * t_max)[:, None] * u
-    if job.qtilde_cap:
-        lam = _qtilde_lambda(job, z0, np.ones(n))
+    if geo.qtilde_cap:
+        lam = _qtilde_lambda(point, z0, np.ones(n))
         z0 *= lam[:, None]
     return z0
 
@@ -578,28 +577,23 @@ def _null_basis_rows(rows: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
-def _z_from_vector(job: _Job, vec8: np.ndarray) -> np.ndarray:
-    """Project an 8-correlator vector into a feasible z start for this job."""
-    v = job.pinv @ vec8
-    z = ((v - job.anchor_v) @ job.null)[None, :]
-    z = _project_active(job, z)
-    lam = _shrink_lambda(job, z, margin=0.0)
-    if job.qtilde_cap:
-        lam = _qtilde_lambda(job, z, lam)
-    return lam[:, None] * z
+def _z_from_vector(point: _Job, vec8: np.ndarray) -> np.ndarray:
+    """Project an 8-correlator vector into a feasible z start for this point."""
+    v = point.geo.pinv @ vec8
+    return _feasible_z(point, ((v - point.anchor_v[0]) @ point.geo.null)[None, :])
 
 
-def _product_starts(job: _Job) -> list[np.ndarray]:
+def _product_starts(point: _Job) -> list[np.ndarray]:
     """Exact product behaviors with score s, added to MIN starts for s <= 2.
 
     Plain descent cannot carve the last digits into these deterministic-margin
     corners, and they are ordinary feasible points of the slice.
     """
-    if job.mode is not ScanMode.MIN or job.s > 2.0 + 1e-12:
+    s = float(point.s[0])
+    if point.geo.mode is not ScanMode.MIN or s > 2.0 + 1e-12:
         return []
-    s = job.s
     out = []
-    if job.set in (FeasibleSet.NS, FeasibleSet.SYM):
+    if point.geo.set in (FeasibleSet.NS, FeasibleSet.SYM):
         if s <= 1.0:
             q = np.sqrt(s)
             a = np.array([q, 0.0])
@@ -607,7 +601,7 @@ def _product_starts(job: _Job) -> list[np.ndarray]:
             q = 1.0 - np.sqrt(2.0 - s)
             a = np.array([1.0, q])
         out.append(np.concatenate([a, a, np.outer(a, a).ravel()]))
-    if job.set is FeasibleSet.NS:
+    if point.geo.set is FeasibleSet.NS:
         a = np.array([1.0, 1.0])
         b = np.array([s / 2.0, 0.0])
         out.append(np.concatenate([a, b, np.outer(a, b).ravel()]))
@@ -615,12 +609,77 @@ def _product_starts(job: _Job) -> list[np.ndarray]:
     return out
 
 
-def _finish(job: _Job, z: np.ndarray, met: np.ndarray) -> tuple[float, np.ndarray, bool]:
-    """Repair all rows, evaluate exactly, return the best (i, x, converged)."""
-    x = _repair(job, z)
+def _starts(point: _Job, restarts: int, rng: np.random.Generator, extra_starts=None) -> np.ndarray:
+    blocks = [_random_starts(point, restarts, rng)]
+    for vec in _product_starts(point):
+        blocks.append(_z_from_vector(point, vec))
+    if extra_starts is not None:
+        blocks.extend(
+            _z_from_vector(point, np.asarray(v, dtype=float)) for v in np.atleast_2d(extra_starts)
+        )
+    return np.concatenate(blocks)
+
+
+# ---------------------------------------------------------------------------
+# solving blocks of points
+
+#: Most solver rows (grid points x starts) that share one kernel call.  Large
+#: enough to amortize numpy's per-call overhead over many rows; much larger
+#: blocks run slower again as the working arrays outgrow the caches.
+_BLOCK_ROWS = 1024
+
+
+def _finish(
+    points: _Job, owner: np.ndarray, z0: np.ndarray, z: np.ndarray, met: np.ndarray
+) -> list[tuple[float, np.ndarray, bool]]:
+    """Repair all rows, evaluate exactly, return each point's best (i, x, converged).
+
+    A point's untouched starts compete with its solved rows (a start can beat
+    its own descendant when the softened early stages walk off an exact
+    corner optimum), but a raw start never counts as converged.  Ties go to
+    the earlier row.
+    """
+    row_point = np.concatenate([owner, owner])
+    x = _repair(points.take(row_point), np.concatenate([z, z0]))
     vals = _info_from_x(x)
-    best = int(np.argmin(job.sigma * vals))
-    return float(vals[best]), x[best], bool(met[best])
+    order = np.lexsort((points.geo.sigma * vals, row_point))
+    best = order[np.searchsorted(row_point[order], np.arange(len(points.s)))]
+    met = np.concatenate([met, np.zeros(len(z0), dtype=bool)])
+    return [(float(vals[k]), x[k], bool(met[k])) for k in best]
+
+
+def _solve_points(
+    points: _Job, starts: list[np.ndarray], outers: int = len(_MU_SCHEDULE), tol: float = 1e-8
+) -> list[tuple[float, np.ndarray, bool]]:
+    """Solve every point of ``points`` from its own starts as one block."""
+    owner = np.repeat(np.arange(len(starts)), [len(z) for z in starts])
+    z0 = np.concatenate(starts)
+    z, met = _solve(points.take(owner), z0, owner, outers=outers, tol=tol)
+    return _finish(points, owner, z0, z, met)
+
+
+def _solve_grid(
+    points: _Job, starts: list[np.ndarray], tol: float = 1e-8
+) -> list[tuple[float, np.ndarray, bool]]:
+    """Solve consecutive points in blocks of about ``_BLOCK_ROWS`` rows: a
+    block takes the points whose first row falls in its stretch of rows."""
+    first_row = np.cumsum([0] + [len(z) for z in starts[:-1]])
+    block = first_row // _BLOCK_ROWS
+    out = []
+    for b in np.unique(block):
+        ks = np.flatnonzero(block == b)
+        out += _solve_points(points.take(ks), [starts[k] for k in ks], tol=tol)
+    return out
+
+
+def _polish(point: _Job, vec8: np.ndarray, tol: float = 1e-8) -> tuple[float, np.ndarray, bool]:
+    (result,) = _solve_points(point, [_z_from_vector(point, vec8)], outers=_POLISH_OUTERS, tol=tol)
+    return result
+
+
+def _candidate_value(point: _Job, vec8: np.ndarray) -> float:
+    z = _z_from_vector(point, vec8)
+    return float(_info_from_x(_repair(point, z))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -649,115 +708,51 @@ def optimize_at_s(
     mode = ScanMode(mode) if isinstance(mode, str) else mode
     if restarts < 1:
         raise BehaviorError("need at least one restart")
-    job = _make_job(set_, mode, s, qtilde_cap)
+    _check_s_range(s, qtilde_cap)
+    point = _geometry(set_, mode, qtilde_cap).at([s])
     if rng is None:
         rng = np.random.default_rng([seed])
-    z0 = _starts(job, restarts, rng, extra_starts)
-    z, met = _solve(job, z0, tol=tol)
-    i, x, converged = _finish(job, z, met)
+    z0 = _starts(point, restarts, rng, extra_starts)
+    ((i, x, converged),) = _solve_points(point, [z0], tol=tol)
     return OptResult(i=i, argopt=Correlators.from_vector(x), converged=converged)
-
-
-def _starts(job: _Job, restarts: int, rng: np.random.Generator, extra_starts=None) -> np.ndarray:
-    blocks = [_random_starts(job, restarts, rng)]
-    for vec in _product_starts(job):
-        blocks.append(_z_from_vector(job, vec))
-    if extra_starts is not None:
-        blocks.extend(
-            _z_from_vector(job, np.asarray(v, dtype=float)) for v in np.atleast_2d(extra_starts)
-        )
-    return np.concatenate(blocks)
-
-
-def _polish(job: _Job, vec8: np.ndarray, tol: float = 1e-8) -> tuple[float, np.ndarray, bool]:
-    z0 = _z_from_vector(job, vec8)
-    z, met = _solve(job, z0, outers=_POLISH_OUTERS, tol=tol)
-    return _finish(job, z, met)
-
-
-def _candidate_value(job: _Job, vec8: np.ndarray) -> float:
-    z = _z_from_vector(job, vec8)
-    return float(_info_from_x(_repair(job, z))[0])
-
-
-def _scan_grid(config: ScanConfig) -> np.ndarray:
-    return np.linspace(config.s_lo, config.s_hi, config.grid_points)
-
-
-def _scan_chunk(payload) -> list[tuple[int, float, np.ndarray, bool]]:
-    cfg, indices = payload
-    config = _config_from_tuple(cfg)
-    grid = _scan_grid(config)
-    out = []
-    for idx in indices:
-        job = _make_job(config.set, config.mode, float(grid[idx]), config.qtilde_cap)
-        rng = np.random.default_rng([config.seed, idx])
-        z0 = _starts(job, config.restarts, rng)
-        z, met = _solve(job, z0, tol=config.tol)
-        i, x, conv = _finish(job, z, met)
-        out.append((idx, i, x, conv))
-    return out
-
-
-def _config_tuple(c: ScanConfig):
-    return (c.set.value, c.mode.value, c.s_lo, c.s_hi, c.grid_points, c.restarts, c.tol, c.seed, c.qtilde_cap)
-
-
-def _config_from_tuple(t) -> ScanConfig:
-    return ScanConfig(
-        set=FeasibleSet(t[0]), mode=ScanMode(t[1]), s_lo=t[2], s_hi=t[3],
-        grid_points=t[4], restarts=t[5], tol=t[6], seed=t[7], qtilde_cap=t[8],
-    )
-
-
-def _pool_size() -> int:
-    env = os.environ.get("NONSIG_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, min(os.cpu_count() or 1, 8))
 
 
 def scan(config: ScanConfig) -> BoundaryCurve:
     """Scan the grid, then sweep warm starts both ways along it.
 
-    Grid points are independent work items (grid-index-seeded RNG streams, so
-    the result does not depend on worker scheduling); the two warm-start
-    sweeps afterwards are sequential and deterministic.  Per-point failures
-    are reported through ``converged=False``, never by aborting the scan.
+    Each grid point draws its starts from its own grid-index-seeded RNG
+    stream; whole points are then stacked into blocks of at most
+    ``_BLOCK_ROWS`` rows and solved together.  Rows never interact, so a
+    point's result does not depend on its block beyond floating-point
+    rounding in shared matrix products.  The two warm-start sweeps afterwards
+    are sequential and deterministic.  Per-point failures are reported
+    through ``converged=False``, never by aborting the scan.
     """
-    grid = _scan_grid(config)
-    n = config.grid_points
-    workers = _pool_size()
-    results: dict[int, tuple[float, np.ndarray, bool]] = {}
-    if workers > 1 and n >= 8:
-        chunks = [(_config_tuple(config), list(ix)) for ix in np.array_split(np.arange(n), 4 * workers) if len(ix)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_scan_chunk, chunks):
-                for idx, i, x, conv in part:
-                    results[idx] = (i, x, conv)
-    else:
-        for idx, i, x, conv in _scan_chunk((_config_tuple(config), list(range(n)))):
-            results[idx] = (i, x, conv)
+    grid = np.linspace(config.s_lo, config.s_hi, config.grid_points)
+    points = _geometry(config.set, config.mode, config.qtilde_cap).at(grid)
+    starts = [
+        _starts(points.take([k]), config.restarts, np.random.default_rng([config.seed, k]))
+        for k in range(len(grid))
+    ]
+    vals = _solve_grid(points, starts, tol=config.tol)
 
-    vals = [results[k] for k in range(n)]
+    n = len(grid)
+    sigma = points.geo.sigma
     for order, step in ((range(1, n), 1), (range(n - 2, -1, -1), -1)):
         for idx in order:
             prev_i, prev_x, _ = vals[idx - step]
             cur_i, cur_x, cur_conv = vals[idx]
-            job = _make_job(config.set, config.mode, float(grid[idx]), config.qtilde_cap)
-            sigma = job.sigma
-            if sigma * _candidate_value(job, prev_x) < sigma * cur_i - 1e-9 or not cur_conv:
-                i2, x2, conv2 = _polish(job, prev_x, tol=config.tol)
+            point = points.take([idx])
+            if sigma * _candidate_value(point, prev_x) < sigma * cur_i - 1e-9 or not cur_conv:
+                i2, x2, conv2 = _polish(point, prev_x, tol=config.tol)
                 if sigma * i2 < sigma * cur_i:
                     vals[idx] = (i2, x2, conv2 or cur_conv)
 
-    points = []
-    for idx in range(n):
-        i, x, conv = vals[idx]
-        points.append(
-            ScanPoint(s=float(grid[idx]), i=float(i), argopt=Correlators.from_vector(x), converged=bool(conv))
-        )
-    return BoundaryCurve(points=tuple(points), config=config)
+    out = tuple(
+        ScanPoint(s=float(s), i=float(i), argopt=Correlators.from_vector(x), converged=bool(conv))
+        for s, (i, x, conv) in zip(grid, vals)
+    )
+    return BoundaryCurve(points=out, config=config)
 
 
 def vertical_fill_check(s: float, n_samples: int = 200, *, seed: int = 0, restarts: int = 20) -> bool:

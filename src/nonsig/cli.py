@@ -164,7 +164,7 @@ def _cmd_inflect(args) -> int:
         "transition_lo": est.transition_lo,
         "transition_hi": est.transition_hi,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out is not None:
         args.out.write_text(text)
         write_manifest(_manifest_path(args.out), _cmdline(), None, __version__, started, [args.out])
@@ -197,14 +197,15 @@ def _cmd_check(args) -> int:
         return 1
     try:
         behavior = behavior_from_json_dict(doc)
-    except ValidationError:
-        sys.stdout.write(json.dumps({"ns_valid": False}, indent=2) + "\n")
+    except ValidationError as exc:
+        sys.stderr.write(f"invalid behavior: {exc}\n")
+        sys.stdout.write(json.dumps({"ns_valid": False}, indent=2, allow_nan=False) + "\n")
         return 1
     except BehaviorError as exc:
         sys.stderr.write(f"malformed behavior: {exc}\n")
         return 1
     rep = report(behavior)
-    sys.stdout.write(json.dumps(report_to_json_dict(rep), indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(report_to_json_dict(rep), indent=2, sort_keys=True, allow_nan=False) + "\n")
     return 0
 
 
@@ -343,9 +344,9 @@ def _repro_fig6(args, outdir: Path):
         "tsirelson": TSIRELSON,
     }
     out = outdir / "fig6_inflection.json"
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     files.append(out)
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return files
 
 
@@ -369,9 +370,9 @@ def _repro_fig7(args, outdir: Path):
     kinks = slope_kinks(traj, window=args.k or 50)
     doc = {"kinks": kinks, "tsirelson": TSIRELSON}
     out = outdir / "fig7_kinks.json"
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     files.append(out)
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return files
 
 

@@ -149,7 +149,7 @@ def write_manifest(path, command: str, seed: int | None, version: str, started: 
         "wall_time_s": manifest.wall_time_s,
         "outputs": manifest.outputs,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return manifest
 
 

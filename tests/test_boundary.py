@@ -86,6 +86,12 @@ class TestOptimizeAtS:
         assert a.i == b.i
         assert np.array_equal(a.argopt.vector(), b.argopt.vector())
 
+    def test_raw_start_winner_is_not_converged(self):
+        # the exact product start wins here; the solver never touched it
+        r = optimize_at_s("sym", "min", 1.5, restarts=12, seed=3)
+        assert abs(r.i) <= 1e-12
+        assert not r.converged
+
     def test_warm_start_accepted(self):
         warm = named("sc").behavior.correlators().vector()
         r = optimize_at_s("ns", "max", 2.0, restarts=2, seed=6, extra_starts=warm)
@@ -187,6 +193,34 @@ class TestScan:
             ScanConfig(set=FeasibleSet.NS, mode=ScanMode.MIN, s_lo=0.0, s_hi=5.0, grid_points=5)
         with pytest.raises(BehaviorError):
             ScanConfig(set=FeasibleSet.NS, mode=ScanMode.MIN, s_lo=0.0, s_hi=1.0, grid_points=1)
+
+
+class TestBlockIndependence:
+    """Each point of a blocked grid solve matches a one-point solve from the same starts."""
+
+    @pytest.mark.parametrize(
+        "set_, mode, grid, restarts, qtilde_cap",
+        [
+            ("ns", "min", np.linspace(1.6, 2.4, 9), 6, False),  # product starts below s = 2
+            ("ns", "max", np.linspace(0.0, 4.0, 9), 6, False),  # anchor on a facet at 0 and 4
+            ("c", "max", np.linspace(2.0, TSIRELSON, 6), 6, True),  # arcsin projection
+            ("ns", "min", np.linspace(2.5, 3.1, 70), 16, False),  # more rows than one block
+        ],
+    )
+    def test_blocked_matches_one_point(self, set_, mode, grid, restarts, qtilde_cap):
+        from nonsig.boundary import _BLOCK_ROWS, _geometry, _solve_grid, _solve_points, _starts
+
+        points = _geometry(FeasibleSet(set_), ScanMode(mode), qtilde_cap).at(grid)
+        starts = [
+            _starts(points.take([k]), restarts, np.random.default_rng([31, k])) for k in range(len(grid))
+        ]
+        if len(grid) > 10:  # the large case must really span several blocks
+            assert sum(len(z) for z in starts) > _BLOCK_ROWS
+        blocked = _solve_grid(points, starts)
+        for k, (i, _, converged) in enumerate(blocked):
+            ((alone, _, alone_converged),) = _solve_points(points.take([k]), [starts[k]])
+            assert i == pytest.approx(alone, abs=1e-6)
+            assert converged == alone_converged
 
 
 class TestVerticalFill:

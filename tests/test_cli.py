@@ -131,6 +131,14 @@ class TestCliCommands:
         assert dispatch(["check", "--in", str(doc)]) == 1
         assert json.loads(capsys.readouterr().out) == {"ns_valid": False}
 
+    def test_check_non_finite_exits_one(self, capsys, tmp_path):
+        doc = tmp_path / "nan.json"
+        doc.write_text('{"marginals_a":[0,0],"marginals_b":[0,0],"correlations":[[NaN,0],[0,0]]}')
+        assert dispatch(["check", "--in", str(doc)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"ns_valid": False}
+        assert "finite" in captured.err
+
     def test_check_garbage_json(self, tmp_path):
         doc = tmp_path / "junk.json"
         doc.write_text("{nope")
