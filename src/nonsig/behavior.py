@@ -135,14 +135,6 @@ class Behavior:
         a, b, ab = _correlators_from_tables(self.table)
         return Correlators(a=a, b=b, ab=ab)
 
-    def marginal_a(self) -> np.ndarray:
-        """p(a|x), shape (2, 2) indexed [x, a]; averaged over y."""
-        return self.table.sum(axis=3).mean(axis=1)
-
-    def marginal_b(self) -> np.ndarray:
-        """p(b|y), shape (2, 2) indexed [y, b]; averaged over x."""
-        return self.table.sum(axis=2).mean(axis=0)
-
     def allclose(self, other: "Behavior", tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.table - other.table)) <= tol)
 
@@ -208,11 +200,6 @@ def correlators_to_behavior(c: Correlators) -> Behavior:
     if np.any(np.abs(vec) > 1.0 + 1e-12):
         raise BehaviorError(f"correlator components must lie in [-1, 1], got {vec}")
     return validate(correlator_table(c), tol=INTERNAL_TOL)
-
-
-def behavior_to_correlators(p: Behavior) -> Correlators:
-    """Mean values of a behavior; exact inverse of ``correlators_to_behavior``."""
-    return p.correlators()
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +289,7 @@ def named(tag: BehaviorTag | str) -> NamedBehavior:
     """One of the canonical reference behaviors (PR box, shared coin, Bell point, ...)."""
     if isinstance(tag, str):
         tag = BehaviorTag(tag.lower())
-    a, b, ab = _NAMED_CORRELATORS[tag]
-    beh = correlators_to_behavior(Correlators(a=np.array(a), b=np.array(b), ab=np.array(ab)))
-    return NamedBehavior(tag=tag, behavior=beh)
+    return NamedBehavior(tag=tag, behavior=correlators_to_behavior(named_correlators(tag)))
 
 
 def named_correlators(tag: BehaviorTag | str) -> Correlators:
@@ -343,12 +328,6 @@ def relabelings(p: Behavior) -> list[Behavior]:
     element 0 is p itself.  The functional S is constant on the orbit.
     """
     return [Behavior(_relabel_table(p.table, eps, delta)) for eps, delta in _FLIP_PATTERNS]
-
-
-def relabel_correlators(c: Correlators, slot: int) -> Correlators:
-    """Correlators of orbit element ``slot`` of ``relabelings``."""
-    eps, delta = _FLIP_PATTERNS[slot]
-    return Correlators(a=eps * c.a, b=delta * c.b, ab=np.outer(eps, delta) * c.ab)
 
 
 def sym_orbit(c: Correlators) -> list[Correlators]:

@@ -26,11 +26,11 @@ from .behavior import (
     BehaviorError,
     Correlators,
     OUTCOME_VALUES,
+    _tables_from_correlators,
     correlator_table,
     validate,
 )
-
-TSIRELSON = 2.0 * np.sqrt(2.0)
+from .functionals import TSIRELSON, _info, _s_max_ab
 
 #: Probability floor used inside entropy *gradients* only; values use exact 0 log 0 = 0.
 GRAD_FLOOR = 1e-12
@@ -78,6 +78,8 @@ class ScanConfig:
             raise BehaviorError("scan needs s_lo < s_hi")
         if self.grid_points < 2:
             raise BehaviorError("scan needs at least 2 grid points")
+        if self.restarts < 1:
+            raise BehaviorError("need at least one restart")
         _check_s_range(self.s_lo, self.qtilde_cap)
         _check_s_range(self.s_hi, self.qtilde_cap)
 
@@ -141,31 +143,16 @@ def _embedding(set_: FeasibleSet) -> np.ndarray:
     return e
 
 
-def _positivity_matrix() -> np.ndarray:
-    """p_j = (1 + M_j . x) / 4 for the 16 outcomes, rows ordered (x, y, a, b)."""
-    m = np.zeros((16, 8))
-    j = 0
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    av, bv = OUTCOME_VALUES[a], OUTCOME_VALUES[b]
-                    m[j, x] = av
-                    m[j, 2 + y] = bv
-                    m[j, 4 + 2 * x + y] = av * bv
-                    j += 1
-    return m
-
-
-_POS_M = _positivity_matrix()
+#: p_j = (1 + M_j . x) / 4 for the 16 outcomes, rows ordered (x, y, a, b): the
+#: tables of the 8 unit correlator vectors, shifted and scaled (exactly).  C order
+#: keeps the products below on one BLAS path.
+_UNIT = np.eye(8)
+_POS_M = np.ascontiguousarray(
+    (4.0 * _tables_from_correlators(_UNIT[:, :2], _UNIT[:, 2:4], _UNIT[:, 4:].reshape(8, 2, 2)) - 1.0)
+    .reshape(8, 16).T
+)
 _SLOT_W = np.zeros((8, 8))
 _SLOT_W[:, 4:] = CHSH_SLOT_SIGNS.reshape(8, 4)
-
-
-def _null_basis(w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to w, shape (d, d-1)."""
-    _, _, vt = np.linalg.svd(w[None, :])
-    return vt[1:].T
 
 
 #: Correlator anchor per unit score: the isotropic PR mixture at CHSH score s is s * _ANCHOR_DIR.
@@ -222,7 +209,7 @@ def _geometry(set_: FeasibleSet, mode: ScanMode, qtilde_cap: bool) -> _Geometry:
     if qtilde_cap and set_ is not FeasibleSet.C:
         raise BehaviorError("the arcsin cap is implemented on the correlation space only")
     emb = _embedding(set_)
-    null = _null_basis(emb.T @ _SLOT_W[0])
+    null = _null_basis_rows((emb.T @ _SLOT_W[0])[None, :])
     lift = emb @ null  # (8, d-1), z -> x displacement
     return _Geometry(
         set=set_,
@@ -240,18 +227,27 @@ def _geometry(set_: FeasibleSet, mode: ScanMode, qtilde_cap: bool) -> _Geometry:
 # objective and penalty
 
 
-def _plogp_clip(p: np.ndarray) -> np.ndarray:
-    q = np.clip(p, 0.0, None)
-    return q * np.log2(q + 1e-300)
+def _probs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 16 joint probabilities (..., 16) and the marginal tables p(a|x),
+    p(b|y), (..., 2, 2), of batched correlator 8-vectors."""
+    p16 = 0.25 * (1.0 + x @ _POS_M.T)
+    pa = 0.5 * (1.0 + x[..., :2, None] * OUTCOME_VALUES)   # (..., x, a)
+    pb = 0.5 * (1.0 + x[..., 2:4, None] * OUTCOME_VALUES)  # (..., y, b)
+    return p16, pa, pb
 
 
 def _info_from_x(x: np.ndarray) -> np.ndarray:
     """Mutual information for batched correlator 8-vectors (exact value)."""
-    p16 = 0.25 * (1.0 + x @ _POS_M.T)
-    joint = 0.25 * _plogp_clip(p16).sum(axis=-1)
-    pa = 0.5 * (1.0 + x[..., :2, None] * OUTCOME_VALUES)   # (..., x, a)
-    pb = 0.5 * (1.0 + x[..., 2:4, None] * OUTCOME_VALUES)  # (..., y, b)
-    return joint - 0.5 * _plogp_clip(pa).sum(axis=(-1, -2)) - 0.5 * _plogp_clip(pb).sum(axis=(-1, -2))
+    return _info(*_probs(x))
+
+
+def _info_grad(p16: np.ndarray, pa: np.ndarray, pb: np.ndarray, slope) -> np.ndarray:
+    """Gradient of the mutual information with respect to the 8 correlators,
+    for rows of probabilities; ``slope`` is the derivative of p log2 p."""
+    grad = (slope(p16) @ _POS_M) / 16.0
+    grad[:, :2] -= 0.25 * (slope(pa) * OUTCOME_VALUES).sum(axis=-1)
+    grad[:, 2:4] -= 0.25 * (slope(pb) * OUTCOME_VALUES).sum(axis=-1)
+    return grad
 
 
 def _entropy_slope(p: np.ndarray) -> np.ndarray:
@@ -267,15 +263,8 @@ def info_gradient(x) -> np.ndarray:
     floored at ``GRAD_FLOOR`` inside the logarithms.
     """
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    xb = np.atleast_2d(x)
-    p16 = 0.25 * (1.0 + xb @ _POS_M.T)
-    grad = (_entropy_slope(p16) @ _POS_M) / 16.0
-    pa = 0.5 * (1.0 + xb[:, :2, None] * OUTCOME_VALUES)
-    pb = 0.5 * (1.0 + xb[:, 2:4, None] * OUTCOME_VALUES)
-    grad[:, :2] -= 0.25 * (_entropy_slope(pa) * OUTCOME_VALUES).sum(axis=-1)
-    grad[:, 2:4] -= 0.25 * (_entropy_slope(pb) * OUTCOME_VALUES).sum(axis=-1)
-    return grad[0] if squeeze else grad
+    grad = _info_grad(*_probs(np.atleast_2d(x)), _entropy_slope)
+    return grad[0] if x.ndim == 1 else grad
 
 
 def _qtilde_exprs(c4: np.ndarray) -> np.ndarray:
@@ -304,14 +293,8 @@ def _soft_slope(p: np.ndarray, eps: float) -> np.ndarray:
 def _penalty(job: _Job, z: np.ndarray, mu: float, eps: float, grad: bool = True):
     """Softened, penalized objective of each row and, if ``grad``, its z-gradient."""
     x = _x_from_z(job, z)
-    p16 = 0.25 * (1.0 + x @ _POS_M.T)
-    pa = 0.5 * (1.0 + x[:, :2, None] * OUTCOME_VALUES)
-    pb = 0.5 * (1.0 + x[:, 2:4, None] * OUTCOME_VALUES)
-    info = (
-        0.25 * _soft_plogp(p16, eps).sum(axis=-1)
-        - 0.5 * _soft_plogp(pa, eps).sum(axis=(-1, -2))
-        - 0.5 * _soft_plogp(pb, eps).sum(axis=(-1, -2))
-    )
+    p16, pa, pb = _probs(x)
+    info = _info(p16, pa, pb, lambda p: _soft_plogp(p, eps))
     viol_p = np.clip(-p16, 0.0, None)
     viol_s = np.clip(x @ _SLOT_W[1:].T - job.s[:, None], 0.0, None)
     f = job.geo.sigma * info + mu * (viol_p**2).sum(axis=-1)
@@ -325,9 +308,7 @@ def _penalty(job: _Job, z: np.ndarray, mu: float, eps: float, grad: bool = True)
     if not grad:
         return f
 
-    gx = (_soft_slope(p16, eps) @ _POS_M) / 16.0
-    gx[:, :2] -= 0.25 * (_soft_slope(pa, eps) * OUTCOME_VALUES).sum(axis=-1)
-    gx[:, 2:4] -= 0.25 * (_soft_slope(pb, eps) * OUTCOME_VALUES).sum(axis=-1)
+    gx = _info_grad(p16, pa, pb, lambda p: _soft_slope(p, eps))
     gx *= job.geo.sigma
     gx -= (0.5 * mu) * (viol_p @ _POS_M)
     gx += (2.0 * mu) * (viol_s @ _SLOT_W[1:])
@@ -768,8 +749,6 @@ def vertical_fill_check(s: float, n_samples: int = 200, *, seed: int = 0, restar
     lams = np.linspace(0.0, 1.0, n_samples)
     x_lo, x_hi = lo.argopt.vector(), hi.argopt.vector()
     xs = (1.0 - lams[:, None]) * x_lo + lams[:, None] * x_hi
-    from .functionals import _s_max_ab
-
     smax = _s_max_ab(xs[:, 4:].reshape(-1, 2, 2))
     if np.max(np.abs(smax - s)) > 1e-6:
         return False

@@ -4,6 +4,7 @@ analysis, membership checks, and the named reproduction recipes."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -16,11 +17,13 @@ from .behavior import (
     BehaviorError,
     BehaviorTag,
     ValidationError,
+    _correlators_from_tables,
+    _tables_from_correlators,
     behavior_from_json_dict,
     named_correlators,
 )
 from .curves import CurveId, curve_grid
-from .functionals import _mi_tables, _s_max_ab
+from .functionals import TSIRELSON, _mi_tables, _s_max_ab
 from .geometry import (
     AnalysisError,
     concavity_profile,
@@ -40,7 +43,6 @@ from .runio import (
 from .boundary import FeasibleSet, ScanConfig, ScanMode, scan
 
 USAGE_EXIT = 64
-TSIRELSON = 2.0 * np.sqrt(2.0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,9 +112,7 @@ def _cmd_curve(args) -> int:
         return 0
     started = time.time()
     write_xy_csv(args.out, ss, ii)
-    write_manifest(
-        _manifest_path(args.out), _cmdline(), None, __version__, started, [args.out]
-    )
+    _write_file_manifest(args.out, None, started)
     return 0
 
 
@@ -130,57 +130,34 @@ def _cmd_scan(args) -> int:
     )
     curve = scan(config)
     write_curve_csv(args.out, curve)
-    write_manifest(_manifest_path(args.out), _cmdline(), args.seed, __version__, started, [args.out])
+    _write_file_manifest(args.out, args.seed, started)
     return 0
 
 
 def _cmd_sample(args) -> int:
     started = time.time()
-    tables = sample_tables(args.n, args.seed)
-    from .behavior import _correlators_from_tables
-
-    a, b, ab = _correlators_from_tables(tables)
-    s = _s_max_ab(ab)
-    i = _mi_tables(tables)
-    if args.full:
-        header = ["s", "i", "a0", "a1", "b0", "b1", "c00", "c01", "c10", "c11"]
-        rows = np.column_stack([s, i, a, b, ab.reshape(-1, 4)])
-        write_table_csv(args.out, header, rows)
-    else:
-        write_xy_csv(args.out, s, i)
-    write_manifest(_manifest_path(args.out), _cmdline(), args.seed, __version__, started, [args.out])
+    _write_cloud(args.out, args.n, args.seed, full=args.full)
+    _write_file_manifest(args.out, args.seed, started)
     return 0
 
 
 def _cmd_inflect(args) -> int:
     started = time.time()
-    curve = read_curve_csv(args.infile)
-    profile = concavity_profile(curve, k=args.k)
-    ds = float(curve.s[1] - curve.s[0])
-    est = locate_inflection(profile, ds, args.k)
-    doc = {
-        "s_star": est.s_star,
-        "uncertainty": est.uncertainty,
-        "transition_lo": est.transition_lo,
-        "transition_hi": est.transition_hi,
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _, doc = _inflection(read_curve_csv(args.infile), args.k)
+    text = _json_text(doc)
     if args.out is not None:
         args.out.write_text(text)
-        write_manifest(_manifest_path(args.out), _cmdline(), None, __version__, started, [args.out])
+        _write_file_manifest(args.out, None, started)
     sys.stdout.write(text)
     return 0
 
 
 def _cmd_trajectory(args) -> int:
-    curve = read_curve_csv(args.infile)
-    traj = trajectory(curve)
-    header = ["s", "a0", "a1", "c00", "c01", "c11"]
-    rows = np.column_stack([traj.s, traj.a0, traj.a1, traj.c00, traj.c01, traj.c11])
+    header, rows = _trajectory_table(trajectory(read_curve_csv(args.infile)))
     if args.out is not None:
         started = time.time()
         write_table_csv(args.out, header, rows, digits=17)
-        write_manifest(_manifest_path(args.out), _cmdline(), None, __version__, started, [args.out])
+        _write_file_manifest(args.out, None, started)
     else:
         sys.stdout.write(",".join(header) + "\n")
         for row in rows:
@@ -199,26 +176,66 @@ def _cmd_check(args) -> int:
         behavior = behavior_from_json_dict(doc)
     except ValidationError as exc:
         sys.stderr.write(f"invalid behavior: {exc}\n")
-        sys.stdout.write(json.dumps({"ns_valid": False}, indent=2, allow_nan=False) + "\n")
+        sys.stdout.write(_json_text({"ns_valid": False}))
         return 1
     except BehaviorError as exc:
         sys.stderr.write(f"malformed behavior: {exc}\n")
         return 1
     rep = report(behavior)
-    sys.stdout.write(json.dumps(report_to_json_dict(rep), indent=2, sort_keys=True, allow_nan=False) + "\n")
+    sys.stdout.write(_json_text(report_to_json_dict(rep)))
     return 0
+
+
+# ---------------------------------------------------------------------------
+# outputs shared by the subcommands and the reproduction recipes
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _cmdline() -> str:
+    return "nonsig " + " ".join(sys.argv[1:])
+
+
+def _write_file_manifest(out: Path, seed: int | None, started: float) -> None:
+    """The run manifest of a single output file, written beside it."""
+    write_manifest(out.with_name(out.name + ".manifest.json"), _cmdline(), seed, __version__, started, [out])
+
+
+def _write_cloud(out: Path, n: int, seed: int, full: bool = False) -> None:
+    """Sample n quantum behaviors and write their (s, i), plus the correlators if ``full``."""
+    tables = sample_tables(n, seed)
+    a, b, ab = _correlators_from_tables(tables)
+    s = _s_max_ab(ab)
+    i = _mi_tables(tables)
+    if full:
+        header = ["s", "i", "a0", "a1", "b0", "b1", "c00", "c01", "c10", "c11"]
+        write_table_csv(out, header, np.column_stack([s, i, a, b, ab.reshape(-1, 4)]))
+    else:
+        write_xy_csv(out, s, i)
+
+
+def _inflection(curve, k: int):
+    """The concavity profile of a scanned curve and its inflection estimate as a JSON document."""
+    profile = concavity_profile(curve, k=k)
+    est = locate_inflection(profile, float(curve.s[1] - curve.s[0]), k)
+    return profile, dataclasses.asdict(est)
+
+
+def _trajectory_table(traj) -> tuple[list[str], np.ndarray]:
+    """CSV header and rows of a correlator trajectory."""
+    series = traj.series()
+    return ["s", *series], np.column_stack([traj.s, *series.values()])
 
 
 # ---------------------------------------------------------------------------
 # reproduction recipes
 
 
-def _manifest_path(out: Path) -> Path:
-    return out.with_name(out.name + ".manifest.json")
-
-
-def _cmdline() -> str:
-    return "nonsig " + " ".join(sys.argv[1:])
+def _given(value, default):
+    """A recipe override; an explicit 0 counts as given and reaches the validators."""
+    return default if value is None else value
 
 
 def _sample_mixtures(n: int, seed: int) -> np.ndarray:
@@ -237,8 +254,6 @@ def _sample_mixtures(n: int, seed: int) -> np.ndarray:
         ]
     )
     ab = np.einsum("nk,kxy->nxy", w, base)
-    from .behavior import _tables_from_correlators
-
     zero = np.zeros((n, 2))
     tables = _tables_from_correlators(zero, zero, ab)
     s = _s_max_ab(ab)
@@ -253,8 +268,8 @@ def _recipe_scan(args, set_, mode, lo, hi, n, restarts) -> ScanConfig:
         mode=mode,
         s_lo=lo,
         s_hi=hi,
-        grid_points=args.points or n,
-        restarts=args.restarts or restarts,
+        grid_points=_given(args.points, n),
+        restarts=_given(args.restarts, restarts),
         seed=args.seed,
     )
 
@@ -275,18 +290,19 @@ def _repro_fig3(args, outdir: Path) -> list[Path]:
 
 def _repro_fig4(args, outdir: Path) -> list[Path]:
     files = []
-    ss, ii = curve_grid(CurveId.QC_MAX, args.points or 200)
+    points = _given(args.points, 200)
+    ss, ii = curve_grid(CurveId.QC_MAX, points)
     out = outdir / "fig4_qc_curve.csv"
     write_xy_csv(out, ss, ii)
     files.append(out)
-    n = max((args.points or 200) // 4, 10)
+    n = max(points // 4, 10)
     cfg = ScanConfig(
         set=FeasibleSet.C,
         mode=ScanMode.MAX,
         s_lo=2.0,
         s_hi=TSIRELSON,
         grid_points=n,
-        restarts=args.restarts or 30,
+        restarts=_given(args.restarts, 30),
         seed=args.seed,
         qtilde_cap=True,
     )
@@ -301,15 +317,11 @@ def _repro_fig4(args, outdir: Path) -> list[Path]:
 
 
 def _repro_fig5(args, outdir: Path) -> list[Path]:
-    n_quantum = args.n or (5_000_000 if args.full_scale else 200_000)
+    n_quantum = _given(args.n, 5_000_000 if args.full_scale else 200_000)
     n_mix = 10_000
     files = []
-    tables = sample_tables(n_quantum, args.seed)
-    from .behavior import _correlators_from_tables
-
-    _, _, ab = _correlators_from_tables(tables)
     out = outdir / "fig5_quantum.csv"
-    write_xy_csv(out, _s_max_ab(ab), _mi_tables(tables))
+    _write_cloud(out, n_quantum, args.seed)
     files.append(out)
     out = outdir / "fig5_mixtures.csv"
     write_table_csv(out, ["s", "i", "qtilde_pass"], _sample_mixtures(n_mix, args.seed))
@@ -322,36 +334,27 @@ def _repro_fig5(args, outdir: Path) -> list[Path]:
 
 
 def _repro_fig6(args, outdir: Path):
-    n = args.points or (5000 if args.full_scale else 2000)
-    k = args.k or 100
+    n = _given(args.points, 5000 if args.full_scale else 2000)
     cfg = _recipe_scan(args, FeasibleSet.NS, ScanMode.MIN, 2.5, 3.1, n, 8)
     curve = scan(cfg)
     files = []
     out = outdir / "fig6_scan.csv"
     write_curve_csv(out, curve)
     files.append(out)
-    profile = concavity_profile(curve, k=k)
+    profile, doc = _inflection(curve, _given(args.k, 100))
     out = outdir / "fig6_profile.csv"
     write_xy_csv(out, [p.s for p in profile], [p.det for p in profile], digits=17, header=("s", "det"))
     files.append(out)
-    ds = float(curve.s[1] - curve.s[0])
-    est = locate_inflection(profile, ds, k)
-    doc = {
-        "s_star": est.s_star,
-        "uncertainty": est.uncertainty,
-        "transition_lo": est.transition_lo,
-        "transition_hi": est.transition_hi,
-        "tsirelson": TSIRELSON,
-    }
+    doc["tsirelson"] = TSIRELSON
     out = outdir / "fig6_inflection.json"
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    out.write_text(_json_text(doc))
     files.append(out)
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    sys.stdout.write(_json_text(doc))
     return files
 
 
 def _repro_fig7(args, outdir: Path):
-    n = args.points or (2000 if args.full_scale else 600)
+    n = _given(args.points, 2000 if args.full_scale else 600)
     cfg = _recipe_scan(args, FeasibleSet.SYM, ScanMode.MIN, 2.5, 3.1, n, 8)
     curve = scan(cfg)
     files = []
@@ -360,19 +363,13 @@ def _repro_fig7(args, outdir: Path):
     files.append(out)
     traj = trajectory(curve)
     out = outdir / "fig7_trajectory.csv"
-    write_table_csv(
-        out,
-        ["s", "a0", "a1", "c00", "c01", "c11"],
-        np.column_stack([traj.s, traj.a0, traj.a1, traj.c00, traj.c01, traj.c11]),
-        digits=17,
-    )
+    write_table_csv(out, *_trajectory_table(traj), digits=17)
     files.append(out)
-    kinks = slope_kinks(traj, window=args.k or 50)
-    doc = {"kinks": kinks, "tsirelson": TSIRELSON}
+    doc = {"kinks": slope_kinks(traj, window=_given(args.k, 50)), "tsirelson": TSIRELSON}
     out = outdir / "fig7_kinks.json"
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    out.write_text(_json_text(doc))
     files.append(out)
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    sys.stdout.write(_json_text(doc))
     return files
 
 

@@ -23,9 +23,7 @@ from .behavior import (
     mix,
     named,
 )
-from .functionals import g, mutual_information
-
-TSIRELSON = 2.0 * np.sqrt(2.0)
+from .functionals import TSIRELSON, mutual_information
 
 _DOMAIN_SLACK = 1e-9
 

@@ -11,6 +11,9 @@ from .behavior import CHSH_SLOT_SIGNS, Behavior, BehaviorError, Correlators
 #: Probabilities below this are exact zeros for entropy purposes.
 ZERO_FLOOR = 1e-300
 
+#: Tsirelson's bound, the largest CHSH score a quantum behavior attains.
+TSIRELSON = 2.0 * np.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class FunctionalPoint:
@@ -65,12 +68,18 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return q * np.log2(q + ZERO_FLOOR)
 
 
+def _info(p16: np.ndarray, pa: np.ndarray, pb: np.ndarray, plogp=_plogp) -> np.ndarray:
+    """Mutual information in bits from the 16 joint probabilities (..., 16) and
+    the marginal tables p(a|x) and p(b|y), (..., 2, 2); ``plogp`` is p log2 p."""
+    joint = 0.25 * plogp(p16).sum(axis=-1)
+    return joint - 0.5 * plogp(pa).sum(axis=(-1, -2)) - 0.5 * plogp(pb).sum(axis=(-1, -2))
+
+
 def _mi_tables(tables: np.ndarray) -> np.ndarray:
     """Mutual information in bits for stacked tables (..., 2, 2, 2, 2)."""
     pa = tables.sum(axis=-1).mean(axis=-2)   # (..., x, a)
     pb = tables.sum(axis=-2).mean(axis=-3)   # (..., y, b)
-    joint = 0.25 * _plogp(tables).sum(axis=(-1, -2, -3, -4))
-    return joint - 0.5 * _plogp(pa).sum(axis=(-1, -2)) - 0.5 * _plogp(pb).sum(axis=(-1, -2))
+    return _info(tables.reshape(*tables.shape[:-4], 16), pa, pb)
 
 
 def mutual_information(p: Behavior) -> float:

@@ -11,8 +11,6 @@ from .behavior import BehaviorError, Correlators, sym_orbit
 from .functionals import chsh_linear
 from .boundary import BoundaryCurve, FeasibleSet
 
-TSIRELSON = 2.0 * np.sqrt(2.0)
-
 
 class AnalysisError(RuntimeError):
     """A post-processing step could not reach a conclusive answer."""
@@ -188,6 +186,8 @@ def slope_kinks(traj: Trajectory, window: int = 50, threshold: float = 10.0) -> 
     ``window`` points on each side, fired where the slope change exceeds
     ``threshold`` times the median change, merged within one window."""
     n = len(traj.s)
+    if window < 1:
+        raise AnalysisError("window must be positive")
     if n < 2 * window + 1:
         raise AnalysisError(f"trajectory too short for window {window}")
     ds = traj.s[1] - traj.s[0]

@@ -7,9 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .behavior import Behavior, ValidationError, Violation, validate, EXTERNAL_TOL
-from .functionals import s_max
-
-TSIRELSON = 2.0 * np.sqrt(2.0)
+from .functionals import TSIRELSON, _s_max_ab, s_max
 
 #: Marginals this close to +-1 take the degenerate NPA-1 branch (the
 #: normalized covariance divides by sqrt(1 - <A_x>^2)).
@@ -50,9 +48,7 @@ def _clamped_arcsin(values: np.ndarray) -> np.ndarray:
 
 def _arcsin_margin(ab: np.ndarray) -> np.ndarray:
     """max_xy |sum arcsin(C) - 2 arcsin(C[x,y])| for stacked (..., 2, 2) correlators."""
-    t = np.arcsin(np.clip(ab, -1.0, 1.0))
-    tot = t.sum(axis=(-1, -2))[..., None, None]
-    return np.abs(tot - 2.0 * t).max(axis=(-1, -2))
+    return _s_max_ab(np.arcsin(np.clip(ab, -1.0, 1.0)))
 
 
 def is_local(p: Behavior) -> tuple[bool, float]:

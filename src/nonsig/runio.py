@@ -10,7 +10,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -142,14 +142,7 @@ def write_manifest(path, command: str, seed: int | None, version: str, started: 
         wall_time_s=time.time() - started,
         outputs={Path(p).name: sha256_file(p) for p in outputs},
     )
-    doc = {
-        "command": manifest.command,
-        "seed": manifest.seed,
-        "version": manifest.version,
-        "wall_time_s": manifest.wall_time_s,
-        "outputs": manifest.outputs,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    Path(path).write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True, allow_nan=False) + "\n")
     return manifest
 
 

@@ -193,6 +193,35 @@ class TestScan:
             ScanConfig(set=FeasibleSet.NS, mode=ScanMode.MIN, s_lo=0.0, s_hi=5.0, grid_points=5)
         with pytest.raises(BehaviorError):
             ScanConfig(set=FeasibleSet.NS, mode=ScanMode.MIN, s_lo=0.0, s_hi=1.0, grid_points=1)
+        for restarts in (0, -1):
+            with pytest.raises(BehaviorError):
+                ScanConfig(set=FeasibleSet.NS, mode=ScanMode.MIN, s_lo=1.0, s_hi=3.0, grid_points=3,
+                           restarts=restarts)
+
+
+class TestKernel:
+    def test_matches_exact_objective(self):
+        """At mu = 0 and a vanishing softening width the penalty kernel is the
+        exact mutual information, with the exact gradient, on interior rows."""
+        from nonsig.behavior import _tables_from_correlators
+        from nonsig.boundary import _geometry, _info_from_x, _penalty, _probs, _random_starts, _x_from_z
+        from nonsig.functionals import _mi_tables
+
+        for set_ in FeasibleSet:
+            for mode in ScanMode:
+                geo = _geometry(set_, mode, False)
+                point = geo.at([2.6])
+                z = _random_starts(point, 20, np.random.default_rng([7]))
+                job = point.take(np.zeros(len(z), dtype=int))
+                x = _x_from_z(job, z)
+                assert _probs(x)[0].min() > 1e-3
+                f, grad = _penalty(job, z, mu=0.0, eps=1e-9)
+                exact = _info_from_x(x)
+                assert np.max(np.abs(f - geo.sigma * exact)) <= 1e-14
+                expected = ((geo.sigma * info_gradient(x)) @ geo.emb) @ geo.null
+                assert np.max(np.abs(grad - expected)) <= 1e-9
+                tables = _tables_from_correlators(x[:, :2], x[:, 2:4], x[:, 4:].reshape(-1, 2, 2))
+                assert np.max(np.abs(exact - _mi_tables(tables))) <= 1e-14
 
 
 class TestBlockIndependence:

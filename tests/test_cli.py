@@ -156,6 +156,29 @@ class TestCliCommands:
         ])
         assert rc == 1
 
+    def test_scan_without_restarts_exits_one(self, tmp_path, capsys):
+        for restarts in ("0", "-1"):
+            rc = dispatch([
+                "scan", "--set", "ns", "--mode", "max", "--lo", "1", "--hi", "2",
+                "--n", "3", "--restarts", restarts, "--out", str(tmp_path / "x.csv"),
+            ])
+            assert rc == 1
+            assert "restart" in capsys.readouterr().err
+
+    def test_repro_explicit_zero_overrides_are_rejected(self, tmp_path, capsys):
+        cases = [
+            (["fig5", "--n", "0"], 1),
+            (["fig6", "--points", "0"], 1),
+            (["fig3", "--restarts", "0"], 1),
+            (["fig4", "--points", "0"], 1),
+            (["fig6", "--points", "30", "--k", "0"], 2),
+            (["fig7", "--points", "30", "--k", "0"], 2),
+        ]
+        for argv, code in cases:
+            assert dispatch(["repro", *argv, "--outdir", str(tmp_path)]) == code, argv
+            assert capsys.readouterr().err.strip(), argv
+        assert not (tmp_path / "fig5_quantum.csv").exists()
+
     def test_inflect_and_exit_codes(self, tmp_path, capsys):
         # synthetic cubic scan file: inflection at 2.8
         s = np.linspace(2.5, 3.1, 301)

@@ -197,5 +197,6 @@ class TestSlopeKinks:
     def test_too_short(self):
         s = np.linspace(2.5, 3.1, 40)
         curve = synthetic_curve(s, s * 0.1, argopts=[self._vec(0, 0.5, 0.5, -0.5)] * 40)
-        with pytest.raises(AnalysisError):
-            slope_kinks(trajectory(curve), window=50)
+        for window in (50, 0, -3):
+            with pytest.raises(AnalysisError):
+                slope_kinks(trajectory(curve), window=window)
