@@ -143,14 +143,6 @@ def _embedding(set_: FeasibleSet) -> np.ndarray:
     return e
 
 
-#: p_j = (1 + M_j . x) / 4 for the 16 outcomes, rows ordered (x, y, a, b): the
-#: tables of the 8 unit correlator vectors, shifted and scaled (exactly).  C order
-#: keeps the products below on one BLAS path.
-_UNIT = np.eye(8)
-_POS_M = np.ascontiguousarray(
-    (4.0 * _tables_from_correlators(_UNIT[:, :2], _UNIT[:, 2:4], _UNIT[:, 4:].reshape(8, 2, 2)) - 1.0)
-    .reshape(8, 16).T
-)
 _SLOT_W = np.zeros((8, 8))
 _SLOT_W[:, 4:] = CHSH_SLOT_SIGNS.reshape(8, 4)
 
@@ -159,50 +151,78 @@ _SLOT_W[:, 4:] = CHSH_SLOT_SIGNS.reshape(8, 4)
 _ANCHOR_DIR = np.array([0.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.25, -0.25])
 
 
+def _probs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 16 joint probabilities (..., 16), ordered (x, y, a, b), and the marginal
+    tables p(a|x), p(b|y), (..., 2, 2), of batched correlator 8-vectors."""
+    lead = x.shape[:-1]
+    p16 = _tables_from_correlators(x[..., :2], x[..., 2:4], x[..., 4:].reshape(*lead, 2, 2)).reshape(*lead, 16)
+    pa = 0.5 * (1.0 + x[..., :2, None] * OUTCOME_VALUES)   # (..., x, a)
+    pb = 0.5 * (1.0 + x[..., 2:4, None] * OUTCOME_VALUES)  # (..., y, b)
+    return p16, pa, pb
+
+
+#: The quantities the solver reads, one row each: p(a|x), p(b|y) and the joint
+#: probabilities (the entropy rows), the 7 dominance slacks s - (slot k
+#: expression) (with the joint probabilities, the facets kept >= 0), and the 8
+#: correlators, whose last 4 are the C_xy of the arcsin cap.
+_PA, _PB, _P16, _ENT = slice(0, 4), slice(4, 8), slice(8, 24), slice(0, 24)
+_FACETS, _DOM, _X, _C4 = slice(8, 31), slice(24, 31), slice(31, 39), slice(35, 39)
+
+
+def _quantities(x: np.ndarray) -> np.ndarray:
+    """The quantities (39, r) of correlator vectors x (r, 8), at score 0."""
+    p16, pa, pb = _probs(x)
+    return np.concatenate([pa.reshape(-1, 4), pb.reshape(-1, 4), p16, -x @ _SLOT_W[1:].T, x], axis=1).T
+
+
+#: The quantities are affine in x and in the score: _Q0 + _QX @ x, plus s on the dominance slacks.
+_Q0 = _quantities(np.zeros((1, 8)))[:, 0]
+_QX = _quantities(np.eye(8)) - _Q0[:, None]
+_Q_PER_S = _QX @ _ANCHOR_DIR
+_Q_PER_S[_DOM] += 1.0
+#: I = _ENT_W @ (p log2 p) over the entropy rows: the one I formula read off on unit rows.
+_E24 = np.eye(24)
+_ENT_W = _info(_E24[:, _P16], _E24[:, _PA].reshape(-1, 2, 2), _E24[:, _PB].reshape(-1, 2, 2), plogp=lambda h: h)
+_LOG2_FLOOR = np.log2(GRAD_FLOOR)
+
+
 @dataclass(frozen=True)
 class _Geometry:
     """What the feasible set and mode fix at every score.
 
-    z-coordinates span the hyperplane of fixed canonical score; the slacks
-    c(z) = ca + az @ z of the 16 positivity and 7 dominance facets are affine
-    in z, with a jacobian ``az`` that does not depend on the score.
+    z-coordinates span the hyperplane of fixed canonical score.  Every
+    quantity the solver reads is affine in z, ``map @ z`` plus offsets that
+    are affine in the score; ``map`` does not depend on the score.
     """
 
     set: FeasibleSet
     mode: ScanMode
     qtilde_cap: bool
-    emb: np.ndarray   # (8, d)
-    pinv: np.ndarray  # (d, 8)
-    null: np.ndarray  # (d, d-1)
-    az: np.ndarray    # (23, d-1) slack jacobian in z-coordinates
+    map: np.ndarray   # (39, d-1)
+    zmap: np.ndarray  # (8, d-1) least-squares z of a correlator displacement
     sigma: float      # +1 minimizes I, -1 maximizes
 
     def at(self, s) -> _Job:
         """One job row per score in ``s``."""
         s = np.asarray(s, dtype=float)
-        anchor_x = s[:, None] * _ANCHOR_DIR
-        ca = np.concatenate(
-            [0.25 * (1.0 + anchor_x @ _POS_M.T), s[:, None] - anchor_x @ _SLOT_W[1:].T], axis=1
-        )
-        return _Job(geo=self, s=s, anchor_v=anchor_x @ self.pinv.T, ca=ca)
+        return _Job(geo=self, s=s, off=_Q0[:, None] + np.outer(_Q_PER_S, s))
 
 
 @dataclass(frozen=True)
 class _Job:
     """Solver rows of one geometry, each at its own score.
 
-    The anchor and the anchor slacks are affine in s.  Rows never interact,
-    so any rows of any scores can share one kernel call; a job with a single
-    row broadcasts over a whole batch of iterates.
+    The offsets are the quantities at the anchor (z = 0), affine in s.  Rows
+    never interact, so any rows of any scores can share one kernel call; a
+    job with a single row broadcasts over a whole batch of iterates.
     """
 
     geo: _Geometry
-    s: np.ndarray         # (r,)
-    anchor_v: np.ndarray  # (r, d)
-    ca: np.ndarray        # (r, 23) anchor slacks: 16 positivity then 7 dominance
+    s: np.ndarray    # (r,)
+    off: np.ndarray  # (39, r)
 
     def take(self, rows) -> _Job:
-        return _Job(geo=self.geo, s=self.s[rows], anchor_v=self.anchor_v[rows], ca=self.ca[rows])
+        return _Job(geo=self.geo, s=self.s[rows], off=self.off[:, rows])
 
 
 def _geometry(set_: FeasibleSet, mode: ScanMode, qtilde_cap: bool) -> _Geometry:
@@ -210,15 +230,12 @@ def _geometry(set_: FeasibleSet, mode: ScanMode, qtilde_cap: bool) -> _Geometry:
         raise BehaviorError("the arcsin cap is implemented on the correlation space only")
     emb = _embedding(set_)
     null = _null_basis_rows((emb.T @ _SLOT_W[0])[None, :])
-    lift = emb @ null  # (8, d-1), z -> x displacement
     return _Geometry(
         set=set_,
         mode=mode,
         qtilde_cap=qtilde_cap,
-        emb=emb,
-        pinv=np.linalg.pinv(emb),
-        null=null,
-        az=np.concatenate([0.25 * _POS_M @ lift, -_SLOT_W[1:] @ lift]),
+        map=_QX @ (emb @ null),
+        zmap=np.linalg.pinv(emb).T @ null,
         sigma=1.0 if mode is ScanMode.MIN else -1.0,
     )
 
@@ -227,27 +244,9 @@ def _geometry(set_: FeasibleSet, mode: ScanMode, qtilde_cap: bool) -> _Geometry:
 # objective and penalty
 
 
-def _probs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 16 joint probabilities (..., 16) and the marginal tables p(a|x),
-    p(b|y), (..., 2, 2), of batched correlator 8-vectors."""
-    p16 = 0.25 * (1.0 + x @ _POS_M.T)
-    pa = 0.5 * (1.0 + x[..., :2, None] * OUTCOME_VALUES)   # (..., x, a)
-    pb = 0.5 * (1.0 + x[..., 2:4, None] * OUTCOME_VALUES)  # (..., y, b)
-    return p16, pa, pb
-
-
 def _info_from_x(x: np.ndarray) -> np.ndarray:
     """Mutual information for batched correlator 8-vectors (exact value)."""
     return _info(*_probs(x))
-
-
-def _info_grad(p16: np.ndarray, pa: np.ndarray, pb: np.ndarray, slope) -> np.ndarray:
-    """Gradient of the mutual information with respect to the 8 correlators,
-    for rows of probabilities; ``slope`` is the derivative of p log2 p."""
-    grad = (slope(p16) @ _POS_M) / 16.0
-    grad[:, :2] -= 0.25 * (slope(pa) * OUTCOME_VALUES).sum(axis=-1)
-    grad[:, 2:4] -= 0.25 * (slope(pb) * OUTCOME_VALUES).sum(axis=-1)
-    return grad
 
 
 def _entropy_slope(p: np.ndarray) -> np.ndarray:
@@ -263,13 +262,14 @@ def info_gradient(x) -> np.ndarray:
     floored at ``GRAD_FLOOR`` inside the logarithms.
     """
     x = np.asarray(x, dtype=float)
-    grad = _info_grad(*_probs(np.atleast_2d(x)), _entropy_slope)
+    slope = _entropy_slope(_quantities(np.atleast_2d(x))[_ENT])
+    grad = (_ENT_W[:, None] * slope).T @ _QX[_ENT]
     return grad[0] if x.ndim == 1 else grad
 
 
-def _qtilde_exprs(c4: np.ndarray) -> np.ndarray:
+def _qtilde_exprs(c4: np.ndarray, axis: int = -1) -> np.ndarray:
     t = np.arcsin(np.clip(c4, -1.0, 1.0))
-    return t.sum(axis=-1, keepdims=True) - 2.0 * t
+    return t.sum(axis=axis, keepdims=True) - 2.0 * t
 
 
 def _arcsin_slope(c4: np.ndarray) -> np.ndarray:
@@ -278,52 +278,48 @@ def _arcsin_slope(c4: np.ndarray) -> np.ndarray:
     return np.where(inside, 1.0 / np.sqrt(np.clip(1.0 - c4**2, 1e-12, None)), 0.0)
 
 
-def _soft_plogp(p: np.ndarray, eps: float) -> np.ndarray:
-    """p log2 p with the kink at p = 0 rounded over a width ~eps."""
-    q = 0.5 * (p + np.sqrt(p * p + eps * eps))
-    return q * np.log2(q + 1e-300)
-
-
-def _soft_slope(p: np.ndarray, eps: float) -> np.ndarray:
-    q = 0.5 * (p + np.sqrt(p * p + eps * eps))
-    dq = 0.5 * (1.0 + p / np.sqrt(p * p + eps * eps))
-    return (np.log2(np.clip(q, GRAD_FLOOR, None)) + _LOG2E) * dq
-
-
-def _penalty(job: _Job, z: np.ndarray, mu: float, eps: float, grad: bool = True):
-    """Softened, penalized objective of each row and, if ``grad``, its z-gradient."""
-    x = _x_from_z(job, z)
-    p16, pa, pb = _probs(x)
-    info = _info(p16, pa, pb, lambda p: _soft_plogp(p, eps))
-    viol_p = np.clip(-p16, 0.0, None)
-    viol_s = np.clip(x @ _SLOT_W[1:].T - job.s[:, None], 0.0, None)
-    f = job.geo.sigma * info + mu * (viol_p**2).sum(axis=-1)
-    f += mu * (viol_s**2).sum(axis=-1)
-    if job.geo.qtilde_cap:
-        c4 = x[:, 4:]
-        e = _qtilde_exprs(c4)
-        up = np.clip(e - np.pi, 0.0, None)
-        dn = np.clip(-e - np.pi, 0.0, None)
-        f += mu * (up**2 + dn**2).sum(axis=-1)
+def _penalty(geo: _Geometry, off: np.ndarray, z: np.ndarray, mu: float, eps: float, grad: bool = True):
+    """Softened, penalized objective of rows z at offsets ``off`` (39, r) and, if ``grad``,
+    its z-gradient: one product in, p log2 p rounded over a width ~eps at p = 0
+    (as q log2 q, q = (p + sqrt(p^2 + eps^2)) / 2), and one product back."""
+    m = geo.map[: _X.stop if geo.qtilde_cap else _FACETS.stop]
+    y = m @ z.T
+    y += off[: len(m)]
+    p = y[_ENT]
+    root = np.sqrt(p * p + eps * eps)
+    q = root + p
+    q *= 0.5
+    lg = np.log2(q + 1e-300)
+    viol = np.minimum(y[_FACETS], 0.0)
+    f = geo.sigma * (_ENT_W @ (q * lg)) + mu * np.einsum("ij,ij->j", viol, viol)
+    if geo.qtilde_cap:
+        e = _qtilde_exprs(y[_C4], axis=0)
+        up = np.maximum(e - np.pi, 0.0)
+        dn = np.maximum(-e - np.pi, 0.0)
+        f += mu * (up**2 + dn**2).sum(axis=0)
     if not grad:
         return f
 
-    gx = _info_grad(p16, pa, pb, lambda p: _soft_slope(p, eps))
-    gx *= job.geo.sigma
-    gx -= (0.5 * mu) * (viol_p @ _POS_M)
-    gx += (2.0 * mu) * (viol_s @ _SLOT_W[1:])
-    if job.geo.qtilde_cap:
+    g = np.zeros_like(y)
+    # d(q log2 q)/dp = (log2 q + 1/ln 2) (1 + p/root) / 2, log2 q floored at log2(GRAD_FLOOR)
+    ent = np.maximum(lg, _LOG2_FLOOR, out=g[_ENT])
+    ent += _LOG2E
+    dq = np.divide(p, root, out=root)
+    dq += 1.0
+    dq *= 0.5 * geo.sigma * _ENT_W[:, None]
+    ent *= dq
+    g[_FACETS] += (2.0 * mu) * viol
+    if geo.qtilde_cap:
         u = up - dn
-        gt = 2.0 * (u.sum(axis=-1, keepdims=True) - 2.0 * u)
-        gx[:, 4:] += mu * gt * _arcsin_slope(c4)
-    return f, (gx @ job.geo.emb) @ job.geo.null
+        g[_C4] = (2.0 * mu) * (u.sum(axis=0, keepdims=True) - 2.0 * u) * _arcsin_slope(y[_C4])
+    return f, g.T @ m
 
 
 # ---------------------------------------------------------------------------
 # inner solver
 
 
-def _project_arcsin_facet(job: _Job, z: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _project_arcsin_facet(geo: _Geometry, off: np.ndarray, z: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Drop the gradient component that pushes across an active arcsin facet.
 
     The facet is curved, so at large mu a raw step into it gets rejected down
@@ -331,8 +327,7 @@ def _project_arcsin_facet(job: _Job, z: np.ndarray, grad: np.ndarray) -> np.ndar
     the gradient keeps rows sliding along the facet; the normal drift is
     handled by the penalty equilibrium and the final repair.
     """
-    x = _x_from_z(job, z)
-    c4 = x[:, 4:]
+    c4 = off[_C4].T + z @ geo.map[_C4].T
     e = _qtilde_exprs(c4)
     worst = np.argmax(np.abs(e), axis=1)
     rows = np.arange(len(z))
@@ -342,9 +337,7 @@ def _project_arcsin_facet(job: _Job, z: np.ndarray, grad: np.ndarray) -> np.ndar
     sign = np.sign(e[rows, worst])
     coeff = np.ones((len(z), 4))
     coeff[rows, worst] = -1.0
-    gx = np.zeros((len(z), 8))
-    gx[:, 4:] = sign[:, None] * coeff * _arcsin_slope(c4)
-    gn = (gx @ job.geo.emb) @ job.geo.null
+    gn = (sign[:, None] * coeff * _arcsin_slope(c4)) @ geo.map[_C4]
     norms = np.linalg.norm(gn, axis=1)
     dots = (grad * gn).sum(axis=1)
     mask = active & (dots < 0.0) & (norms > 1e-12)
@@ -367,12 +360,13 @@ def _gradient_descent(
     ``alpha``.  ``owner`` maps rows to the points they start from: a point
     whose rows are all done stops there, exactly as if it were solved alone.
     """
+    geo, off = job.geo, job.off
     r = z.shape[0]
     stuck = np.zeros(r, dtype=bool)
     stalled = np.zeros(r, dtype=bool)
-    f, grad = _penalty(job, z, mu, eps)
-    if job.geo.qtilde_cap:
-        grad = _project_arcsin_facet(job, z, grad)
+    f, grad = _penalty(geo, off, z, mu, eps)
+    if geo.qtilde_cap:
+        grad = _project_arcsin_facet(geo, off, z, grad)
     z_prev = z.copy()
     g_prev = grad.copy()
     f_mark = f.copy()
@@ -388,7 +382,7 @@ def _gradient_descent(
             if remaining.size == 0:
                 break
             cand = z[remaining] - alpha[remaining, None] * grad[remaining]
-            fc = _penalty(job.take(remaining), cand, mu, eps, grad=False)
+            fc = _penalty(geo, off[:, remaining], cand, mu, eps, grad=False)
             ok = fc <= f[remaining] - 1e-4 * alpha[remaining] * gn2[remaining]
             good = remaining[ok]
             z[good] = cand[ok]
@@ -396,24 +390,24 @@ def _gradient_descent(
             alpha[remaining[~ok]] *= 0.5
             remaining = remaining[~ok]
         stuck[remaining] = True
-        moved = np.setdiff1d(idx, remaining, assume_unique=True)
+        moved = idx[~stuck[idx]]
         if moved.size:
-            moved_job = job.take(moved)
-            f[moved], g_moved = _penalty(moved_job, z[moved], mu, eps)
-            if job.geo.qtilde_cap:
-                g_moved = _project_arcsin_facet(moved_job, z[moved], g_moved)
+            off_moved = off[:, moved]
+            f[moved], g_moved = _penalty(geo, off_moved, z[moved], mu, eps)
+            if geo.qtilde_cap:
+                g_moved = _project_arcsin_facet(geo, off_moved, z[moved], g_moved)
             # spectral (Barzilai-Borwein) trial step for the next line search
             dz = z[moved] - z_prev[moved]
             dg = g_moved - g_prev[moved]
             denom = (dg * dg).sum(axis=1)
             num = (dz * dg).sum(axis=1)
             bb = np.divide(num, denom, out=alpha[moved].copy(), where=denom > 1e-300)
-            alpha[moved] = np.clip(np.abs(bb), 1e-8, 1.0)
+            alpha[moved] = np.minimum(np.maximum(np.abs(bb), 1e-8), 1.0)
             z_prev[moved] = z[moved]
             g_prev[moved] = g_moved
             grad[moved] = g_moved
         if (it + 1) % 15 == 0:
-            live = np.isin(owner, owner[active])  # points with a row active this iteration
+            live = np.bincount(owner, weights=active)[owner] > 0  # points with a row active this iteration
             stalled |= live & ((f_mark - f) <= 5e-12 * (1.0 + np.abs(f)))
             f_mark = f.copy()
     gn2 = (grad * grad).sum(axis=1)
@@ -435,7 +429,7 @@ def _solve(
     alpha = np.full(z.shape[0], 0.05)
     f_prev = None
     for k in range(len(_MU_SCHEDULE) - outers, len(_MU_SCHEDULE)):
-        np.clip(alpha, 1e-6, None, out=alpha)
+        np.maximum(alpha, 1e-6, out=alpha)
         z, met, f = _gradient_descent(
             job, z, owner, alpha, _MU_SCHEDULE[k], _EPS_SCHEDULE[k], _INNER_ITERS[k],
             max(_GTOLS[k], tol),
@@ -452,7 +446,7 @@ def _solve(
 
 
 def _x_from_z(job: _Job, z: np.ndarray) -> np.ndarray:
-    return (job.anchor_v + z @ job.geo.null.T) @ job.geo.emb.T
+    return job.off[_X].T + z @ job.geo.map[_X].T
 
 
 def _shrink_lambda(job: _Job, z: np.ndarray, margin: float) -> np.ndarray:
@@ -461,8 +455,8 @@ def _shrink_lambda(job: _Job, z: np.ndarray, margin: float) -> np.ndarray:
     Slacks are affine in z, so the bound is exact; each facet is kept at
     >= margin * (its anchor slack).
     """
-    slack_move = z @ job.geo.az.T  # (r, 23), slack(lam*z) = ca + lam*slack_move
-    budget = (1.0 - margin) * job.ca
+    slack_move = z @ job.geo.map[_FACETS].T  # (r, 23), slack(lam*z) = off + lam*slack_move
+    budget = (1.0 - margin) * job.off[_FACETS].T
     with np.errstate(divide="ignore", invalid="ignore"):
         lam_j = np.where(slack_move < -1e-13, budget / (-slack_move), np.inf)
     lam = np.minimum(1.0, lam_j.min(axis=-1))
@@ -476,9 +470,9 @@ def _project_active(job: _Job, z: np.ndarray) -> np.ndarray:
     violation; the violating component must be projected out instead (this
     happens at the edges of the score range, where the anchor is extremal).
     """
-    az = job.geo.az
+    az = job.geo.map[_FACETS]
     norms2 = (az * az).sum(axis=1)
-    facets = (job.ca <= 1e-12) & (norms2 > 1e-20)
+    facets = (job.off[_FACETS].T <= 1e-12) & (norms2 > 1e-20)
     if not facets.any():
         return z
     for _ in range(12):
@@ -486,7 +480,7 @@ def _project_active(job: _Job, z: np.ndarray) -> np.ndarray:
         if viol.min() >= -1e-14:
             break
         jmin = viol.argmin(axis=1)
-        amount = np.clip(-viol[np.arange(len(z)), jmin], 0.0, None) / norms2[jmin]
+        amount = np.maximum(-viol[np.arange(len(z)), jmin], 0.0) / norms2[jmin]
         z = z + amount[:, None] * az[jmin]
     return z
 
@@ -528,24 +522,25 @@ def _repair(job: _Job, z: np.ndarray) -> np.ndarray:
 def _random_starts(point: _Job, n: int, rng: np.random.Generator) -> np.ndarray:
     """Spread starts inside the feasible slice: random directions from the
     anchor, stepped a random fraction of the distance to the nearest facet."""
-    geo = point.geo
-    u = rng.standard_normal((n, geo.null.shape[1]))
+    af = point.geo.map[_FACETS]
+    ca = point.off[_FACETS, 0]
+    u = rng.standard_normal((n, af.shape[1]))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    active = point.ca[0] <= 1e-12
+    active = ca <= 1e-12
     if active.any():
         # anchor sits on a facet (score at the edge of its range); sample
         # inside the tangent cone instead of bouncing off immediately
-        basis = _null_basis_rows(geo.az[active])
+        basis = _null_basis_rows(af[active])
         u = u @ basis @ basis.T if basis.shape[1] else np.zeros_like(u)
         norms = np.linalg.norm(u, axis=1, keepdims=True)
         u = np.divide(u, norms, out=np.zeros_like(u), where=norms > 1e-12)
-    slope = u @ geo.az.T
+    slope = u @ af.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_j = np.where(slope < -1e-12, point.ca / (-slope), np.inf)
+        t_j = np.where(slope < -1e-12, ca / (-slope), np.inf)
     t_max = np.minimum(t_j.min(axis=-1), 8.0)
     beta = rng.uniform(0.2, 0.95, size=n)
     z0 = (beta * t_max)[:, None] * u
-    if geo.qtilde_cap:
+    if point.geo.qtilde_cap:
         lam = _qtilde_lambda(point, z0, np.ones(n))
         z0 *= lam[:, None]
     return z0
@@ -560,8 +555,7 @@ def _null_basis_rows(rows: np.ndarray) -> np.ndarray:
 
 def _z_from_vector(point: _Job, vec8: np.ndarray) -> np.ndarray:
     """Project an 8-correlator vector into a feasible z start for this point."""
-    v = point.geo.pinv @ vec8
-    return _feasible_z(point, ((v - point.anchor_v[0]) @ point.geo.null)[None, :])
+    return _feasible_z(point, ((vec8 - point.off[_X, 0]) @ point.geo.zmap)[None, :])
 
 
 def _product_starts(point: _Job) -> list[np.ndarray]:
@@ -605,9 +599,10 @@ def _starts(point: _Job, restarts: int, rng: np.random.Generator, extra_starts=N
 # solving blocks of points
 
 #: Most solver rows (grid points x starts) that share one kernel call.  Large
-#: enough to amortize numpy's per-call overhead over many rows; much larger
-#: blocks run slower again as the working arrays outgrow the caches.
-_BLOCK_ROWS = 1024
+#: enough to amortize numpy's per-call overhead over many rows.  From about
+#: 384 rows on, freeing the kernel's temporaries shrinks the C heap, so every
+#: call maps them afresh, page by page, at a cost that swings with the host.
+_BLOCK_ROWS = 256
 
 
 def _finish(
@@ -695,6 +690,13 @@ def optimize_at_s(
         rng = np.random.default_rng([seed])
     z0 = _starts(point, restarts, rng, extra_starts)
     ((i, x, converged),) = _solve_points(point, [z0], tol=tol)
+    for _ in range(2):  # an unconverged winner gets the two polishes a scan point can get from its sweeps
+        if converged:
+            break
+        i2, x2, converged2 = _polish(point, x, tol=tol)
+        if not point.geo.sigma * i2 < point.geo.sigma * i:
+            break  # kept only if strictly better
+        i, x, converged = i2, x2, converged2
     return OptResult(i=i, argopt=Correlators.from_vector(x), converged=converged)
 
 

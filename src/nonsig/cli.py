@@ -26,6 +26,7 @@ from .curves import CurveId, curve_grid
 from .functionals import TSIRELSON, _mi_tables, _s_max_ab
 from .geometry import (
     AnalysisError,
+    check_window,
     concavity_profile,
     locate_inflection,
     slope_kinks,
@@ -336,12 +337,14 @@ def _repro_fig5(args, outdir: Path) -> list[Path]:
 def _repro_fig6(args, outdir: Path):
     n = _given(args.points, 5000 if args.full_scale else 2000)
     cfg = _recipe_scan(args, FeasibleSet.NS, ScanMode.MIN, 2.5, 3.1, n, 8)
+    k = _given(args.k, 100)
+    check_window(k, n)
     curve = scan(cfg)
     files = []
     out = outdir / "fig6_scan.csv"
     write_curve_csv(out, curve)
     files.append(out)
-    profile, doc = _inflection(curve, _given(args.k, 100))
+    profile, doc = _inflection(curve, k)
     out = outdir / "fig6_profile.csv"
     write_xy_csv(out, [p.s for p in profile], [p.det for p in profile], digits=17, header=("s", "det"))
     files.append(out)
@@ -356,6 +359,8 @@ def _repro_fig6(args, outdir: Path):
 def _repro_fig7(args, outdir: Path):
     n = _given(args.points, 2000 if args.full_scale else 600)
     cfg = _recipe_scan(args, FeasibleSet.SYM, ScanMode.MIN, 2.5, 3.1, n, 8)
+    window = _given(args.k, 50)
+    check_window(window, n, "window")
     curve = scan(cfg)
     files = []
     out = outdir / "fig7_scan.csv"
@@ -365,7 +370,7 @@ def _repro_fig7(args, outdir: Path):
     out = outdir / "fig7_trajectory.csv"
     write_table_csv(out, *_trajectory_table(traj), digits=17)
     files.append(out)
-    doc = {"kinks": slope_kinks(traj, window=_given(args.k, 50)), "tsirelson": TSIRELSON}
+    doc = {"kinks": slope_kinks(traj, window=window), "tsirelson": TSIRELSON}
     out = outdir / "fig7_kinks.json"
     out.write_text(_json_text(doc))
     files.append(out)

@@ -53,6 +53,14 @@ def orientation_det(a, b, c) -> float:
     return float((xb - xa) * (yc - ya) - (xc - xa) * (yb - ya))
 
 
+def check_window(k: int, n: int, name: str = "k") -> None:
+    """Reject a spacing k that is not positive or that n points cannot hold on both sides."""
+    if k < 1:
+        raise AnalysisError(f"{name} must be positive")
+    if n < 2 * k + 1:
+        raise AnalysisError(f"too short for {name} {k}: need at least {2 * k + 1} points, got {n}")
+
+
 def concavity_profile_xy(s: np.ndarray, i: np.ndarray, k: int = 100) -> list[OrientationSample]:
     """Orientation determinants of the triples (j, j+k, j+2k) along a curve.
 
@@ -62,10 +70,7 @@ def concavity_profile_xy(s: np.ndarray, i: np.ndarray, k: int = 100) -> list[Ori
     """
     s = np.asarray(s, dtype=float)
     i = np.asarray(i, dtype=float)
-    if k < 1:
-        raise AnalysisError("k must be positive")
-    if len(s) < 2 * k + 1:
-        raise AnalysisError(f"curve too short: need at least {2 * k + 1} points, got {len(s)}")
+    check_window(k, len(s))
     steps = np.diff(s)
     if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-6 * steps.mean():
         raise AnalysisError("curve must have strictly increasing, uniform s spacing")
@@ -186,10 +191,7 @@ def slope_kinks(traj: Trajectory, window: int = 50, threshold: float = 10.0) -> 
     ``window`` points on each side, fired where the slope change exceeds
     ``threshold`` times the median change, merged within one window."""
     n = len(traj.s)
-    if window < 1:
-        raise AnalysisError("window must be positive")
-    if n < 2 * window + 1:
-        raise AnalysisError(f"trajectory too short for window {window}")
+    check_window(window, n, "window")
     ds = traj.s[1] - traj.s[0]
     scores = np.zeros(n)
     series = list(traj.series().values())

@@ -213,6 +213,25 @@ def test_criterion_5_quantum_dominance(quantum_cloud):
     )
 
 
+def test_criterion_5_cloud_satisfies_npa1(quantum_cloud):
+    """Companion to criterion 5 that bites on every sample of the Haar cloud.
+
+    The correlation-space bound above meets no near-zero-marginal sample in
+    this cloud; the NPA-1 normalized-covariance bound applies to each sample
+    whose marginals are not deterministic.
+    """
+    a, b, ab = _correlators_from_tables(quantum_cloud)
+    keep = (np.abs(a).max(axis=1) < 1 - 1e-9) & (np.abs(b).max(axis=1) < 1 - 1e-9)
+    slack = np.pi - _arcsin_margin(normalized_covariance(a[keep], b[keep], ab[keep]))
+    ok = keep.sum() >= 0.999 * len(a) and slack.min() >= -1e-9
+    _report(
+        5,
+        ok,
+        f"NPA-1 arcsin slack >= -1e-9 on {int(keep.sum())} of {len(a)} Haar-cloud samples "
+        f"with non-degenerate marginals: min slack {slack.min():.2e}",
+    )
+
+
 def test_criterion_6_inflection(fig6_runs):
     est = fig6_runs[2000]
     dev = abs(est["s_star"] - TSIRELSON)

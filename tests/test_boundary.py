@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonsig.behavior import BehaviorError, named, random_correlator_vectors
+from nonsig.behavior import CHSH_SLOT_SIGNS, BehaviorError, named, random_correlator_vectors
 from nonsig.boundary import (
     FeasibleSet,
     ScanConfig,
@@ -12,7 +12,7 @@ from nonsig.boundary import (
     scan,
     vertical_fill_check,
 )
-from nonsig.curves import bell_pr_min, ns_max, qc_max
+from nonsig.curves import bell_pr_min, curve_value, ns_max, qc_max
 from nonsig.functionals import s_max
 
 TSIRELSON = 2 * np.sqrt(2)
@@ -91,6 +91,13 @@ class TestOptimizeAtS:
         r = optimize_at_s("sym", "min", 1.5, restarts=12, seed=3)
         assert abs(r.i) <= 1e-12
         assert not r.converged
+
+    def test_unconverged_winner_is_polished(self):
+        # NS MAX near s = 4: the 50 starts stop, unconverged, short of the
+        # upper branch; polishing the winner reaches it
+        s = 3.9812
+        r = optimize_at_s("ns", "max", s, restarts=50, seed=5)
+        assert r.i == pytest.approx(curve_value("ns_max", s), abs=1e-5)
 
     def test_warm_start_accepted(self):
         warm = named("sc").behavior.correlators().vector()
@@ -204,7 +211,7 @@ class TestKernel:
         """At mu = 0 and a vanishing softening width the penalty kernel is the
         exact mutual information, with the exact gradient, on interior rows."""
         from nonsig.behavior import _tables_from_correlators
-        from nonsig.boundary import _geometry, _info_from_x, _penalty, _probs, _random_starts, _x_from_z
+        from nonsig.boundary import _X, _geometry, _info_from_x, _penalty, _probs, _random_starts, _x_from_z
         from nonsig.functionals import _mi_tables
 
         for set_ in FeasibleSet:
@@ -215,13 +222,111 @@ class TestKernel:
                 job = point.take(np.zeros(len(z), dtype=int))
                 x = _x_from_z(job, z)
                 assert _probs(x)[0].min() > 1e-3
-                f, grad = _penalty(job, z, mu=0.0, eps=1e-9)
+                f, grad = _penalty(geo, job.off, z, mu=0.0, eps=1e-9)
                 exact = _info_from_x(x)
                 assert np.max(np.abs(f - geo.sigma * exact)) <= 1e-14
-                expected = ((geo.sigma * info_gradient(x)) @ geo.emb) @ geo.null
+                expected = (geo.sigma * info_gradient(x)) @ geo.map[_X]
                 assert np.max(np.abs(grad - expected)) <= 1e-9
                 tables = _tables_from_correlators(x[:, :2], x[:, 2:4], x[:, 4:].reshape(-1, 2, 2))
                 assert np.max(np.abs(exact - _mi_tables(tables))) <= 1e-14
+
+
+def term_by_term_penalty(set_, mode, qtilde_cap, s, z, mu, eps):
+    """The solver's penalized objective written out term by term in correlator space."""
+    from nonsig.boundary import _ANCHOR_DIR, _SLOT_W, _embedding, _null_basis_rows
+
+    emb = _embedding(set_)
+    null = _null_basis_rows((emb.T @ _SLOT_W[0])[None, :])
+    x = s[:, None] * _ANCHOR_DIR + z @ (emb @ null).T
+    a, b, ab = x[:, :2], x[:, 2:4], x[:, 4:].reshape(-1, 2, 2)
+    sign = np.array([1.0, -1.0])
+    p16 = np.stack([
+        0.25 * (1.0 + sign[i] * a[:, u] + sign[j] * b[:, v] + sign[i] * sign[j] * ab[:, u, v])
+        for u in range(2) for v in range(2) for i in range(2) for j in range(2)
+    ], axis=1)
+    pa = 0.5 * (1.0 + a[:, :, None] * sign)
+    pb = 0.5 * (1.0 + b[:, :, None] * sign)
+
+    def soft_plogp(p):
+        q = 0.5 * (p + np.sqrt(p * p + eps * eps))
+        return q * np.log2(q + 1e-300)
+
+    info = (
+        0.25 * soft_plogp(p16).sum(axis=1)
+        - 0.5 * soft_plogp(pa).sum(axis=(1, 2))
+        - 0.5 * soft_plogp(pb).sum(axis=(1, 2))
+    )
+    slots = np.einsum("rxy,kxy->rk", ab, CHSH_SLOT_SIGNS)[:, 1:]
+    penalty = (np.minimum(p16, 0.0) ** 2).sum(axis=1)
+    penalty += (np.maximum(slots - s[:, None], 0.0) ** 2).sum(axis=1)
+    if qtilde_cap:
+        t = np.arcsin(np.clip(ab.reshape(-1, 4), -1.0, 1.0))
+        e = t.sum(axis=1, keepdims=True) - 2.0 * t
+        penalty += (np.maximum(np.abs(e) - np.pi, 0.0) ** 2).sum(axis=1)
+    sigma = 1.0 if mode is ScanMode.MIN else -1.0
+    return sigma * info + mu * penalty, penalty
+
+
+KERNEL_CASES = [
+    (set_, mode, set_ == "c", scores)
+    for set_, scores in (("ns", (0.5, 2.0, 3.3, 4.0)), ("sym", (1.0, 2.9)), ("c", (2.0, 2.7)))
+    for mode in ("min", "max")
+]
+KERNEL_STAGES = [(mu, eps) for mu in (10.0, 1e6) for eps in (1e-2, 1e-9)]
+
+
+def kernel_rows(set_, mode, qtilde_cap, scores, seed):
+    """Rows at each score with random iterates of random lengths: some stay
+    feasible, the others cross facets (the arcsin facets too, where capped)."""
+    from nonsig.boundary import _geometry
+
+    geo = _geometry(FeasibleSet(set_), ScanMode(mode), qtilde_cap)
+    s = np.repeat(scores, 16)
+    rng = np.random.default_rng([seed])
+    z = rng.standard_normal((len(s), geo.map.shape[1])) * rng.uniform(0.05, 1.5, size=(len(s), 1))
+    return geo, geo.at(s).off, s, z
+
+
+class TestPenaltyKernel:
+    """The fused kernel against the term-by-term objective it evaluates."""
+
+    @pytest.mark.parametrize("set_, mode, qtilde_cap, scores", KERNEL_CASES)
+    @pytest.mark.parametrize("mu, eps", KERNEL_STAGES)
+    def test_value_matches_term_by_term(self, set_, mode, qtilde_cap, scores, mu, eps):
+        from nonsig.boundary import _penalty
+
+        geo, off, s, z = kernel_rows(set_, mode, qtilde_cap, scores, seed=41)
+        f, _ = _penalty(geo, off, z, mu, eps)
+        ref, penalty = term_by_term_penalty(FeasibleSet(set_), ScanMode(mode), qtilde_cap, s, z, mu, eps)
+        assert np.any(penalty > 0.0) and np.any(penalty == 0.0)
+        np.testing.assert_allclose(f, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("set_, mode, qtilde_cap, scores", KERNEL_CASES)
+    @pytest.mark.parametrize("mu, eps", KERNEL_STAGES)
+    def test_gradient_matches_central_differences(self, set_, mode, qtilde_cap, scores, mu, eps):
+        from nonsig.boundary import _penalty
+
+        geo, off, _, z = kernel_rows(set_, mode, qtilde_cap, scores, seed=42)
+        _, grad = _penalty(geo, off, z, mu, eps)
+        step = 1e-7
+        fd = np.zeros_like(z)
+        for k in range(z.shape[1]):
+            dz = np.zeros_like(z)
+            dz[:, k] = step
+            up = _penalty(geo, off, z + dz, mu, eps, grad=False)
+            dn = _penalty(geo, off, z - dz, mu, eps, grad=False)
+            fd[:, k] = (up - dn) / (2 * step)
+        err = np.linalg.norm(grad - fd, axis=1)
+        assert np.all(err <= 1e-5 * np.maximum(np.linalg.norm(fd, axis=1), 1.0))
+
+    @pytest.mark.parametrize("set_, mode, qtilde_cap, scores", KERNEL_CASES)
+    def test_value_only_is_bit_identical(self, set_, mode, qtilde_cap, scores):
+        from nonsig.boundary import _penalty
+
+        geo, off, _, z = kernel_rows(set_, mode, qtilde_cap, scores, seed=43)
+        for mu, eps in KERNEL_STAGES:
+            f, _ = _penalty(geo, off, z, mu, eps)
+            assert np.array_equal(_penalty(geo, off, z, mu, eps, grad=False), f)
 
 
 class TestBlockIndependence:

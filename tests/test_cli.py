@@ -165,7 +165,9 @@ class TestCliCommands:
             assert rc == 1
             assert "restart" in capsys.readouterr().err
 
-    def test_repro_explicit_zero_overrides_are_rejected(self, tmp_path, capsys):
+    def test_repro_explicit_zero_overrides_are_rejected(self, tmp_path, capsys, monkeypatch):
+        scans = []
+        monkeypatch.setattr("nonsig.cli.scan", scans.append)
         cases = [
             (["fig5", "--n", "0"], 1),
             (["fig6", "--points", "0"], 1),
@@ -173,11 +175,14 @@ class TestCliCommands:
             (["fig4", "--points", "0"], 1),
             (["fig6", "--points", "30", "--k", "0"], 2),
             (["fig7", "--points", "30", "--k", "0"], 2),
+            (["fig6", "--points", "30", "--k", "15"], 2),  # 2k + 1 = 31 points needed
+            (["fig7", "--points", "30", "--k", "15"], 2),
         ]
         for argv, code in cases:
             assert dispatch(["repro", *argv, "--outdir", str(tmp_path)]) == code, argv
             assert capsys.readouterr().err.strip(), argv
         assert not (tmp_path / "fig5_quantum.csv").exists()
+        assert scans == []  # every bad override is rejected before the scan
 
     def test_inflect_and_exit_codes(self, tmp_path, capsys):
         # synthetic cubic scan file: inflection at 2.8
