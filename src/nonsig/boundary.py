@@ -151,16 +151,6 @@ _SLOT_W[:, 4:] = CHSH_SLOT_SIGNS.reshape(8, 4)
 _ANCHOR_DIR = np.array([0.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.25, -0.25])
 
 
-def _probs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 16 joint probabilities (..., 16), ordered (x, y, a, b), and the marginal
-    tables p(a|x), p(b|y), (..., 2, 2), of batched correlator 8-vectors."""
-    lead = x.shape[:-1]
-    p16 = _tables_from_correlators(x[..., :2], x[..., 2:4], x[..., 4:].reshape(*lead, 2, 2)).reshape(*lead, 16)
-    pa = 0.5 * (1.0 + x[..., :2, None] * OUTCOME_VALUES)   # (..., x, a)
-    pb = 0.5 * (1.0 + x[..., 2:4, None] * OUTCOME_VALUES)  # (..., y, b)
-    return p16, pa, pb
-
-
 #: The quantities the solver reads, one row each: p(a|x), p(b|y) and the joint
 #: probabilities (the entropy rows), the 7 dominance slacks s - (slot k
 #: expression) (with the joint probabilities, the facets kept >= 0), and the 8
@@ -169,15 +159,17 @@ _PA, _PB, _P16, _ENT = slice(0, 4), slice(4, 8), slice(8, 24), slice(0, 24)
 _FACETS, _DOM, _X, _C4 = slice(8, 31), slice(24, 31), slice(31, 39), slice(35, 39)
 
 
-def _quantities(x: np.ndarray) -> np.ndarray:
-    """The quantities (39, r) of correlator vectors x (r, 8), at score 0."""
-    p16, pa, pb = _probs(x)
+def _quantity_rows(x: np.ndarray) -> np.ndarray:
+    """The quantities (39, r) of correlator vectors x (r, 8) at score 0; run at import only."""
+    p16 = _tables_from_correlators(x[:, :2], x[:, 2:4], x[:, 4:].reshape(-1, 2, 2)).reshape(-1, 16)
+    pa = 0.5 * (1.0 + x[:, :2, None] * OUTCOME_VALUES)   # (r, x, a)
+    pb = 0.5 * (1.0 + x[:, 2:4, None] * OUTCOME_VALUES)  # (r, y, b)
     return np.concatenate([pa.reshape(-1, 4), pb.reshape(-1, 4), p16, -x @ _SLOT_W[1:].T, x], axis=1).T
 
 
 #: The quantities are affine in x and in the score: _Q0 + _QX @ x, plus s on the dominance slacks.
-_Q0 = _quantities(np.zeros((1, 8)))[:, 0]
-_QX = _quantities(np.eye(8)) - _Q0[:, None]
+_Q0 = _quantity_rows(np.zeros((1, 8)))[:, 0]
+_QX = _quantity_rows(np.eye(8)) - _Q0[:, None]
 _Q_PER_S = _QX @ _ANCHOR_DIR
 _Q_PER_S[_DOM] += 1.0
 #: I = _ENT_W @ (p log2 p) over the entropy rows: the one I formula read off on unit rows.
@@ -244,6 +236,18 @@ def _geometry(set_: FeasibleSet, mode: ScanMode, qtilde_cap: bool) -> _Geometry:
 # objective and penalty
 
 
+def _entropy_rows(x: np.ndarray) -> np.ndarray:
+    """The entropy rows (..., 24) of batched correlator 8-vectors."""
+    return _Q0[_ENT] + x @ _QX[_ENT].T
+
+
+def _probs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 16 joint probabilities (..., 16), ordered (x, y, a, b), and the marginal
+    tables p(a|x), p(b|y), (..., 2, 2), of batched correlator 8-vectors."""
+    q, lead = _entropy_rows(x), x.shape[:-1]
+    return q[..., _P16], q[..., _PA].reshape(*lead, 2, 2), q[..., _PB].reshape(*lead, 2, 2)
+
+
 def _info_from_x(x: np.ndarray) -> np.ndarray:
     """Mutual information for batched correlator 8-vectors (exact value)."""
     return _info(*_probs(x))
@@ -262,8 +266,7 @@ def info_gradient(x) -> np.ndarray:
     floored at ``GRAD_FLOOR`` inside the logarithms.
     """
     x = np.asarray(x, dtype=float)
-    slope = _entropy_slope(_quantities(np.atleast_2d(x))[_ENT])
-    grad = (_ENT_W[:, None] * slope).T @ _QX[_ENT]
+    grad = (_ENT_W * _entropy_slope(_entropy_rows(np.atleast_2d(x)))) @ _QX[_ENT]
     return grad[0] if x.ndim == 1 else grad
 
 
@@ -599,9 +602,9 @@ def _starts(point: _Job, restarts: int, rng: np.random.Generator, extra_starts=N
 # solving blocks of points
 
 #: Most solver rows (grid points x starts) that share one kernel call.  Large
-#: enough to amortize numpy's per-call overhead over many rows.  From about
-#: 384 rows on, freeing the kernel's temporaries shrinks the C heap, so every
-#: call maps them afresh, page by page, at a cost that swings with the host.
+#: enough to amortize numpy's per-call overhead over many rows; minor page
+#: faults per call were observed to jump from about 384 rows on, and fig6_scan
+#: ran 8-9% slower in the median at 384 than at 256.
 _BLOCK_ROWS = 256
 
 
