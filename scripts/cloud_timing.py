@@ -1,0 +1,67 @@
+"""Median wall and CPU seconds of each stage of the fig5 quantum cloud.
+
+Usage: PYTHONPATH=src python scripts/cloud_timing.py
+
+Runs the stages of ``repro fig5``'s cloud writer at n = 500,000, seed 1:
+``sample_tables``, ``_correlators_from_tables``, ``_s_max_ab``,
+``_mi_tables``, the CSV write and the SHA-256 of the CSV that the manifest
+records.  Prints nproc, the numpy version and OPENBLAS_NUM_THREADS first.
+Each figure is the median of ``REPEATS`` runs.  CPU time counts every thread
+of the process, so a cpu/wall ratio above 1 shows threads working or
+spinning beside the caller (for example idle BLAS threads).
+"""
+
+from __future__ import annotations
+
+import os
+import statistics
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from nonsig.behavior import _correlators_from_tables
+from nonsig.functionals import _mi_tables, _s_max_ab
+from nonsig.quantum import sample_tables
+from nonsig.runio import sha256_file, write_xy_csv
+
+N = 500_000
+SEED = 1
+REPEATS = 5
+
+
+def one_run(out: Path) -> dict[str, tuple[float, float]]:
+    """(wall, cpu) seconds per stage of one cloud, in pipeline order."""
+    times = {}
+
+    def timed(name, fn, *args):
+        w0, c0 = time.perf_counter(), time.process_time()
+        result = fn(*args)
+        times[name] = (time.perf_counter() - w0, time.process_time() - c0)
+        return result
+
+    tables = timed("sample_tables", sample_tables, N, SEED)
+    _, _, ab = timed("_correlators_from_tables", _correlators_from_tables, tables)
+    s = timed("_s_max_ab", _s_max_ab, ab)
+    i = timed("_mi_tables", _mi_tables, tables)
+    timed("csv write", write_xy_csv, out, s, i)
+    timed("manifest hash", sha256_file, out)
+    return times
+
+
+def main() -> None:
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    print(f"nproc {os.cpu_count()}; numpy {np.__version__}; OPENBLAS_NUM_THREADS {threads}")
+    print(f"n = {N:,}, seed {SEED}; median of {REPEATS} runs, seconds")
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [one_run(Path(tmp) / "fig5_quantum.csv") for _ in range(REPEATS)]
+    print(f"{'stage':<26}{'wall':>8}{'cpu':>8}{'cpu/wall':>10}")
+    for name in runs[0]:
+        wall = statistics.median(r[name][0] for r in runs)
+        cpu = statistics.median(r[name][1] for r in runs)
+        print(f"{name:<26}{wall:>8.3f}{cpu:>8.3f}{cpu / wall:>10.2f}")
+
+
+if __name__ == "__main__":
+    main()

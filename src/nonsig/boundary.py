@@ -80,6 +80,8 @@ class ScanConfig:
             raise BehaviorError("scan needs at least 2 grid points")
         if self.restarts < 1:
             raise BehaviorError("need at least one restart")
+        if self.seed < 0:
+            raise BehaviorError(f"seed must be >= 0, got {self.seed}")
         _check_s_range(self.s_lo, self.qtilde_cap)
         _check_s_range(self.s_hi, self.qtilde_cap)
 
@@ -687,6 +689,8 @@ def optimize_at_s(
     mode = ScanMode(mode) if isinstance(mode, str) else mode
     if restarts < 1:
         raise BehaviorError("need at least one restart")
+    if seed < 0:
+        raise BehaviorError(f"seed must be >= 0, got {seed}")
     _check_s_range(s, qtilde_cap)
     point = _geometry(set_, mode, qtilde_cap).at([s])
     if rng is None:

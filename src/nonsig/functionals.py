@@ -64,8 +64,10 @@ def _s_max_ab(ab: np.ndarray) -> np.ndarray:
 
 def _plogp(p: np.ndarray) -> np.ndarray:
     # x log2 x with the 0 log 0 = 0 convention; negative inputs count as 0.
-    q = np.clip(p, 0.0, None)
-    return q * np.log2(q + ZERO_FLOOR)
+    # Two full-size temporaries; asarray lets floats and 0-d inputs take the in-place ops.
+    q = np.maximum(p, 0.0)
+    out = np.asarray(q + ZERO_FLOOR)
+    return np.multiply(np.log2(out, out=out), q, out=out)
 
 
 def _info(p16: np.ndarray, pa: np.ndarray, pb: np.ndarray, plogp=_plogp) -> np.ndarray:

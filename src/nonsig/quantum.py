@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import Behavior, BehaviorError, Correlators, validate
+from .behavior import Behavior, BehaviorError, Correlators, _tables_from_correlators, validate
 
 _SAMPLE_CHUNK = 8192
 
@@ -85,15 +85,26 @@ def _born_tables(states: np.ndarray, alice_bloch: np.ndarray, bob_bloch: np.ndar
     return probs.real
 
 
+#: The real (32, 15) map from [Re rho, Im rho] to <s_c x 1>, <1 x s_d> and <s_c x s_d>:
+#: Re Tr(rho M) = Re rho . Re M + Im rho . Im M for Hermitian M.
+_OPS = np.array([np.kron(s, np.eye(2)) for s in PAULIS] + [np.kron(np.eye(2), s) for s in PAULIS]
+                + [np.kron(s, t) for s in PAULIS for t in PAULIS]).reshape(15, 16)
+_EXPECTATIONS = np.concatenate([_OPS.real.T, _OPS.imag.T])
+_EXPECTATIONS.flags.writeable = False
+
+
 def _pauli_correlators(states: np.ndarray, alice_bloch: np.ndarray, bob_bloch: np.ndarray):
-    """Correlators straight from operator expectations, bypassing probabilities."""
+    """Correlators A_x = a_x . r_A, B_y = b_y . r_B and C_xy = a_x^T T b_y from each state's
+    Bloch vectors and correlation tensor, bypassing probabilities.  Plain einsum, not BLAS:
+    idle BLAS threads spin between the sampler's per-chunk calls."""
     n = states.shape[0]
-    psi = states.reshape(n, 2, 2)
-    op_a = np.einsum("nxc,cij->nxij", alice_bloch, PAULIS)
-    op_b = np.einsum("nyc,cij->nyij", bob_bloch, PAULIS)
-    a = np.einsum("nij,nxik,nkj->nx", psi.conj(), op_a, psi).real
-    b = np.einsum("nij,nyjl,nil->ny", psi.conj(), op_b, psi).real
-    ab = np.einsum("nij,nxik,nyjl,nkl->nxy", psi.conj(), op_a, op_b, psi, optimize=True).real
+    rho = states[:, :, None] * states.conj()[:, None, :]
+    flat = np.concatenate([rho.real.reshape(n, 16), rho.imag.reshape(n, 16)], axis=1)
+    e = np.einsum("nk,kc->nc", flat, _EXPECTATIONS, optimize=False)
+    t = e[:, 6:].reshape(n, 3, 3)
+    a = np.einsum("nxc,nc->nx", alice_bloch, e[:, :3], optimize=False)
+    b = np.einsum("nyd,nd->ny", bob_bloch, e[:, 3:6], optimize=False)
+    ab = np.einsum("nxc,ncd,nyd->nxy", alice_bloch, t, bob_bloch, optimize=False)
     return a, b, ab
 
 
@@ -146,17 +157,19 @@ def sample_tables(n: int, seed: int) -> np.ndarray:
     """n Born tables from Haar-random pure states and uniform Bloch measurements.
 
     Deterministic given the seed and independent of chunking internals; the
-    RNG stream for chunk c is derived from (seed, c).
+    RNG stream for chunk c is derived from (seed, c).  The tables are built
+    from ``_pauli_correlators``; ``_born_tables`` is their test oracle.
     """
     if n < 1:
         raise BehaviorError("sample size must be >= 1")
+    if seed < 0:
+        raise BehaviorError(f"seed must be >= 0, got {seed}")
     out = np.empty((n, 2, 2, 2, 2))
     for chunk, start in enumerate(range(0, n, _SAMPLE_CHUNK)):
         m = min(_SAMPLE_CHUNK, n - start)
         rng = np.random.default_rng([seed, chunk])
-        out[start : start + m] = _born_tables(
-            _random_states(m, rng), _random_bloch(m, rng), _random_bloch(m, rng)
-        )
+        a, b, ab = _pauli_correlators(_random_states(m, rng), _random_bloch(m, rng), _random_bloch(m, rng))
+        out[start : start + m] = _tables_from_correlators(a, b, ab)
     return out
 
 

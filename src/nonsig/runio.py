@@ -25,19 +25,29 @@ class ParseError(BehaviorError):
     """Malformed input file; message carries the offending line number."""
 
 
-def _fmt(x: float, digits: int = 17) -> str:
-    return format(float(x), f".{digits}g")
+#: Rows formatted per write by ``_write_rows``.
+_BLOCK_ROWS = 4096
+
+
+def _write_rows(path, header, rows, digits: int) -> None:
+    """Header, then float rows (n, k) as ``format(v, ".<digits>g")`` fields.
+
+    Byte-identical to ``csv.writer`` with one such string per value (CRLF
+    line ends), but each block of rows goes through one %-format spec.
+    """
+    rows = np.asarray(rows, dtype=float)
+    with Path(path).open("w", newline="\n") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start : start + _BLOCK_ROWS]
+            spec = (",".join([f"%.{digits}g"] * block.shape[1]) + "\r\n") * len(block)
+            fh.write(spec % tuple(block.ravel().tolist()))
 
 
 def write_curve_csv(path, curve: BoundaryCurve) -> None:
-    path = Path(path)
-    with path.open("w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCAN_HEADER)
-        for p in curve.points:
-            row = [_fmt(p.s), _fmt(p.i), str(int(p.converged))]
-            row.extend(_fmt(v) for v in p.argopt.vector())
-            writer.writerow(row)
+    """The scan at 17 digits; ``converged`` 1.0/0.0 prints as 1/0."""
+    converged = [float(p.converged) for p in curve.points]
+    _write_rows(path, SCAN_HEADER, np.column_stack([curve.s, curve.i, converged, curve.argopt_vectors()]), 17)
 
 
 def read_curve_csv(path) -> BoundaryCurve:
@@ -94,21 +104,11 @@ def read_curve_csv(path) -> BoundaryCurve:
 
 
 def write_xy_csv(path, s, i, digits: int = 12, header=("s", "i")) -> None:
-    path = Path(path)
-    with path.open("w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(np.asarray(s), np.asarray(i)):
-            writer.writerow([_fmt(v, digits) for v in row])
+    _write_rows(path, header, np.column_stack([s, i]), digits)
 
 
 def write_table_csv(path, header, rows, digits: int = 12) -> None:
-    path = Path(path)
-    with path.open("w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v, digits) for v in row])
+    _write_rows(path, header, rows, digits)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,8 @@ class TestOptimizeAtS:
             optimize_at_s("c", "max", 3.0, restarts=4, seed=0, qtilde_cap=True)
         with pytest.raises(BehaviorError):
             optimize_at_s("ns", "max", 3.0, restarts=0, seed=0)
+        with pytest.raises(BehaviorError, match="seed"):
+            optimize_at_s("ns", "max", 3.0, restarts=4, seed=-1)
 
     def test_qtilde_cap_requires_correlation_space(self):
         with pytest.raises(BehaviorError):
@@ -204,6 +206,8 @@ class TestScan:
             with pytest.raises(BehaviorError):
                 ScanConfig(set=FeasibleSet.NS, mode=ScanMode.MIN, s_lo=1.0, s_hi=3.0, grid_points=3,
                            restarts=restarts)
+        with pytest.raises(BehaviorError, match="seed"):
+            ScanConfig(set=FeasibleSet.NS, mode=ScanMode.MIN, s_lo=1.0, s_hi=3.0, grid_points=3, seed=-1)
 
 
 class TestKernel:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -7,11 +8,14 @@ from nonsig.behavior import behavior_to_json_dict, named
 from nonsig.boundary import BoundaryCurve, FeasibleSet, ScanConfig, ScanMode, scan
 from nonsig.cli import dispatch
 from nonsig.runio import (
+    SCAN_HEADER,
     ParseError,
     read_curve_csv,
     read_manifest,
     sha256_file,
     write_curve_csv,
+    write_table_csv,
+    write_xy_csv,
 )
 
 TSIRELSON = 2 * np.sqrt(2)
@@ -24,6 +28,52 @@ def small_curve():
         restarts=6, seed=13,
     )
     return scan(cfg)
+
+
+def reference_csv(path, header, rows, digits):
+    """Reference output: csv.writer with one ``format`` string per field."""
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(float(v), f".{digits}g") for v in row])
+
+
+class TestFloatCsv:
+    SPECIAL = [0.0, -0.0, 5e-324, 1e-300, 1 / 3, 2 * np.sqrt(2), -1.5, -1 / 7, -1e-300, -5e-324, 1e300]
+
+    def columns(self, rows, k):
+        special = np.resize(self.SPECIAL, rows * k)
+        rng = np.random.default_rng([rows, k])
+        noise = rng.standard_normal(rows * k) * 10.0 ** rng.integers(-300, 300, rows * k)
+        return np.where(np.arange(rows * k) % 3 == 0, noise, special).reshape(rows, k)
+
+    @pytest.mark.parametrize("digits", [12, 17])
+    @pytest.mark.parametrize("rows", [1, 9000])  # 9000 spans two full blocks and a partial one
+    def test_writers_match_csv_module(self, tmp_path, digits, rows):
+        ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+        xy = self.columns(rows, 2)
+        reference_csv(ref, ["s", "i"], xy, digits)
+        write_xy_csv(out, xy[:, 0], xy[:, 1], digits=digits)
+        assert out.read_bytes() == ref.read_bytes()
+        for k in (2, 3):
+            table = self.columns(rows, k)
+            header = ["s", "i", "q"][:k]
+            reference_csv(ref, header, table, digits)
+            write_table_csv(out, header, table, digits=digits)
+            assert out.read_bytes() == ref.read_bytes()
+        assert b"\r\n" in ref.read_bytes()
+
+    def test_scan_writer_matches_csv_module(self, tmp_path, small_curve):
+        ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+        with open(ref, "w", newline="\n") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(SCAN_HEADER)
+            for p in small_curve.points:
+                fields = [format(p.s, ".17g"), format(p.i, ".17g"), str(int(p.converged))]
+                writer.writerow(fields + [format(v, ".17g") for v in p.argopt.vector()])
+        write_curve_csv(out, small_curve)
+        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestCurveCsv:
@@ -164,6 +214,19 @@ class TestCliCommands:
             ])
             assert rc == 1
             assert "restart" in capsys.readouterr().err
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        cases = [
+            ["scan", "--set", "ns", "--mode", "min", "--lo", "2.5", "--hi", "3", "--n", "3",
+             "--restarts", "2", "--seed", "-1", "--out", str(tmp_path / "scan.csv")],
+            ["sample", "--n", "10", "--seed", "-1", "--out", str(tmp_path / "cloud.csv")],
+            ["repro", "fig5", "--n", "10", "--seed", "-1", "--outdir", str(tmp_path / "f5")],
+            ["repro", "fig6", "--points", "30", "--k", "5", "--seed", "-1", "--outdir", str(tmp_path / "f6")],
+        ]
+        for argv in cases:
+            assert dispatch(argv) == 1, argv
+            assert "seed must be >= 0" in capsys.readouterr().err, argv
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_repro_explicit_zero_overrides_are_rejected(self, tmp_path, capsys, monkeypatch):
         scans = []

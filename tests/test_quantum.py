@@ -5,6 +5,7 @@ from nonsig.behavior import BehaviorError, named, _correlators_from_tables
 from nonsig.functionals import _mi_tables, _s_max_ab, mutual_information, s_max
 from nonsig.membership import npa1_test, qtilde_test
 from nonsig.quantum import (
+    _SAMPLE_CHUNK,
     QuantumModel,
     QubitMeasurement,
     _born_tables,
@@ -140,3 +141,19 @@ class TestSampling:
     def test_bad_count(self):
         with pytest.raises(BehaviorError):
             sample_tables(0, seed=1)
+        with pytest.raises(BehaviorError, match="seed"):
+            sample_tables(5, seed=-1)
+
+    def test_matches_born_oracle_chunk_by_chunk(self):
+        """The correlation-tensor sampler against Born tables on the same draws,
+        regenerated per chunk; the third chunk is the partial one (5 rows)."""
+        seed, n = 23, 2 * _SAMPLE_CHUNK + 5
+        tables = sample_tables(n, seed)
+        starts = range(0, n, _SAMPLE_CHUNK)
+        assert len(starts) == 3
+        for chunk, start in enumerate(starts):
+            m = min(_SAMPLE_CHUNK, n - start)
+            rng = np.random.default_rng([seed, chunk])
+            born = _born_tables(_random_states(m, rng), _random_bloch(m, rng), _random_bloch(m, rng))
+            assert np.max(np.abs(tables[start : start + m] - born)) <= 1e-14
+        assert m == 5
