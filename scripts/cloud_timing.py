@@ -5,7 +5,10 @@ Usage: PYTHONPATH=src python scripts/cloud_timing.py
 Runs the stages of ``repro fig5``'s cloud writer at n = 500,000, seed 1:
 ``sample_tables``, ``_correlators_from_tables``, ``_s_max_ab``,
 ``_mi_tables``, the CSV write and the SHA-256 of the CSV that the manifest
-records.  Prints nproc, the numpy version and OPENBLAS_NUM_THREADS first.
+records.  The ``draws`` row times the sampler's random draws alone
+(``_random_states`` and ``_random_bloch`` over the same per-chunk RNG
+streams), the fixed cost inside ``sample_tables``.  Prints nproc, the numpy
+version and OPENBLAS_NUM_THREADS first and the process's peak RSS last.
 Each figure is the median of ``REPEATS`` runs.  CPU time counts every thread
 of the process, so a cpu/wall ratio above 1 shows threads working or
 spinning beside the caller (for example idle BLAS threads).
@@ -14,6 +17,7 @@ spinning beside the caller (for example idle BLAS threads).
 from __future__ import annotations
 
 import os
+import resource
 import statistics
 import tempfile
 import time
@@ -23,12 +27,20 @@ import numpy as np
 
 from nonsig.behavior import _correlators_from_tables
 from nonsig.functionals import _mi_tables, _s_max_ab
-from nonsig.quantum import sample_tables
+from nonsig.quantum import _SAMPLE_CHUNK, _random_bloch, _random_states, sample_tables
 from nonsig.runio import sha256_file, write_xy_csv
 
 N = 500_000
 SEED = 1
 REPEATS = 5
+
+
+def draws(n: int, seed: int) -> None:
+    """The random draws of ``sample_tables(n, seed)``, without the tables."""
+    for chunk, start in enumerate(range(0, n, _SAMPLE_CHUNK)):
+        m = min(_SAMPLE_CHUNK, n - start)
+        rng = np.random.default_rng([seed, chunk])
+        _random_states(m, rng), _random_bloch(m, rng), _random_bloch(m, rng)
 
 
 def one_run(out: Path) -> dict[str, tuple[float, float]]:
@@ -41,6 +53,7 @@ def one_run(out: Path) -> dict[str, tuple[float, float]]:
         times[name] = (time.perf_counter() - w0, time.process_time() - c0)
         return result
 
+    timed("draws", draws, N, SEED)
     tables = timed("sample_tables", sample_tables, N, SEED)
     _, _, ab = timed("_correlators_from_tables", _correlators_from_tables, tables)
     s = timed("_s_max_ab", _s_max_ab, ab)
@@ -61,6 +74,8 @@ def main() -> None:
         wall = statistics.median(r[name][0] for r in runs)
         cpu = statistics.median(r[name][1] for r in runs)
         print(f"{name:<26}{wall:>8.3f}{cpu:>8.3f}{cpu / wall:>10.2f}")
+    # ru_maxrss is in KiB on Linux.
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB")
 
 
 if __name__ == "__main__":

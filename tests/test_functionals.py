@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from nonsig.behavior import (
     BehaviorError,
     Correlators,
+    _tables_from_correlators,
     correlators_to_behavior,
     named,
     random_behavior,
@@ -15,7 +16,11 @@ from nonsig.behavior import (
     relabelings,
 )
 from nonsig.functionals import (
+    _MARGINALS,
+    _MI_BLOCK,
     FunctionalPoint,
+    _info,
+    _mi_tables,
     chsh_linear,
     chsh_slot_values,
     correlation_space_info,
@@ -25,7 +30,7 @@ from nonsig.functionals import (
     s_max,
 )
 
-from conftest import g_oracle, mi_oracle
+from conftest import g_oracle, mi_oracle, random_valid_vectors
 
 TSIRELSON = 2 * np.sqrt(2)
 
@@ -102,6 +107,31 @@ class TestMutualInformation:
         ab[0, 0] += 0.2
         pert = correlators_to_behavior(Correlators(a=a, b=b, ab=ab))
         assert mutual_information(pert) > 1e-4
+
+
+class TestMiTables:
+    def test_marginal_map_matches_reductions(self, rng):
+        tables = rng.uniform(0.0, 1.0, (300, 2, 2, 2, 2))
+        m = np.einsum("nk,kj->nj", tables.reshape(-1, 16), _MARGINALS)
+        pa = tables.sum(axis=-1).mean(axis=-2)
+        pb = tables.sum(axis=-2).mean(axis=-3)
+        assert np.max(np.abs(m[:, :4] - pa.reshape(-1, 4))) <= 1e-15
+        assert np.max(np.abs(m[:, 4:] - pb.reshape(-1, 4))) <= 1e-15
+
+    def test_blocks_are_bit_identical_per_row(self):
+        n = 2 * _MI_BLOCK + 5
+        v = random_valid_vectors(n, seed=4)
+        tables = _tables_from_correlators(v[:, :2], v[:, 2:4], v[:, 4:].reshape(n, 2, 2))
+        got = _mi_tables(tables)
+        assert got.shape == (n,)
+        flat = tables.reshape(n, 16)
+        m = np.einsum("nk,kj->nj", flat, _MARGINALS, optimize=False)
+        unblocked = _info(flat, m[:, :4].reshape(n, 2, 2), m[:, 4:].reshape(n, 2, 2))
+        assert np.array_equal(got, unblocked)
+        for row in (0, _MI_BLOCK - 1, _MI_BLOCK, 2 * _MI_BLOCK, n - 1):
+            alone = _mi_tables(tables[row])
+            assert np.ndim(alone) == 0 and alone == got[row]
+        assert np.array_equal(_mi_tables(tables.reshape(3, n // 3, 2, 2, 2, 2)), got.reshape(3, n // 3))
 
 
 class TestG:

@@ -125,6 +125,20 @@ class TestLocateInflection:
         with pytest.raises(AnalysisError):
             locate_inflection(prof, x[1] - x[0], 10)
 
+    @pytest.mark.parametrize(
+        "y, message",
+        [
+            (lambda x: x**2, "found 0 (persistent run signs: [1])"),
+            (lambda x: np.sin(4 * x), "found 3 (persistent run signs: [-1, 1, -1, 1])"),
+        ],
+    )
+    def test_error_prints_plain_signs(self, y, message):
+        x = np.linspace(-1, 1, 2001)
+        prof = concavity_profile_xy(x, y(x), k=10)
+        with pytest.raises(AnalysisError) as exc:
+            locate_inflection(prof, x[1] - x[0], 10)
+        assert str(exc.value) == f"need exactly one persistent sign change, {message}"
+
     def test_band_invariant(self):
         with pytest.raises(AnalysisError):
             InflectionEstimate(s_star=1.0, uncertainty=0.1, transition_lo=1.5, transition_hi=2.0)

@@ -144,6 +144,11 @@ class TestSampling:
         with pytest.raises(BehaviorError, match="seed"):
             sample_tables(5, seed=-1)
 
+    def test_bloch_normalization_matches_norm(self):
+        v = np.random.default_rng(11).standard_normal((5000, 2, 3))
+        want = v / np.linalg.norm(v, axis=2, keepdims=True)
+        assert np.array_equal(_random_bloch(5000, np.random.default_rng(11)), want)
+
     def test_matches_born_oracle_chunk_by_chunk(self):
         """The correlation-tensor sampler against Born tables on the same draws,
         regenerated per chunk; the third chunk is the partial one (5 rows)."""
