@@ -407,17 +407,20 @@ def behavior_from_json_dict(doc: dict, tol: float = EXTERNAL_TOL) -> Behavior:
     """Parse the correlator-form JSON document and validate the induced table.
 
     Every component must be a JSON number: booleans, strings and nulls are
-    rejected rather than read as 1, 0 or NaN.
+    rejected rather than read as 1, 0 or NaN.  The messages name the fault
+    only; callers say which document it is in.
     """
     fields = ("marginals_a", "marginals_b", "correlations")
     try:
         a, b, ab = (np.asarray(doc[key], dtype=float) for key in fields)
         c = Correlators(a=a, b=b, ab=ab)
         leaves = [v for key in fields for v in np.asarray(doc[key], dtype=object).ravel()]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise BehaviorError(f"malformed behavior document: {exc}") from exc
+    except KeyError as exc:
+        raise BehaviorError(f"missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BehaviorError(str(exc)) from exc
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in leaves):
-        raise BehaviorError("malformed behavior document: components must be JSON numbers")
+        raise BehaviorError("components must be JSON numbers")
     if np.any(np.abs(c.vector()) > 1.0 + tol):
         raise BehaviorError("correlator components must lie in [-1, 1]")
     return validate(correlator_table(c), tol=tol)

@@ -7,10 +7,12 @@ directly, keeps the other seven signed expressions at or below s (so the
 relabeling-maximized score is exactly s), and enforces the 16 positivity
 facets through a quadratic penalty with geometric growth.  The inner solver
 is gradient descent with Armijo backtracking (spectral trial steps), run on
-the restarts of many grid points at once as one batched array program; the
-entropy kink at p = 0 is softened on a schedule so iterates can slide along
-positivity facets, and every reported value is re-evaluated exactly after an
-exact feasibility repair.
+the restarts of many grid points at once as one batched array program: the
+rows still descending are kept compacted, and the backtracking trials of all
+rows that need them share kernel calls, each call capped at ``_BLOCK_ROWS``
+rows like the blocks themselves.  The entropy kink at p = 0 is softened on a
+schedule so iterates can slide along positivity facets, and every reported
+value is re-evaluated exactly after an exact feasibility repair.
 """
 
 from __future__ import annotations
@@ -352,6 +354,24 @@ def _project_arcsin_facet(geo: _Geometry, off: np.ndarray, z: np.ndarray, grad: 
     return grad
 
 
+def _retire(
+    keep: np.ndarray, act: np.ndarray, full: tuple, part: tuple, off: np.ndarray
+) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """Write the active rows that do not ``keep`` back into ``full``; return the
+    kept rows' indices, their compacted ``part`` arrays and offsets.
+
+    ``part`` holds the active rows of each piece of state, its first
+    ``len(full)`` entries those of the matching ``full`` arrays; ``off`` holds
+    their offsets (39, active).
+    """
+    if keep.all():
+        return act, part, off
+    gone = ~keep
+    for whole, rows in zip(full, part):
+        whole[act[gone]] = rows[gone]
+    return act[keep], tuple(rows[keep] for rows in part), off[:, keep]
+
+
 def _gradient_descent(
     job: _Job, z: np.ndarray, owner: np.ndarray, alpha: np.ndarray, mu: float, eps: float,
     max_iter: int, gtol: float,
@@ -361,60 +381,84 @@ def _gradient_descent(
     A row is done when its gradient norm drops below ``gtol`` or its value
     stalls (no measurable progress over a 15-iteration window, the realistic
     endpoint on the stiff boundary-hugging subproblems).  Rows whose line
-    search collapses are frozen.  Step sizes persist across calls through
-    ``alpha``.  ``owner`` maps rows to the points they start from: a point
-    whose rows are all done stops there, exactly as if it were solved alone.
+    search fails all 30 trials are frozen.  Step sizes persist across calls
+    through ``alpha``.  ``owner`` maps rows to the points they start from: a
+    point whose rows are all done stops there, exactly as if it were solved
+    alone.
+
+    The active rows' state lives in compacted arrays and is written back once,
+    when a row leaves.  A line search tries every active row's alpha in one
+    kernel call; the rows that fail it try alpha/2, alpha/4, ... in batches of
+    up to ``_TRIAL_BATCH`` trials per call, and each takes its first trial
+    that meets Armijo: the step that halving one trial at a time would take.
     """
-    geo, off = job.geo, job.off
-    r = z.shape[0]
-    stuck = np.zeros(r, dtype=bool)
-    stalled = np.zeros(r, dtype=bool)
-    f, grad = _penalty(geo, off, z, mu, eps)
+    geo = job.geo
+    d = z.shape[1]
+    stalled = np.zeros(z.shape[0], dtype=bool)
+    f, grad = _penalty(geo, job.off, z, mu, eps)
     if geo.qtilde_cap:
-        grad = _project_arcsin_facet(geo, off, z, grad)
-    z_prev = z.copy()
-    g_prev = grad.copy()
+        grad = _project_arcsin_facet(geo, job.off, z, grad)
     f_mark = f.copy()
+    full = (z, grad, f, alpha)
+    act = np.arange(z.shape[0])
+    za, ga, fa, aa, offa = z.copy(), grad.copy(), f.copy(), alpha.copy(), job.off
     for it in range(max_iter):
-        gn2 = (grad * grad).sum(axis=1)
-        small_grad = gn2 <= gtol * gtol
-        active = ~small_grad & ~stuck & ~stalled
-        if not active.any():
+        gn2 = (ga * ga).sum(axis=1)
+        keep = gn2 > gtol * gtol
+        act, (za, ga, fa, aa), offa = _retire(keep, act, full, (za, ga, fa, aa), offa)
+        if not act.size:
             break
-        idx = np.flatnonzero(active)
-        remaining = idx.copy()
-        for _trial in range(30):
-            if remaining.size == 0:
-                break
-            cand = z[remaining] - alpha[remaining, None] * grad[remaining]
-            fc = _penalty(geo, off[:, remaining], cand, mu, eps, grad=False)
-            ok = fc <= f[remaining] - 1e-4 * alpha[remaining] * gn2[remaining]
-            good = remaining[ok]
-            z[good] = cand[ok]
-            f[good] = fc[ok]
-            alpha[remaining[~ok]] *= 0.5
-            remaining = remaining[~ok]
-        stuck[remaining] = True
-        moved = idx[~stuck[idx]]
-        if moved.size:
-            off_moved = off[:, moved]
-            f[moved], g_moved = _penalty(geo, off_moved, z[moved], mu, eps)
+        gn2 = gn2[keep]
+        started = act  # the rows active at the start of this iteration
+
+        z0 = za  # the iterate the spectral step measures its move from
+        cand = za - aa[:, None] * ga
+        fc = _penalty(geo, offa, cand, mu, eps, grad=False)
+        ok = fc <= fa - 1e-4 * aa * gn2
+        za = np.where(ok[:, None], cand, za)
+        fa = np.where(ok, fc, fa)
+        fail = np.flatnonzero(~ok)  # rows whose alpha is a failed trial
+        tried = 1
+        while fail.size and tried < 30:
+            width = max(1, min(_TRIAL_BATCH, 30 - tried, _BLOCK_ROWS // fail.size))
+            steps = np.ldexp(aa[fail, None], -1 - np.arange(width))  # (failing, width): halved alphas
+            cand = za[fail, None] - steps[:, :, None] * ga[fail, None]
+            off = np.repeat(offa[:, fail], width, axis=1)
+            fc = _penalty(geo, off, cand.reshape(-1, d), mu, eps, grad=False).reshape(-1, width)
+            ok = fc <= fa[fail, None] - 1e-4 * steps * gn2[fail, None]
+            hit = ok.any(axis=1)
+            took, first = np.flatnonzero(hit), ok.argmax(axis=1)[hit]
+            rows = fail[took]
+            za[rows], fa[rows], aa[rows] = cand[took, first], fc[took, first], steps[took, first]
+            missed = np.flatnonzero(~hit)
+            fail = fail[missed]
+            aa[fail] = steps[missed, -1]
+            tried += width
+        if fail.size:  # stuck: all 30 trials failed; alpha halves after the last, as after each
+            aa[fail] *= 0.5
+            keep = np.ones(act.size, dtype=bool)
+            keep[fail] = False
+            act, (za, ga, fa, aa, z0), offa = _retire(keep, act, full, (za, ga, fa, aa, z0), offa)
+
+        if act.size:
+            fa, g = _penalty(geo, offa, za, mu, eps)
             if geo.qtilde_cap:
-                g_moved = _project_arcsin_facet(geo, off_moved, z[moved], g_moved)
+                g = _project_arcsin_facet(geo, offa, za, g)
             # spectral (Barzilai-Borwein) trial step for the next line search
-            dz = z[moved] - z_prev[moved]
-            dg = g_moved - g_prev[moved]
+            dz = za - z0
+            dg = g - ga
             denom = (dg * dg).sum(axis=1)
             num = (dz * dg).sum(axis=1)
-            bb = np.divide(num, denom, out=alpha[moved].copy(), where=denom > 1e-300)
-            alpha[moved] = np.minimum(np.maximum(np.abs(bb), 1e-8), 1.0)
-            z_prev[moved] = z[moved]
-            g_prev[moved] = g_moved
-            grad[moved] = g_moved
+            bb = np.divide(num, denom, out=aa, where=denom > 1e-300)
+            aa = np.minimum(np.maximum(np.abs(bb), 1e-8), 1.0)
+            ga = g
         if (it + 1) % 15 == 0:
-            live = np.bincount(owner, weights=active)[owner] > 0  # points with a row active this iteration
+            f[act] = fa
+            live = np.isin(owner, owner[started])  # points with a row active this iteration
             stalled |= live & ((f_mark - f) <= 5e-12 * (1.0 + np.abs(f)))
             f_mark = f.copy()
+            act, (za, ga, fa, aa), offa = _retire(~stalled[act], act, full, (za, ga, fa, aa), offa)
+    _retire(np.zeros(act.size, dtype=bool), act, full, (za, ga, fa, aa), offa)
     gn2 = (grad * grad).sum(axis=1)
     return z, (gn2 <= gtol * gtol) | stalled, f
 
@@ -603,11 +647,14 @@ def _starts(point: _Job, restarts: int, rng: np.random.Generator, extra_starts=N
 # ---------------------------------------------------------------------------
 # solving blocks of points
 
-#: Most solver rows (grid points x starts) that share one kernel call.  Large
-#: enough to amortize numpy's per-call overhead over many rows; minor page
-#: faults per call were observed to jump from about 384 rows on, and fig6_scan
-#: ran 8-9% slower in the median at 384 than at 256.
+#: Most solver rows (grid points x starts) that share one kernel call, and
+#: most rows of one batched line-search call unless its first trial alone has
+#: more.  Large enough to amortize numpy's per-call overhead over many rows;
+#: minor page faults per call were observed to jump from about 384 rows on,
+#: and fig6_scan ran 8-9% slower in the median at 384 than at 256.
 _BLOCK_ROWS = 256
+#: Most backtracking trials (alpha/2, alpha/4, ...) of one row in one kernel call.
+_TRIAL_BATCH = 8
 
 
 def _finish(

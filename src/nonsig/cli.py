@@ -167,7 +167,11 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    raw = args.infile.read_text() if args.infile else sys.stdin.read()
+    try:
+        raw = args.infile.read_text(encoding="utf-8") if args.infile else sys.stdin.read()
+    except UnicodeDecodeError:
+        sys.stderr.write("invalid input: not UTF-8 text\n")
+        return 1
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -180,7 +184,7 @@ def _cmd_check(args) -> int:
         sys.stdout.write(_json_text({"ns_valid": False}))
         return 1
     except BehaviorError as exc:
-        sys.stderr.write(f"malformed behavior: {exc}\n")
+        sys.stderr.write(f"malformed behavior document: {exc}\n")
         return 1
     rep = report(behavior)
     sys.stdout.write(_json_text(report_to_json_dict(rep)))

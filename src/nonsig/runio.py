@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -55,18 +57,26 @@ def read_curve_csv(path) -> BoundaryCurve:
 
     The scan configuration is not stored in the file; the returned config is
     reconstructed from the data (the feasible set is inferred as SYM when
-    every row is device-symmetric).
+    every row is device-symmetric).  Bytes that are not UTF-8, CSV syntax
+    errors and non-finite fields raise ``ParseError`` with the line number.
     """
     path = Path(path)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text") from exc
     points: list[ScanPoint] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{path}: empty file")
         if [h.strip() for h in header] != SCAN_HEADER:
             raise ParseError(f"{path}:1: expected header {','.join(SCAN_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != len(SCAN_HEADER):
@@ -75,12 +85,15 @@ def read_curve_csv(path) -> BoundaryCurve:
                 s = float(row[0])
                 i = float(row[1])
                 conv = bool(int(row[2]))
-                vec = np.array([float(v) for v in row[3:]])
+                vec = [float(v) for v in row[3:]]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            points.append(
-                ScanPoint(s=s, i=i, argopt=Correlators.from_vector(vec), converged=conv)
-            )
+            for name, v in zip(SCAN_HEADER[:2] + SCAN_HEADER[3:], [s, i, *vec]):
+                if not math.isfinite(v):
+                    raise ParseError(f"{path}:{lineno}: non-finite {name}")
+            points.append(ScanPoint(s=s, i=i, argopt=Correlators.from_vector(vec), converged=conv))
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     if not points:
         raise ParseError(f"{path}: no data rows")
     ss = np.array([p.s for p in points])

@@ -1,7 +1,16 @@
+from hypothesis import given, settings
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from nonsig.behavior import CHSH_SLOT_SIGNS, BehaviorError, named, random_correlator_vectors
+from nonsig.behavior import (
+    CHSH_SLOT_SIGNS,
+    BehaviorError,
+    correlator_table,
+    named,
+    random_correlator_vectors,
+    validate,
+)
 from nonsig.boundary import (
     FeasibleSet,
     ScanConfig,
@@ -13,7 +22,7 @@ from nonsig.boundary import (
     vertical_fill_check,
 )
 from nonsig.curves import bell_pr_min, curve_value, ns_max, qc_max
-from nonsig.functionals import s_max
+from nonsig.functionals import mutual_information, s_max
 
 TSIRELSON = 2 * np.sqrt(2)
 
@@ -105,6 +114,28 @@ class TestOptimizeAtS:
         warm = named("sc").behavior.correlators().vector()
         r = optimize_at_s("ns", "max", 2.0, restarts=2, seed=6, extra_starts=warm)
         assert r.i == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def queries(draw):
+    """A kind, a score from its feasible range (its edges drawn on purpose), restarts and a seed."""
+    set_, mode, cap = draw(st.sampled_from(
+        [("ns", "min", False), ("ns", "max", False), ("sym", "min", False), ("sym", "max", False), ("c", "max", True)]
+    ))
+    hi = TSIRELSON if cap else 4.0
+    s = draw(st.floats(0.0, 0.1) | st.floats(0.0, hi) | st.floats(hi - 0.1, hi))
+    return set_, mode, cap, s, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestArgoptProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(queries())
+    def test_argopt_validates_at_the_query_score(self, query):
+        set_, mode, cap, s, restarts, seed = query
+        r = optimize_at_s(set_, mode, s, restarts=restarts, seed=seed, qtilde_cap=cap)
+        behavior = validate(correlator_table(r.argopt), tol=1e-9)
+        assert abs(s_max(r.argopt) - s) <= 1e-9
+        assert abs(mutual_information(behavior) - r.i) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -374,3 +405,125 @@ class TestVerticalFill:
 
     def test_degenerate_at_four(self):
         assert vertical_fill_check(4.0, n_samples=16, seed=8, restarts=4)
+
+
+def sequential_descent(job, z, owner, alpha, mu, eps, max_iter, gtol):
+    """The descent loop with one backtracking trial per kernel call over freshly
+    gathered rows, the form the compacted, batched loop replaced.  Returns
+    what ``_gradient_descent`` returns, plus the stuck and the stalled rows."""
+    from nonsig import boundary
+
+    geo, off = job.geo, job.off
+    r = z.shape[0]
+    stuck = np.zeros(r, dtype=bool)
+    stalled = np.zeros(r, dtype=bool)
+    f, grad = boundary._penalty(geo, off, z, mu, eps)
+    if geo.qtilde_cap:
+        grad = boundary._project_arcsin_facet(geo, off, z, grad)
+    z_prev = z.copy()
+    g_prev = grad.copy()
+    f_mark = f.copy()
+    for it in range(max_iter):
+        gn2 = (grad * grad).sum(axis=1)
+        small_grad = gn2 <= gtol * gtol
+        active = ~small_grad & ~stuck & ~stalled
+        if not active.any():
+            break
+        idx = np.flatnonzero(active)
+        remaining = idx.copy()
+        for _trial in range(30):
+            if remaining.size == 0:
+                break
+            cand = z[remaining] - alpha[remaining, None] * grad[remaining]
+            fc = boundary._penalty(geo, off[:, remaining], cand, mu, eps, grad=False)
+            ok = fc <= f[remaining] - 1e-4 * alpha[remaining] * gn2[remaining]
+            good = remaining[ok]
+            z[good] = cand[ok]
+            f[good] = fc[ok]
+            alpha[remaining[~ok]] *= 0.5
+            remaining = remaining[~ok]
+        stuck[remaining] = True
+        moved = idx[~stuck[idx]]
+        if moved.size:
+            off_moved = off[:, moved]
+            f[moved], g_moved = boundary._penalty(geo, off_moved, z[moved], mu, eps)
+            if geo.qtilde_cap:
+                g_moved = boundary._project_arcsin_facet(geo, off_moved, z[moved], g_moved)
+            dz = z[moved] - z_prev[moved]
+            dg = g_moved - g_prev[moved]
+            denom = (dg * dg).sum(axis=1)
+            num = (dz * dg).sum(axis=1)
+            bb = np.divide(num, denom, out=alpha[moved].copy(), where=denom > 1e-300)
+            alpha[moved] = np.minimum(np.maximum(np.abs(bb), 1e-8), 1.0)
+            z_prev[moved] = z[moved]
+            g_prev[moved] = g_moved
+            grad[moved] = g_moved
+        if (it + 1) % 15 == 0:
+            live = np.bincount(owner, weights=active)[owner] > 0
+            stalled |= live & ((f_mark - f) <= 5e-12 * (1.0 + np.abs(f)))
+            f_mark = f.copy()
+    gn2 = (grad * grad).sum(axis=1)
+    return z, (gn2 <= gtol * gtol) | stalled, f, stuck, stalled
+
+
+class TestDescentOracle:
+    """The compacted descent with batched backtracking against the sequential
+    loop, bit for bit, with the kernel run one row at a time so that no row's
+    rounding depends on which rows share its call.
+
+    Each block holds several points and runs the full penalty schedule as
+    ``_solve`` does; its last row starts from a step far too long, so its
+    first line search exhausts all 30 trials.  The SYM MAX block has a point
+    whose only row gets stuck on a stall-check iteration.
+    """
+
+    @pytest.mark.parametrize(
+        "set_, mode, qtilde_cap, grid, picks, restarts, seed",
+        [
+            ("ns", "min", False, np.linspace(2.0, 4.0, 8), [2, 3, 4, 5, 6], [3, 3, 3, 3, 3], 0),
+            ("ns", "max", False, np.linspace(0.0, 4.0, 8), [0, 7, 2, 5], [3, 3, 3, 3], 0),
+            ("sym", "max", False, np.linspace(0.0, 4.0, 250), [159, 100, 40, 210], [1, 2, 3, 3], 0),
+            ("c", "max", True, np.linspace(2.0, 2.8, 4), [0, 1, 2, 3], [6, 6, 6, 6], 4),
+        ],
+        ids=["ns_min", "ns_max", "sym_max", "c_max_capped"],
+    )
+    def test_matches_sequential_loop(self, monkeypatch, set_, mode, qtilde_cap, grid, picks, restarts, seed):
+        from nonsig import boundary
+
+        kernel = boundary._penalty
+
+        def one_row_at_a_time(geo, off, z, mu, eps, grad=True):
+            rows = [kernel(geo, off[:, k : k + 1], z[k : k + 1], mu, eps, grad=grad) for k in range(len(z))]
+            if not grad:
+                return np.concatenate(rows)
+            return np.concatenate([f for f, _ in rows]), np.concatenate([g for _, g in rows])
+
+        monkeypatch.setattr(boundary, "_penalty", one_row_at_a_time)
+        points = boundary._geometry(FeasibleSet(set_), ScanMode(mode), qtilde_cap).at(grid[picks])
+        starts = [
+            boundary._starts(points.take([j]), n, np.random.default_rng([seed, k]))
+            for j, (k, n) in enumerate(zip(picks, restarts))
+        ]
+        owner = np.repeat(np.arange(len(starts)), [len(z) for z in starts])
+        job = points.take(owner)
+        z_ref = np.concatenate(starts)
+        alpha_ref = np.full(len(z_ref), 0.05)
+        alpha_ref[-1] = 1e12
+        z, alpha = z_ref.copy(), alpha_ref.copy()
+        seen = np.zeros(3, dtype=int)  # rows stuck, stalled, at gtol
+        for k, (mu, eps, iters, gtol) in enumerate(
+            zip(boundary._MU_SCHEDULE, boundary._EPS_SCHEDULE, boundary._INNER_ITERS, boundary._GTOLS)
+        ):
+            np.maximum(alpha_ref, 1e-6, out=alpha_ref)
+            np.maximum(alpha, 1e-6, out=alpha)
+            gtol = max(gtol, 1e-8)
+            z_ref, met_ref, f_ref, stuck, stalled = sequential_descent(
+                job, z_ref, owner, alpha_ref, mu, eps, iters, gtol
+            )
+            z, met, f = boundary._gradient_descent(job, z, owner, alpha, mu, eps, iters, gtol)
+            assert np.array_equal(z, z_ref), f"stage {k}"
+            assert np.array_equal(met, met_ref), f"stage {k}"
+            assert np.array_equal(f, f_ref), f"stage {k}"
+            assert np.array_equal(alpha, alpha_ref), f"stage {k}"
+            seen += [stuck.sum(), stalled.sum(), (met & ~stalled).sum()]
+        assert np.all(seen > 0), seen

@@ -116,6 +116,37 @@ class TestCurveCsv:
         with pytest.raises(ParseError, match=":4"):
             read_curve_csv(path)
 
+    def test_non_utf8_bytes_carry_line_number(self, tmp_path, small_curve):
+        path = tmp_path / "latin.csv"
+        write_curve_csv(path, small_curve)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:5] + b"\xff\xfe" + lines[2][5:]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match=":3: not UTF-8 text"):
+            read_curve_csv(path)
+
+    def test_oversized_field_carries_line_number(self, tmp_path, small_curve):
+        path = tmp_path / "long.csv"
+        write_curve_csv(path, small_curve)
+        lines = path.read_text().splitlines()
+        lines[2] = "1" * 200_000 + lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=":3: field larger than field limit"):
+            read_curve_csv(path)
+
+    @pytest.mark.parametrize("column", ["s", "i", "c01"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_field_carries_line_number(self, tmp_path, small_curve, column, value):
+        path = tmp_path / "nan.csv"
+        write_curve_csv(path, small_curve)
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        row[SCAN_HEADER.index(column)] = value
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f":3: non-finite {column}$"):
+            read_curve_csv(path)
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -216,7 +247,28 @@ class TestCliCommands:
         assert dispatch(["check", "--in", str(doc)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert message in captured.err
+        assert captured.err == f"malformed behavior document: {message}\n"
+
+    @pytest.mark.parametrize("cmd", ["inflect", "trajectory", "check"])
+    def test_non_utf8_input_exits_one(self, capsys, tmp_path, cmd):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("s,i\n2.9,0.5\n3.0,0.5\u00e9\n".encode("latin-1"))
+        assert dispatch([cmd, "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not UTF-8 text" in captured.err
+
+    @pytest.mark.parametrize("column, value", [("i", "nan"), ("i", "inf"), ("s", "nan")])
+    def test_inflect_non_finite_field_exits_one(self, capsys, tmp_path, column, value):
+        path = tmp_path / "scan.csv"
+        path.write_text(mutable_scan_csv())
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")
+        row[SCAN_HEADER.index(column)] = value
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert dispatch(["inflect", "--in", str(path), "--k", "2"]) == 1
+        assert capsys.readouterr().err == f"validation error: {path}:4: non-finite {column}\n"
 
     def test_unknown_flag_exits_64(self):
         with pytest.raises(SystemExit) as exc:
@@ -367,6 +419,70 @@ class TestCheckProperty:
             json.loads(out.getvalue(), parse_constant=_reject_constant)
         if rc == 1:
             assert err.getvalue()
+
+
+def mutable_scan_csv() -> str:
+    """A 12-point symmetric scan whose i has one concavity change, at s = 3.15:
+    both ``inflect --k 2`` and ``trajectory`` succeed on it."""
+    s = np.linspace(2.9, 3.4, 12)
+    m = s / 4
+    zero = np.zeros_like(s)
+    rows = np.column_stack([s, 0.5 + (s - 3.15) ** 3, np.ones_like(s), zero, zero, zero, zero, m, m, m, -m])
+    lines = [",".join(SCAN_HEADER)] + [",".join(format(v, ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+BAD_FIELDS = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "1e999", "", " ", "x"])
+
+
+@st.composite
+def mutated_scan_csvs(draw):
+    """The valid scan CSV after one to three of: garbage bytes written in,
+    a field set to NaN, inf or junk, a row made ragged, a row dropped or
+    duplicated."""
+    lines = mutable_scan_csv().encode().split(b"\n")[:-1]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        kind = draw(st.sampled_from(["bytes", "field", "ragged", "drop", "dup"]))
+        if not lines:
+            break
+        if kind == "bytes":
+            line = lines[at]
+            cut = draw(st.integers(0, len(line)))
+            lines[at] = line[:cut] + draw(st.binary(min_size=1, max_size=4)) + line[cut + draw(st.integers(0, 2)):]
+        elif kind == "field":
+            fields = lines[at].split(b",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(BAD_FIELDS).encode()
+            lines[at] = b",".join(fields)
+        elif kind == "ragged":
+            fields = lines[at].split(b",")
+            lines[at] = b",".join(fields[:-1] if draw(st.booleans()) else fields + [b"0"])
+        elif kind == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+    return b"\n".join(lines) + b"\n"
+
+
+class TestScanCsvProperty:
+    def test_unmutated_file_succeeds(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_text(mutable_scan_csv())
+        assert dispatch(["inflect", "--in", str(path), "--k", "2"]) == 0
+        assert dispatch(["trajectory", "--in", str(path)]) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_scan_csvs())
+    def test_inflect_and_trajectory_exit_cleanly(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scan.csv"
+            path.write_bytes(data)
+            for argv in (["inflect", "--in", str(path), "--k", "2"], ["trajectory", "--in", str(path)]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = dispatch(argv)
+                assert rc in (0, 1, 2)
+                assert bool(err.getvalue()) == (rc != 0)
 
 
 class TestRepro:
