@@ -56,9 +56,8 @@ def per_call_us(geo, off, z, grad: bool) -> float:
 
 
 def stage(k: int) -> tuple:
-    """The arguments after ``alpha`` that ``_solve`` passes stage k at its default tol."""
-    return (boundary._MU_SCHEDULE[k], boundary._EPS_SCHEDULE[k], boundary._INNER_ITERS[k],
-            max(boundary._GTOLS[k], 1e-8))
+    """The arguments after ``alpha`` that ``_solve`` passes stage k."""
+    return boundary._MU_SCHEDULE[k], boundary._EPS_SCHEDULE[k], boundary._INNER_ITERS[k], boundary._GTOLS[k]
 
 
 def last_stage_start(set_, mode, grid, restarts):

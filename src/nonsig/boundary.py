@@ -46,6 +46,8 @@ _GTOLS = (1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 3e-7)
 #: re-evaluated exactly.
 _EPS_SCHEDULE = (1e-2, 3e-3, 1e-3, 1e-4, 1e-6, 1e-9)
 _POLISH_OUTERS = 3  # warm-started solves rerun only the stiff tail of the schedule
+#: A final stage that moves a row's value by at most this much (relative) counts as converged.
+_TOL = 1e-8
 
 _LOG2E = 1.0 / np.log(2.0)
 
@@ -71,7 +73,6 @@ class ScanConfig:
     s_hi: float
     grid_points: int
     restarts: int = 50
-    tol: float = 1e-8
     seed: int = 0
     qtilde_cap: bool = False
 
@@ -80,16 +81,13 @@ class ScanConfig:
             raise BehaviorError("scan needs s_lo < s_hi")
         if self.grid_points < 2:
             raise BehaviorError("scan needs at least 2 grid points")
-        if self.restarts < 1:
-            raise BehaviorError("need at least one restart")
-        if self.seed < 0:
-            raise BehaviorError(f"seed must be >= 0, got {self.seed}")
-        _check_s_range(self.s_lo, self.qtilde_cap)
-        _check_s_range(self.s_hi, self.qtilde_cap)
+        _check_request(self.restarts, self.seed, self.qtilde_cap, self.s_lo, self.s_hi)
 
 
 @dataclass(frozen=True)
 class ScanPoint:
+    """One boundary point: the extremal I at score s, its argopt and whether the solve converged."""
+
     s: float
     i: float
     argopt: Correlators
@@ -99,7 +97,7 @@ class ScanPoint:
 @dataclass(frozen=True)
 class BoundaryCurve:
     points: tuple[ScanPoint, ...]
-    config: ScanConfig
+    set: FeasibleSet
 
     @property
     def s(self) -> np.ndarray:
@@ -113,17 +111,16 @@ class BoundaryCurve:
         return np.array([p.argopt.vector() for p in self.points])
 
 
-@dataclass(frozen=True)
-class OptResult:
-    i: float
-    argopt: Correlators
-    converged: bool
-
-
-def _check_s_range(s: float, qtilde_cap: bool) -> None:
+def _check_request(restarts: int, seed: int, qtilde_cap: bool, *scores: float) -> None:
+    """Reject fewer than one restart, a negative seed, or a score outside the set's range."""
+    if restarts < 1:
+        raise BehaviorError("need at least one restart")
+    if seed < 0:
+        raise BehaviorError(f"seed must be >= 0, got {seed}")
     hi = TSIRELSON if qtilde_cap else 4.0
-    if not -1e-12 <= s <= hi + 1e-12:
-        raise BehaviorError(f"S = {s} is infeasible for this set (range [0, {hi}])")
+    for s in scores:
+        if not -1e-12 <= s <= hi + 1e-12:
+            raise BehaviorError(f"S = {s} is infeasible for this set (range [0, {hi}])")
 
 
 # ---------------------------------------------------------------------------
@@ -464,14 +461,12 @@ def _gradient_descent(
 
 
 def _solve(
-    job: _Job, z0: np.ndarray, owner: np.ndarray, outers: int = len(_MU_SCHEDULE), tol: float = 1e-8
+    job: _Job, z0: np.ndarray, owner: np.ndarray, outers: int = len(_MU_SCHEDULE)
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the penalty schedule (last ``outers`` stages) from stacked starts.
 
     Row k starts at ``z0[k]`` and solves at score ``job.s[k]`` for point
-    ``owner[k]``.  Returns the solved iterates and their
-    convergence flags; ``tol`` is the final-stage progress threshold below
-    which a row counts as converged.
+    ``owner[k]``.  Returns the solved iterates and their convergence flags.
     """
     z = np.array(z0, dtype=float)
     met = np.zeros(z.shape[0], dtype=bool)
@@ -480,12 +475,11 @@ def _solve(
     for k in range(len(_MU_SCHEDULE) - outers, len(_MU_SCHEDULE)):
         np.maximum(alpha, 1e-6, out=alpha)
         z, met, f = _gradient_descent(
-            job, z, owner, alpha, _MU_SCHEDULE[k], _EPS_SCHEDULE[k], _INNER_ITERS[k],
-            max(_GTOLS[k], tol),
+            job, z, owner, alpha, _MU_SCHEDULE[k], _EPS_SCHEDULE[k], _INNER_ITERS[k], _GTOLS[k]
         )
         if k == len(_MU_SCHEDULE) - 1 and f_prev is not None:
             # a final stage that barely moved the value is converged in practice
-            met |= np.abs(f_prev - f) <= tol * (1.0 + np.abs(f))
+            met |= np.abs(f_prev - f) <= _TOL * (1.0 + np.abs(f))
         f_prev = f
     return z, met
 
@@ -498,16 +492,14 @@ def _x_from_z(job: _Job, z: np.ndarray) -> np.ndarray:
     return job.off[_X].T + z @ job.geo.map[_X].T
 
 
-def _shrink_lambda(job: _Job, z: np.ndarray, margin: float) -> np.ndarray:
+def _shrink_lambda(job: _Job, z: np.ndarray) -> np.ndarray:
     """Largest scaling of z (toward the anchor at z = 0) keeping the linear facets.
 
-    Slacks are affine in z, so the bound is exact; each facet is kept at
-    >= margin * (its anchor slack).
+    Slacks are affine in z, so the bound is exact.
     """
     slack_move = z @ job.geo.map[_FACETS].T  # (r, 23), slack(lam*z) = off + lam*slack_move
-    budget = (1.0 - margin) * job.off[_FACETS].T
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam_j = np.where(slack_move < -1e-13, budget / (-slack_move), np.inf)
+        lam_j = np.where(slack_move < -1e-13, job.off[_FACETS].T / (-slack_move), np.inf)
     lam = np.minimum(1.0, lam_j.min(axis=-1))
     return np.clip(lam, 0.0, 1.0)
 
@@ -555,7 +547,7 @@ def _qtilde_lambda(job: _Job, z: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _feasible_z(job: _Job, z: np.ndarray) -> np.ndarray:
     """Pull iterates back inside the feasible set, exactly, preserving the score."""
     z = _project_active(job, z)
-    lam = _shrink_lambda(job, z, margin=0.0)
+    lam = _shrink_lambda(job, z)
     if job.geo.qtilde_cap:
         lam = _qtilde_lambda(job, z, lam)
     return lam[:, None] * z
@@ -677,18 +669,16 @@ def _finish(
 
 
 def _solve_points(
-    points: _Job, starts: list[np.ndarray], outers: int = len(_MU_SCHEDULE), tol: float = 1e-8
+    points: _Job, starts: list[np.ndarray], outers: int = len(_MU_SCHEDULE)
 ) -> list[tuple[float, np.ndarray, bool]]:
     """Solve every point of ``points`` from its own starts as one block."""
     owner = np.repeat(np.arange(len(starts)), [len(z) for z in starts])
     z0 = np.concatenate(starts)
-    z, met = _solve(points.take(owner), z0, owner, outers=outers, tol=tol)
+    z, met = _solve(points.take(owner), z0, owner, outers=outers)
     return _finish(points, owner, z0, z, met)
 
 
-def _solve_grid(
-    points: _Job, starts: list[np.ndarray], tol: float = 1e-8
-) -> list[tuple[float, np.ndarray, bool]]:
+def _solve_grid(points: _Job, starts: list[np.ndarray]) -> list[tuple[float, np.ndarray, bool]]:
     """Solve consecutive points in blocks of about ``_BLOCK_ROWS`` rows: a
     block takes the points whose first row falls in its stretch of rows."""
     first_row = np.cumsum([0] + [len(z) for z in starts[:-1]])
@@ -696,18 +686,23 @@ def _solve_grid(
     out = []
     for b in np.unique(block):
         ks = np.flatnonzero(block == b)
-        out += _solve_points(points.take(ks), [starts[k] for k in ks], tol=tol)
+        out += _solve_points(points.take(ks), [starts[k] for k in ks])
     return out
 
 
-def _polish(point: _Job, vec8: np.ndarray, tol: float = 1e-8) -> tuple[float, np.ndarray, bool]:
-    (result,) = _solve_points(point, [_z_from_vector(point, vec8)], outers=_POLISH_OUTERS, tol=tol)
-    return result
+def _polish(
+    point: _Job, best: tuple[float, np.ndarray, bool], z: np.ndarray
+) -> tuple[float, np.ndarray, bool]:
+    """Rerun the stiff tail of the schedule from the feasible start ``z``.
 
-
-def _candidate_value(point: _Job, vec8: np.ndarray) -> float:
-    z = _z_from_vector(point, vec8)
-    return float(_info_from_x(_repair(point, z))[0])
+    The result replaces ``best`` only if it is strictly better, and then
+    keeps ``best``'s converged flag if that was set; otherwise ``best`` is
+    returned as is.
+    """
+    ((i, x, converged),) = _solve_points(point, [z], outers=_POLISH_OUTERS)
+    if point.geo.sigma * i < point.geo.sigma * best[0]:
+        return i, x, converged or best[2]
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -723,9 +718,7 @@ def optimize_at_s(
     *,
     qtilde_cap: bool = False,
     extra_starts: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-8,
-) -> OptResult:
+) -> ScanPoint:
     """Extremize the mutual information at CHSH score exactly s.
 
     Multi-start local search; deterministic given ``seed``.  ``extra_starts``
@@ -734,24 +727,19 @@ def optimize_at_s(
     """
     set_ = FeasibleSet(set_) if isinstance(set_, str) else set_
     mode = ScanMode(mode) if isinstance(mode, str) else mode
-    if restarts < 1:
-        raise BehaviorError("need at least one restart")
-    if seed < 0:
-        raise BehaviorError(f"seed must be >= 0, got {seed}")
-    _check_s_range(s, qtilde_cap)
+    _check_request(restarts, seed, qtilde_cap, s)
     point = _geometry(set_, mode, qtilde_cap).at([s])
-    if rng is None:
-        rng = np.random.default_rng([seed])
-    z0 = _starts(point, restarts, rng, extra_starts)
-    ((i, x, converged),) = _solve_points(point, [z0], tol=tol)
+    z0 = _starts(point, restarts, np.random.default_rng([seed]), extra_starts)
+    (best,) = _solve_points(point, [z0])
     for _ in range(2):  # an unconverged winner gets the two polishes a scan point can get from its sweeps
-        if converged:
+        if best[2]:
             break
-        i2, x2, converged2 = _polish(point, x, tol=tol)
-        if not point.geo.sigma * i2 < point.geo.sigma * i:
-            break  # kept only if strictly better
-        i, x, converged = i2, x2, converged2
-    return OptResult(i=i, argopt=Correlators.from_vector(x), converged=converged)
+        polished = _polish(point, best, _z_from_vector(point, best[1]))
+        if polished is best:
+            break  # a polish from the same start would only repeat itself
+        best = polished
+    i, x, converged = best
+    return ScanPoint(s=float(s), i=i, argopt=Correlators.from_vector(x), converged=converged)
 
 
 def scan(config: ScanConfig) -> BoundaryCurve:
@@ -771,25 +759,23 @@ def scan(config: ScanConfig) -> BoundaryCurve:
         _starts(points.take([k]), config.restarts, np.random.default_rng([config.seed, k]))
         for k in range(len(grid))
     ]
-    vals = _solve_grid(points, starts, tol=config.tol)
+    vals = _solve_grid(points, starts)
 
     n = len(grid)
     sigma = points.geo.sigma
     for order, step in ((range(1, n), 1), (range(n - 2, -1, -1), -1)):
         for idx in order:
-            prev_i, prev_x, _ = vals[idx - step]
-            cur_i, cur_x, cur_conv = vals[idx]
             point = points.take([idx])
-            if sigma * _candidate_value(point, prev_x) < sigma * cur_i - 1e-9 or not cur_conv:
-                i2, x2, conv2 = _polish(point, prev_x, tol=config.tol)
-                if sigma * i2 < sigma * cur_i:
-                    vals[idx] = (i2, x2, conv2 or cur_conv)
+            z = _z_from_vector(point, vals[idx - step][1])  # the neighbour's argopt, projected here
+            cur_i, _, cur_conv = vals[idx]
+            if sigma * _info_from_x(_repair(point, z))[0] < sigma * cur_i - 1e-9 or not cur_conv:
+                vals[idx] = _polish(point, vals[idx], z)
 
     out = tuple(
         ScanPoint(s=float(s), i=float(i), argopt=Correlators.from_vector(x), converged=bool(conv))
         for s, (i, x, conv) in zip(grid, vals)
     )
-    return BoundaryCurve(points=out, config=config)
+    return BoundaryCurve(points=out, set=config.set)
 
 
 def vertical_fill_check(s: float, n_samples: int = 200, *, seed: int = 0, restarts: int = 20) -> bool:

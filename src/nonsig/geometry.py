@@ -49,8 +49,13 @@ def orientation_det(a, b, c) -> float:
     Positive for a counterclockwise path A -> B -> C, negative for clockwise,
     zero for collinear points.
     """
+    return float(_orientation_dets(a, b, c))
+
+
+def _orientation_dets(a, b, c):
+    """``orientation_det`` elementwise, for points whose coordinates are arrays."""
     (xa, ya), (xb, yb), (xc, yc) = a, b, c
-    return float((xb - xa) * (yc - ya) - (xc - xa) * (yb - ya))
+    return (xb - xa) * (yc - ya) - (xc - xa) * (yb - ya)
 
 
 def check_window(k: int, n: int, name: str = "k") -> None:
@@ -74,13 +79,9 @@ def concavity_profile_xy(s: np.ndarray, i: np.ndarray, k: int = 100) -> list[Ori
     steps = np.diff(s)
     if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-6 * steps.mean():
         raise AnalysisError("curve must have strictly increasing, uniform s spacing")
-    out = []
-    for j in range(len(s) - 2 * k):
-        det = orientation_det(
-            (s[j], i[j]), (s[j + k], i[j + k]), (s[j + 2 * k], i[j + 2 * k])
-        )
-        out.append(OrientationSample(s=float(s[j]), det=det))
-    return out
+    m = len(s) - 2 * k
+    dets = _orientation_dets((s[:m], i[:m]), (s[k : k + m], i[k : k + m]), (s[2 * k :], i[2 * k :]))
+    return [OrientationSample(s=x, det=d) for x, d in zip(s[:m].tolist(), dets.tolist())]
 
 
 def concavity_profile(curve: BoundaryCurve, k: int = 100) -> list[OrientationSample]:
@@ -171,7 +172,7 @@ def trajectory(curve: BoundaryCurve) -> Trajectory:
     Optimizer outputs are relabeling-canonicalized first, otherwise sign
     flips between neighboring grid points shred the series.
     """
-    if curve.config.set is not FeasibleSet.SYM:
+    if curve.set is not FeasibleSet.SYM:
         raise BehaviorError("trajectories require a SYM scan (five free correlators)")
     cols = {"a0": [], "a1": [], "c00": [], "c01": [], "c11": []}
     for p in curve.points:

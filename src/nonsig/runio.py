@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .behavior import BehaviorError, Correlators
-from .boundary import BoundaryCurve, FeasibleSet, ScanConfig, ScanMode, ScanPoint
+from .boundary import BoundaryCurve, FeasibleSet, ScanPoint
 
 SCAN_HEADER = ["s", "i", "converged", "a0", "a1", "b0", "b1", "c00", "c01", "c10", "c11"]
 
@@ -55,10 +55,10 @@ def write_curve_csv(path, curve: BoundaryCurve) -> None:
 def read_curve_csv(path) -> BoundaryCurve:
     """Read a scan CSV back into a BoundaryCurve.
 
-    The scan configuration is not stored in the file; the returned config is
-    reconstructed from the data (the feasible set is inferred as SYM when
-    every row is device-symmetric).  Bytes that are not UTF-8, CSV syntax
-    errors and non-finite fields raise ``ParseError`` with the line number.
+    The file stores no scan configuration; the curve's feasible set is
+    inferred as SYM when every row is device-symmetric, NS otherwise.  Bytes
+    that are not UTF-8, CSV syntax errors and non-finite fields raise
+    ``ParseError`` with the line number.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -106,14 +106,7 @@ def read_curve_csv(path) -> BoundaryCurve:
         and abs(p.argopt.ab[0, 1] - p.argopt.ab[1, 0]) <= 1e-6
         for p in points
     )
-    config = ScanConfig(
-        set=FeasibleSet.SYM if symmetric else FeasibleSet.NS,
-        mode=ScanMode.MIN,
-        s_lo=float(ss[0]),
-        s_hi=float(ss[-1]) if len(ss) > 1 else float(ss[0]) + 1.0,
-        grid_points=max(len(ss), 2),
-    )
-    return BoundaryCurve(points=tuple(points), config=config)
+    return BoundaryCurve(points=tuple(points), set=FeasibleSet.SYM if symmetric else FeasibleSet.NS)
 
 
 def write_xy_csv(path, s, i, digits: int = 12, header=("s", "i")) -> None:

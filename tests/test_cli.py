@@ -160,7 +160,7 @@ class TestCurveCsv:
         )
         path = tmp_path / "sym.csv"
         write_curve_csv(path, scan(cfg))
-        assert read_curve_csv(path).config.set is FeasibleSet.SYM
+        assert read_curve_csv(path).set is FeasibleSet.SYM
 
 
 class TestCliCommands:
@@ -334,9 +334,8 @@ class TestCliCommands:
             ScanPoint(s=float(sv), i=float(iv), argopt=Correlators.from_vector(np.zeros(8)), converged=True)
             for sv, iv in zip(s, i)
         ]
-        cfg = ScanConfig(set=FeasibleSet.NS, mode=ScanMode.MIN, s_lo=2.5, s_hi=3.1, grid_points=301)
         path = tmp_path / "cubic.csv"
-        write_curve_csv(path, BoundaryCurve(points=tuple(pts), config=cfg))
+        write_curve_csv(path, BoundaryCurve(points=tuple(pts), set=FeasibleSet.NS))
         assert dispatch(["inflect", "--in", str(path), "--k", "20"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["s_star"] == pytest.approx(2.8, abs=20 * (s[1] - s[0]) + 1e-9)
@@ -346,7 +345,7 @@ class TestCliCommands:
             ScanPoint(s=float(sv), i=float(0.1 * sv), argopt=Correlators.from_vector(np.zeros(8)), converged=True)
             for sv in s
         ]
-        write_curve_csv(flat, BoundaryCurve(points=tuple(pts), config=cfg))
+        write_curve_csv(flat, BoundaryCurve(points=tuple(pts), set=FeasibleSet.NS))
         assert dispatch(["inflect", "--in", str(flat), "--k", "20"]) == 2
 
     def test_trajectory_cli(self, tmp_path, capsys):
@@ -359,13 +358,28 @@ class TestCliCommands:
             m = sv / 4
             vec = np.array([0, 0, 0, 0, m, m, m, -m])
             pts.append(ScanPoint(s=float(sv), i=0.4, argopt=Correlators.from_vector(vec), converged=True))
-        cfg = ScanConfig(set=FeasibleSet.SYM, mode=ScanMode.MIN, s_lo=2.9, s_hi=3.4, grid_points=6)
         path = tmp_path / "sym.csv"
-        write_curve_csv(path, BoundaryCurve(points=tuple(pts), config=cfg))
+        write_curve_csv(path, BoundaryCurve(points=tuple(pts), set=FeasibleSet.SYM))
         assert dispatch(["trajectory", "--in", str(path)]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
         assert rows[0] == "s,a0,a1,c00,c01,c11"
         assert len(rows) == 7
+
+    def test_one_row_scan_file(self, tmp_path, capsys):
+        # a single row carries no score range: only its own score may be checked
+        from nonsig.behavior import Correlators
+        from nonsig.boundary import ScanPoint
+
+        m = 3.5 / 4
+        point = ScanPoint(s=3.5, i=0.4, argopt=Correlators.from_vector([0, 0, 0, 0, m, m, m, -m]), converged=True)
+        path = tmp_path / "one.csv"
+        write_curve_csv(path, BoundaryCurve(points=(point,), set=FeasibleSet.SYM))
+        assert dispatch(["trajectory", "--in", str(path)]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert len(rows) == 2
+        assert float(rows[1].split(",")[0]) == 3.5
+        assert dispatch(["inflect", "--in", str(path), "--k", "1"]) == 2
+        assert "too short" in capsys.readouterr().err
 
 
 JSON_SCALARS = (

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nonsig.behavior import BehaviorError, Correlators
-from nonsig.boundary import BoundaryCurve, FeasibleSet, ScanConfig, ScanMode, ScanPoint
+from nonsig.boundary import BoundaryCurve, FeasibleSet, ScanPoint
 from nonsig.geometry import (
     AnalysisError,
     InflectionEstimate,
@@ -23,8 +23,7 @@ def synthetic_curve(s, i, set_=FeasibleSet.SYM, argopts=None):
     for j in range(len(s)):
         vec = np.zeros(8) if argopts is None else argopts[j]
         pts.append(ScanPoint(s=float(s[j]), i=float(i[j]), argopt=Correlators.from_vector(vec), converged=True))
-    cfg = ScanConfig(set=set_, mode=ScanMode.MIN, s_lo=float(s[0]), s_hi=float(s[-1]), grid_points=len(s))
-    return BoundaryCurve(points=tuple(pts), config=cfg)
+    return BoundaryCurve(points=tuple(pts), set=set_)
 
 
 class TestOrientationDet:
@@ -75,6 +74,17 @@ class TestConcavityProfile:
         assert len(flips) == 1
         # the sign change happens within the 2k*ds band ending at the inflection
         assert -2 * k * ds <= ss[flips[0]] <= 0.0
+
+    def test_equals_one_triple_at_a_time(self, rng):
+        s = np.linspace(2.5, 3.1, 120)
+        i = np.cumsum(rng.standard_normal(120))
+        k = 7
+        prof = concavity_profile_xy(s, i, k=k)
+        expect = [
+            (float(s[j]), orientation_det((s[j], i[j]), (s[j + k], i[j + k]), (s[j + 2 * k], i[j + 2 * k])))
+            for j in range(len(s) - 2 * k)
+        ]
+        assert [(p.s, p.det) for p in prof] == expect
 
     def test_too_short(self):
         with pytest.raises(AnalysisError):
