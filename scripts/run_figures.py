@@ -3,6 +3,14 @@
 Usage: python scripts/run_figures.py [--seed N] [--outdir DIR] [--full-scale]
 Desk-scale runs finish in minutes; --full-scale restores the large grids and
 the 5e6-point quantum sample (hours).
+
+After each recipe, one ``<sha256>  <recipe>/<file>`` line per output, read from
+the manifest the recipe writes, in ``sha256sum`` format (``sha256sum -c``
+checks them from inside DIR).  Two runs wrote byte-identical outputs when
+
+    diff <(grep -E '^[0-9a-f]{64} ' a.log) <(grep -E '^[0-9a-f]{64} ' b.log)
+
+is empty.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import time
 from pathlib import Path
 
 from nonsig.cli import dispatch
+from nonsig.runio import read_manifest
 
 RECIPES = ["fig3", "fig4", "fig5", "fig6", "fig7"]
 
@@ -34,6 +43,10 @@ def main() -> int:
         t0 = time.time()
         rc = dispatch(argv)
         print(f"{recipe}: exit {rc} in {time.time() - t0:.0f}s -> {args.outdir / recipe}")
+        if rc == 0:
+            manifest = read_manifest(args.outdir / recipe / f"{recipe}_manifest.json")
+            for name, digest in sorted(manifest.outputs.items()):
+                print(f"{digest}  {recipe}/{name}")
         worst = max(worst, rc)
     return worst
 

@@ -267,13 +267,9 @@ def validate(table, tol: float = EXTERNAL_TOL) -> Behavior:
     return Behavior(np.clip(np.asarray(table, dtype=float), 0.0, None))
 
 
-def is_valid(table, tol: float = EXTERNAL_TOL) -> bool:
-    return not violations(table, tol=tol)
-
-
-def is_symmetric(p: Behavior, tol: float = 1e-9) -> bool:
+def is_symmetric(p: Behavior | Correlators, tol: float = 1e-9) -> bool:
     """True when the behavior is invariant under exchanging the two devices."""
-    c = p.correlators()
+    c = p.correlators() if isinstance(p, Behavior) else p
     return bool(
         abs(c.a[0] - c.b[0]) <= tol
         and abs(c.a[1] - c.b[1]) <= tol
@@ -424,15 +420,3 @@ def behavior_from_json_dict(doc: dict, tol: float = EXTERNAL_TOL) -> Behavior:
     if np.any(np.abs(c.vector()) > 1.0 + tol):
         raise BehaviorError("correlator components must lie in [-1, 1]")
     return validate(correlator_table(c), tol=tol)
-
-
-def correlators_to_csv_row(c: Correlators) -> list[float]:
-    """Row form [a0, a1, b0, b1, c00, c01, c10, c11]."""
-    return [float(v) for v in c.vector()]
-
-
-def correlators_from_csv_row(row) -> Correlators:
-    vals = [float(v) for v in row]
-    if len(vals) != 8:
-        raise BehaviorError(f"behavior CSV row needs 8 fields, got {len(vals)}")
-    return Correlators.from_vector(np.array(vals))

@@ -625,14 +625,10 @@ def _product_starts(point: _Job) -> list[np.ndarray]:
     return out
 
 
-def _starts(point: _Job, restarts: int, rng: np.random.Generator, extra_starts=None) -> np.ndarray:
+def _starts(point: _Job, restarts: int, rng: np.random.Generator) -> np.ndarray:
     blocks = [_random_starts(point, restarts, rng)]
     for vec in _product_starts(point):
         blocks.append(_z_from_vector(point, vec))
-    if extra_starts is not None:
-        blocks.extend(
-            _z_from_vector(point, np.asarray(v, dtype=float)) for v in np.atleast_2d(extra_starts)
-        )
     return np.concatenate(blocks)
 
 
@@ -717,19 +713,16 @@ def optimize_at_s(
     seed: int = 0,
     *,
     qtilde_cap: bool = False,
-    extra_starts: np.ndarray | None = None,
 ) -> ScanPoint:
     """Extremize the mutual information at CHSH score exactly s.
 
-    Multi-start local search; deterministic given ``seed``.  ``extra_starts``
-    may carry warm-start correlator 8-vectors, which are projected onto the
-    feasible slice before use.
+    Multi-start local search; deterministic given ``seed``.
     """
     set_ = FeasibleSet(set_) if isinstance(set_, str) else set_
     mode = ScanMode(mode) if isinstance(mode, str) else mode
     _check_request(restarts, seed, qtilde_cap, s)
     point = _geometry(set_, mode, qtilde_cap).at([s])
-    z0 = _starts(point, restarts, np.random.default_rng([seed]), extra_starts)
+    z0 = _starts(point, restarts, np.random.default_rng([seed]))
     (best,) = _solve_points(point, [z0])
     for _ in range(2):  # an unconverged winner gets the two polishes a scan point can get from its sweeps
         if best[2]:

@@ -1,10 +1,11 @@
 """Closed-form boundary curves of the S-I plane.
 
 Every curve is realized by an explicit one-parameter family of behaviors; the
-curve value is computed by building that behavior and evaluating the mutual
-information on it, so the entropy formulas live in exactly one place
-(``functionals``) and the g-expression forms stay available as independent
-test oracles.
+curve value is the mutual information of that behavior, so the entropy
+formulas live in exactly one place (``functionals``) and the g-expression
+forms stay available as independent test oracles.  ``_points`` builds the
+witness tables of a whole array of scores at once; values, witnesses and
+grids all come from it.
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ from enum import Enum
 import numpy as np
 
 from .behavior import (
+    INTERNAL_TOL,
     Behavior,
     BehaviorError,
     BehaviorTag,
-    Correlators,
-    correlators_to_behavior,
-    mix,
+    _tables_from_correlators,
     named,
+    validate,
 )
-from .functionals import TSIRELSON, mutual_information
+from .functionals import TSIRELSON, _mi_tables
 
 _DOMAIN_SLACK = 1e-9
 
@@ -49,162 +50,108 @@ CURVE_DOMAINS = {
     CurveId.LOCAL_MIN: (0.0, 2.0),
 }
 
-
-def _check_domain(s: float, lo: float, hi: float) -> float:
-    if not lo - _DOMAIN_SLACK <= s <= hi + _DOMAIN_SLACK:
-        raise BehaviorError(f"S = {s} outside curve domain [{lo}, {hi}]")
-    return float(np.clip(s, lo, hi))
-
-
-def local_max_witness(s: float) -> Behavior:
-    """Maximizer of I at S = s inside the local set: mixture of the biased
-    product point and the anti-diagonal shared coin."""
-    s = _check_domain(s, 0.0, 2.0)
-    return mix(named(BehaviorTag.P0).behavior, named(BehaviorTag.SC_TILDE).behavior, s / 2.0)
-
-
-def local_max(s: float) -> float:
-    """Upper information boundary of the local region, S in [0, 2]."""
-    return mutual_information(local_max_witness(s))
+#: Curves that are straight mixtures from one named behavior (at the low end of
+#: the domain) to another (at the high end), with weight (s - lo) / (hi - lo):
+#: - LOCAL_MAX, the local maximum: biased product point to anti-diagonal shared coin;
+#: - C_NONLOCAL_MAX, the correlation-space maximum, closed form 3 g(1) + g(3 - s);
+#: - LD_PR_MAX, the edge from the deterministic corner to the PR box;
+#: - BELL_PR_MIN, the minimum beyond Tsirelson: all four correlators at
+#:   magnitude s/4, so the curve equals 4 g(s/4).
+_MIXTURES = {
+    CurveId.LOCAL_MAX: (named(BehaviorTag.P0), named(BehaviorTag.SC_TILDE)),
+    CurveId.C_NONLOCAL_MAX: (named(BehaviorTag.SC), named(BehaviorTag.PR)),
+    CurveId.LD_PR_MAX: (named(BehaviorTag.LD_ALLONES), named(BehaviorTag.PR)),
+    CurveId.BELL_PR_MIN: (named(BehaviorTag.BELL), named(BehaviorTag.PR)),
+}
 
 
-def c_nonlocal_max_witness(s: float) -> Behavior:
-    """Shared-coin/PR-box mixture with correlators (1, 1, 1, 3 - s)."""
-    s = _check_domain(s, 2.0, 4.0)
-    return mix(named(BehaviorTag.SC).behavior, named(BehaviorTag.PR).behavior, (s - 2.0) / 2.0)
+def _curve_id(curve: CurveId | str) -> CurveId:
+    return CurveId(curve.lower()) if isinstance(curve, str) else curve
 
 
-def c_nonlocal_max(s: float) -> float:
-    """Upper information boundary over the correlation space for S in [2, 4];
-    closed form 3 g(1) + g(3 - s)."""
-    return mutual_information(c_nonlocal_max_witness(s))
+def _in_domain(curve: CurveId, s) -> np.ndarray:
+    """The scores clipped into the curve's domain; raises on the first one
+    farther outside than ``_DOMAIN_SLACK``."""
+    lo, hi = CURVE_DOMAINS[curve]
+    s = np.asarray(s, dtype=float)
+    bad = ~((lo - _DOMAIN_SLACK <= s) & (s <= hi + _DOMAIN_SLACK))
+    if bad.any():
+        raise BehaviorError(f"S = {float(s[bad][0])} outside curve domain [{lo}, {hi}]")
+    return np.clip(s, lo, hi)
 
 
-def ld_pr_max_witness(s: float) -> Behavior:
-    s = _check_domain(s, 2.0, 4.0)
-    return mix(
-        named(BehaviorTag.LD_ALLONES).behavior, named(BehaviorTag.PR).behavior, (s - 2.0) / 2.0
-    )
-
-
-def ld_pr_max(s: float) -> float:
-    """Information along the deterministic-corner to PR-box edge, S in [2, 4]."""
-    return mutual_information(ld_pr_max_witness(s))
-
-
-def ns_max(s: float) -> float:
-    """Upper information boundary of the full non-signaling set, S in [0, 4]."""
-    s = _check_domain(s, 0.0, 4.0)
-    if s <= 2.0:
-        return local_max(s)
-    return max(ld_pr_max(s), c_nonlocal_max(s))
-
-
-def ns_max_witness(s: float) -> Behavior:
-    s = _check_domain(s, 0.0, 4.0)
-    if s <= 2.0:
-        return local_max_witness(s)
-    if ld_pr_max(s) >= c_nonlocal_max(s):
-        return ld_pr_max_witness(s)
-    return c_nonlocal_max_witness(s)
-
-
-def w(s: float) -> float:
+def w(s):
     """Common value of the three equal correlators maximizing I over the
-    quantum part of the correlation space; decreasing from 1 to 1/sqrt(2)."""
-    s = _check_domain(s, 2.0, TSIRELSON)
+    quantum part of the correlation space; decreasing from 1 to 1/sqrt(2).
+    A float for a float, an array for an array."""
+    s = _in_domain(CurveId.QC_MAX, s)
     rad = 8.0 - s * s
     # the arctan argument diverges as S -> 2*sqrt(2); use the limit pi/2
-    angle = np.pi / 2.0 if rad <= 1e-14 else np.arctan(s / np.sqrt(rad))
-    return float(np.sqrt(2.0) * np.cos(np.pi / 6.0 + angle / 3.0))
+    angle = np.where(rad <= 1e-14, np.pi / 2.0, np.arctan(s / np.sqrt(np.maximum(rad, 1e-14))))
+    out = np.sqrt(2.0) * np.cos(np.pi / 6.0 + angle / 3.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def qc_max_witness(s: float) -> Behavior:
-    s = _check_domain(s, 2.0, TSIRELSON)
-    ws = w(s)
-    ab = np.array([[ws, ws], [ws, 3.0 * ws - s]])
-    return correlators_to_behavior(Correlators(a=np.zeros(2), b=np.zeros(2), ab=ab))
+def _mixture(curve: CurveId, s: np.ndarray) -> np.ndarray:
+    lo, hi = CURVE_DOMAINS[curve]
+    lam = ((s - lo) / (hi - lo))[:, None, None, None, None]
+    p, q = _MIXTURES[curve]
+    return (1.0 - lam) * p.behavior.table + lam * q.behavior.table
 
 
-def qc_max(s: float) -> float:
-    """Upper information boundary of the quantum part of the correlation
-    space, S in [2, 2*sqrt(2)]; closed form 3 g(w) + g(3w - S)."""
-    return mutual_information(qc_max_witness(s))
+def _points(curve: CurveId, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Witness tables (n, 2, 2, 2, 2) and their I (n,) for in-domain scores s (n,)."""
+    if curve in _MIXTURES:
+        tables = _mixture(curve, s)
+        return tables, _mi_tables(tables)
+    if curve is CurveId.NS_MAX:
+        # the local maximum up to S = 2, then the larger of the two edges into the PR box
+        low = s <= 2.0
+        first = np.where(
+            low[:, None, None, None, None],
+            _mixture(CurveId.LOCAL_MAX, np.minimum(s, 2.0)),
+            _mixture(CurveId.LD_PR_MAX, np.maximum(s, 2.0)),
+        )
+        second = _mixture(CurveId.C_NONLOCAL_MAX, np.maximum(s, 2.0))
+        i_first, i_second = _mi_tables(np.stack([first, second]))
+        keep = low | (i_first >= i_second)
+        return np.where(keep[:, None, None, None, None], first, second), np.where(keep, i_first, i_second)
+    if curve is CurveId.QC_MAX:
+        # correlators (w, w, w, 3w - s) with unbiased marginals; closed form 3 g(w) + g(3w - s)
+        ws = w(s)
+        a = b = np.zeros((len(s), 2))
+        ab = np.stack([ws, ws, ws, 3.0 * ws - s], axis=-1)
+    else:
+        # LOCAL_MIN: a product behavior attaining S = s, so I is identically zero
+        half, zero = s / 2.0, np.zeros(len(s))
+        a, b = np.ones((len(s), 2)), np.stack([half, zero], axis=-1)
+        ab = np.stack([half, zero, half, zero], axis=-1)
+    tables = np.clip(_tables_from_correlators(a, b, ab.reshape(-1, 2, 2)), 0.0, None)
+    return tables, np.zeros(len(s)) if curve is CurveId.LOCAL_MIN else _mi_tables(tables)
 
 
-def bell_pr_min_witness(s: float) -> Behavior:
-    s = _check_domain(s, TSIRELSON, 4.0)
-    lam = (s - TSIRELSON) / (4.0 - TSIRELSON)
-    return mix(named(BehaviorTag.BELL).behavior, named(BehaviorTag.PR).behavior, lam)
-
-
-def bell_pr_min(s: float) -> float:
-    """Lower information boundary beyond the Tsirelson bound, S in [2*sqrt(2), 4].
-
-    The Bell-point/PR-box mixture has all four correlators at magnitude s/4,
-    so the curve equals 4 g(s/4).
-    """
-    return mutual_information(bell_pr_min_witness(s))
-
-
-def local_min_witness(s: float) -> Behavior:
-    """A product behavior attaining S = s with zero mutual information."""
-    s = _check_domain(s, 0.0, 2.0)
-    ab = np.array([[s / 2.0, 0.0], [s / 2.0, 0.0]])
-    return correlators_to_behavior(
-        Correlators(a=np.array([1.0, 1.0]), b=np.array([s / 2.0, 0.0]), ab=ab)
-    )
-
-
-def local_min(s: float) -> float:
-    """Lower information boundary of the local region: identically zero."""
-    _check_domain(s, 0.0, 2.0)
-    return 0.0
-
-
-_CURVE_FUNCS = {
-    CurveId.LOCAL_MAX: local_max,
-    CurveId.C_NONLOCAL_MAX: c_nonlocal_max,
-    CurveId.LD_PR_MAX: ld_pr_max,
-    CurveId.NS_MAX: ns_max,
-    CurveId.QC_MAX: qc_max,
-    CurveId.BELL_PR_MIN: bell_pr_min,
-    CurveId.LOCAL_MIN: local_min,
-}
-
-_CURVE_WITNESSES = {
-    CurveId.LOCAL_MAX: local_max_witness,
-    CurveId.C_NONLOCAL_MAX: c_nonlocal_max_witness,
-    CurveId.LD_PR_MAX: ld_pr_max_witness,
-    CurveId.NS_MAX: ns_max_witness,
-    CurveId.QC_MAX: qc_max_witness,
-    CurveId.BELL_PR_MIN: bell_pr_min_witness,
-    CurveId.LOCAL_MIN: local_min_witness,
-}
-
-
-def curve_value(curve: CurveId | str, s: float) -> float:
-    if isinstance(curve, str):
-        curve = CurveId(curve.lower())
-    return _CURVE_FUNCS[curve](s)
+def curve_value(curve: CurveId | str, s):
+    """I on the curve at score s: a float for a float, an array for an array."""
+    curve = _curve_id(curve)
+    s = np.asarray(s, dtype=float)
+    i = _points(curve, _in_domain(curve, s.ravel()))[1]
+    return float(i[0]) if s.ndim == 0 else i.reshape(s.shape)
 
 
 def curve_witness(curve: CurveId | str, s: float) -> Behavior:
     """The explicit behavior realizing the curve point (s, curve(s))."""
-    if isinstance(curve, str):
-        curve = CurveId(curve.lower())
-    return _CURVE_WITNESSES[curve](s)
+    curve = _curve_id(curve)
+    tables = _points(curve, _in_domain(curve, [s]))[0]
+    return validate(tables[0], tol=INTERNAL_TOL)
 
 
 def curve_grid(curve: CurveId | str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n evenly spaced (s, i) samples over the curve's domain."""
-    if isinstance(curve, str):
-        curve = CurveId(curve.lower())
+    curve = _curve_id(curve)
     if n < 2:
         raise BehaviorError("curve grid needs at least 2 points")
-    lo, hi = CURVE_DOMAINS[curve]
-    ss = np.linspace(lo, hi, n)
-    return ss, np.array([_CURVE_FUNCS[curve](s) for s in ss])
+    ss = np.linspace(*CURVE_DOMAINS[curve], n)
+    return ss, curve_value(curve, ss)
 
 
 @functools.lru_cache(maxsize=1)
@@ -212,12 +159,12 @@ def ld_c_crossing() -> float:
     """S value in (2, 4) where the deterministic-corner/PR edge overtakes the
     correlation-space bound; located by bisection to 1e-10."""
 
-    def h(s: float) -> float:
-        return ld_pr_max(s) - c_nonlocal_max(s)
+    def h(s):
+        return curve_value(CurveId.LD_PR_MAX, s) - curve_value(CurveId.C_NONLOCAL_MAX, s)
 
-    lo, hi = 2.0, 4.0 - 1e-9
-    grid = np.linspace(lo, hi, 64)
-    vals = [h(s) for s in grid]
+    lo, hi = CURVE_DOMAINS[CurveId.LD_PR_MAX]
+    grid = np.linspace(lo, hi - 1e-9, 64)
+    vals = h(grid)
     bracket = None
     for k in range(len(grid) - 1):
         if vals[k] < 0.0 <= vals[k + 1]:

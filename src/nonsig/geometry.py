@@ -187,22 +187,28 @@ def trajectory(curve: BoundaryCurve) -> Trajectory:
     return Trajectory(s=curve.s, **{k: np.array(v) for k, v in cols.items()})
 
 
+def _slope_scores(traj: Trajectory, window: int) -> np.ndarray:
+    """Per index j, the largest change over the series between the least-squares
+    slopes of the ``window + 1`` points ending at j and of those starting at j;
+    zero within ``window`` of either end."""
+    n = len(traj.s)
+    xs = np.lib.stride_tricks.sliding_window_view(traj.s, window + 1)
+    ys = np.lib.stride_tricks.sliding_window_view(np.stack(list(traj.series().values())), window + 1, axis=-1)
+    xc = xs - xs.mean(axis=-1, keepdims=True)
+    yc = ys - ys.mean(axis=-1, keepdims=True)
+    slopes = (xc * yc).sum(axis=-1) / (xc * xc).sum(axis=-1)  # (series, window start)
+    scores = np.zeros(n)
+    scores[window : n - window] = np.abs(slopes[:, window:] - slopes[:, : n - 2 * window]).max(axis=0)
+    return scores
+
+
 def slope_kinks(traj: Trajectory, window: int = 50, threshold: float = 10.0) -> list[float]:
     """Locations where some series' slope jumps: two-sided linear fits over
     ``window`` points on each side, fired where the slope change exceeds
     ``threshold`` times the median change, merged within one window."""
     n = len(traj.s)
     check_window(window, n, "window")
-    ds = traj.s[1] - traj.s[0]
-    scores = np.zeros(n)
-    series = list(traj.series().values())
-    for j in range(window, n - window):
-        worst = 0.0
-        for y in series:
-            left = np.polyfit(traj.s[j - window : j + 1], y[j - window : j + 1], 1)[0]
-            right = np.polyfit(traj.s[j : j + window + 1], y[j : j + window + 1], 1)[0]
-            worst = max(worst, abs(right - left))
-        scores[j] = worst
+    scores = _slope_scores(traj, window)
     interior = scores[window : n - window]
     noise = np.median(interior)
     cut = threshold * max(noise, 1e-12)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .behavior import BehaviorError, Correlators
+from .behavior import BehaviorError, Correlators, is_symmetric
 from .boundary import BoundaryCurve, FeasibleSet, ScanPoint
 
 SCAN_HEADER = ["s", "i", "converged", "a0", "a1", "b0", "b1", "c00", "c01", "c10", "c11"]
@@ -100,12 +100,7 @@ def read_curve_csv(path) -> BoundaryCurve:
     if len(ss) > 1 and np.any(np.diff(ss) <= 0):
         bad = int(np.flatnonzero(np.diff(ss) <= 0)[0]) + 3
         raise ParseError(f"{path}:{bad}: s column must be strictly increasing")
-    symmetric = all(
-        abs(p.argopt.a[0] - p.argopt.b[0]) <= 1e-6
-        and abs(p.argopt.a[1] - p.argopt.b[1]) <= 1e-6
-        and abs(p.argopt.ab[0, 1] - p.argopt.ab[1, 0]) <= 1e-6
-        for p in points
-    )
+    symmetric = all(is_symmetric(p.argopt, tol=1e-6) for p in points)
     return BoundaryCurve(points=tuple(points), set=FeasibleSet.SYM if symmetric else FeasibleSet.NS)
 
 

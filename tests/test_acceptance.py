@@ -27,7 +27,7 @@ from nonsig.boundary import (
     scan,
 )
 from nonsig.cli import dispatch
-from nonsig.curves import bell_pr_min, ns_max, qc_max
+from nonsig.curves import curve_value
 from nonsig.functionals import _mi_tables, _s_max_ab, mutual_information, s_max
 from nonsig.membership import _arcsin_margin, normalized_covariance
 from nonsig.quantum import _born_tables, _random_bloch, sample_tables
@@ -145,8 +145,8 @@ def test_criterion_2_qtilde_cap(ns_max_full, ns_min_tail, quad_scans):
 def test_criterion_3_scan_curve_agreement(ns_max_full, ns_min_tail):
     curve_max, t_max = ns_max_full
     curve_min, t_min = ns_min_tail
-    err_max = max(abs(p.i - ns_max(p.s)) for p in curve_max.points)
-    err_min = max(abs(p.i - bell_pr_min(p.s)) for p in curve_min.points)
+    err_max = max(abs(p.i - curve_value("ns_max", p.s)) for p in curve_max.points)
+    err_min = max(abs(p.i - curve_value("bell_pr_min", p.s)) for p in curve_min.points)
     ok = err_max <= 2e-3 and err_min <= 2e-3
     _report(
         3,
@@ -198,7 +198,7 @@ def test_criterion_5_quantum_dominance(quantum_cloud):
             return True, f"{tag}: no near-zero-marginal samples"
         ii = _mi_tables(tables[near])
         ss = np.maximum(_s_max_ab(cc[near]), 2.0)
-        excess = ii - np.array([qc_max(s) for s in ss])
+        excess = ii - curve_value("qc_max", ss)
         return bool(excess.max() <= 1e-6), f"{tag}: max excess over bound {excess.max():.2e}"
 
     ok_cloud, msg_cloud = under_qc(quantum_cloud, "haar cloud")

@@ -13,9 +13,7 @@ from nonsig.behavior import (
     behavior_from_json_dict,
     behavior_to_json_dict,
     correlator_table,
-    correlators_from_csv_row,
     correlators_to_behavior,
-    correlators_to_csv_row,
     is_symmetric,
     mix,
     named,
@@ -273,16 +271,6 @@ class TestWireFormats:
         doc["marginals_a"] = [1, -1]  # deterministic marginals conflicting with correlations
         with pytest.raises(ValidationError):
             behavior_from_json_dict(doc)
-
-    def test_csv_row_roundtrip(self, rng):
-        c = random_behavior(rng).correlators()
-        row = correlators_to_csv_row(c)
-        assert len(row) == 8
-        assert correlators_from_csv_row(row).allclose(c, tol=0)
-
-    def test_csv_row_wrong_length(self):
-        with pytest.raises(BehaviorError):
-            correlators_from_csv_row([1, 2, 3])
 
 
 class TestImmutability:

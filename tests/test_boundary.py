@@ -7,7 +7,6 @@ from nonsig.behavior import (
     CHSH_SLOT_SIGNS,
     BehaviorError,
     correlator_table,
-    named,
     random_correlator_vectors,
     validate,
 )
@@ -21,7 +20,7 @@ from nonsig.boundary import (
     scan,
     vertical_fill_check,
 )
-from nonsig.curves import bell_pr_min, curve_value, ns_max, qc_max
+from nonsig.curves import curve_value
 from nonsig.functionals import mutual_information, s_max
 
 TSIRELSON = 2 * np.sqrt(2)
@@ -66,7 +65,7 @@ class TestOptimizeAtS:
     def test_ns_min_matches_bell_pr_segment(self):
         for s in (2.9, 3.3, 3.8):
             r = optimize_at_s("ns", "min", s, restarts=16, seed=2)
-            assert r.i == pytest.approx(bell_pr_min(s), abs=2e-3)
+            assert r.i == pytest.approx(curve_value("bell_pr_min", s), abs=2e-3)
 
     def test_ns_min_local_region_is_zero(self):
         r = optimize_at_s("ns", "min", 2.0, restarts=16, seed=3)
@@ -75,7 +74,7 @@ class TestOptimizeAtS:
     def test_qtilde_capped_matches_qc_curve(self):
         for s in (2.3, 2.6):
             r = optimize_at_s("c", "max", s, restarts=16, seed=4, qtilde_cap=True)
-            assert r.i == pytest.approx(qc_max(s), abs=2e-3)
+            assert r.i == pytest.approx(curve_value("qc_max", s), abs=2e-3)
 
     def test_infeasible_s(self):
         with pytest.raises(BehaviorError):
@@ -109,11 +108,6 @@ class TestOptimizeAtS:
         s = 3.9812
         r = optimize_at_s("ns", "max", s, restarts=50, seed=5)
         assert r.i == pytest.approx(curve_value("ns_max", s), abs=1e-5)
-
-    def test_warm_start_accepted(self):
-        warm = named("sc").behavior.correlators().vector()
-        r = optimize_at_s("ns", "max", 2.0, restarts=2, seed=6, extra_starts=warm)
-        assert r.i == pytest.approx(1.0, abs=1e-9)
 
 
 @st.composite
@@ -151,7 +145,7 @@ def small_max_scan():
 class TestScan:
     def test_matches_analytic_upper_bound(self, small_max_scan):
         for p in small_max_scan.points:
-            assert p.i == pytest.approx(ns_max(p.s), abs=2e-3)
+            assert p.i == pytest.approx(curve_value("ns_max", p.s), abs=2e-3)
 
     def test_points_strictly_increasing(self, small_max_scan):
         assert np.all(np.diff(small_max_scan.s) > 0)
@@ -180,7 +174,7 @@ class TestScan:
             assert abs(c.a[0] - c.b[0]) <= 1e-8
             assert abs(c.a[1] - c.b[1]) <= 1e-8
             assert abs(c.ab[0, 1] - c.ab[1, 0]) <= 1e-8
-            assert p.i == pytest.approx(bell_pr_min(p.s) if p.s >= TSIRELSON else p.i, abs=2e-3)
+            assert p.i == pytest.approx(curve_value("bell_pr_min", p.s) if p.s >= TSIRELSON else p.i, abs=2e-3)
 
     def test_deterministic(self):
         cfg = ScanConfig(

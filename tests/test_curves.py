@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,17 +9,10 @@ from nonsig.curves import (
     CURVE_DOMAINS,
     CurveId,
     TSIRELSON,
-    bell_pr_min,
-    c_nonlocal_max,
     curve_grid,
     curve_value,
     curve_witness,
     ld_c_crossing,
-    ld_pr_max,
-    local_max,
-    local_min,
-    ns_max,
-    qc_max,
     w,
 )
 from nonsig.functionals import g, mutual_information, s_max
@@ -32,63 +26,63 @@ def w_oracle(s: float) -> float:
 
 class TestLocalMax:
     def test_endpoints(self):
-        assert local_max(2.0) == pytest.approx(1.0, abs=1e-12)
-        assert local_max(0.0) == pytest.approx(2 * 0.8112781244591328 - 1.5, abs=1e-12)
+        assert curve_value("local_max", 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert curve_value("local_max", 0.0) == pytest.approx(2 * 0.8112781244591328 - 1.5, abs=1e-12)
 
     def test_monotone_increasing(self):
         ss = np.linspace(0, 2, 100)
-        vals = [local_max(s) for s in ss]
+        vals = [curve_value("local_max", s) for s in ss]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
         with pytest.raises(BehaviorError):
-            local_max(2.5)
+            curve_value("local_max", 2.5)
 
 
 class TestCNonlocalMax:
     def test_endpoints_are_one(self):
-        assert c_nonlocal_max(2.0) == pytest.approx(1.0, abs=1e-12)
-        assert c_nonlocal_max(4.0) == pytest.approx(1.0, abs=1e-12)
+        assert curve_value("c_nonlocal_max", 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert curve_value("c_nonlocal_max", 4.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_midpoint(self):
-        assert c_nonlocal_max(3.0) == pytest.approx(0.75, abs=1e-12)
+        assert curve_value("c_nonlocal_max", 3.0) == pytest.approx(0.75, abs=1e-12)
 
     def test_closed_form(self):
         for s in np.linspace(2, 4, 21):
-            assert c_nonlocal_max(s) == pytest.approx(0.75 + g_oracle(3 - s), abs=1e-12)
+            assert curve_value("c_nonlocal_max", s) == pytest.approx(0.75 + g_oracle(3 - s), abs=1e-12)
 
     def test_matches_mixture_definition(self):
         for lam in np.linspace(0, 1, 20):
             m = mix(named("sc").behavior, named("pr").behavior, lam)
-            assert c_nonlocal_max(2 + 2 * lam) == pytest.approx(
+            assert curve_value("c_nonlocal_max", 2 + 2 * lam) == pytest.approx(
                 mutual_information(m), abs=1e-14
             )
 
 
 class TestLdPrMax:
     def test_endpoints(self):
-        assert ld_pr_max(2.0) == pytest.approx(0.0, abs=1e-12)
-        assert ld_pr_max(4.0) == pytest.approx(1.0, abs=1e-12)
+        assert curve_value("ld_pr_max", 2.0) == pytest.approx(0.0, abs=1e-12)
+        assert curve_value("ld_pr_max", 4.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_midpoint_against_oracle(self):
         m = mix(named("ld_allones").behavior, named("pr").behavior, 0.5)
-        assert ld_pr_max(3.0) == pytest.approx(mi_oracle(m.table), abs=1e-10)
-        assert ld_pr_max(3.0) == pytest.approx(0.639097655573916, abs=1e-12)
+        assert curve_value("ld_pr_max", 3.0) == pytest.approx(mi_oracle(m.table), abs=1e-10)
+        assert curve_value("ld_pr_max", 3.0) == pytest.approx(0.639097655573916, abs=1e-12)
 
 
 class TestNsMax:
     def test_values(self):
-        assert ns_max(2.0) == pytest.approx(1.0, abs=1e-12)
-        assert ns_max(3.0) == pytest.approx(0.75, abs=1e-12)
-        assert ns_max(4.0) == pytest.approx(1.0, abs=1e-12)
+        assert curve_value("ns_max", 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert curve_value("ns_max", 3.0) == pytest.approx(0.75, abs=1e-12)
+        assert curve_value("ns_max", 4.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_continuity_at_two(self):
-        assert ns_max(2.0 - 1e-9) == pytest.approx(ns_max(2.0 + 1e-9), abs=1e-6)
+        assert curve_value("ns_max", 2.0 - 1e-9) == pytest.approx(curve_value("ns_max", 2.0 + 1e-9), abs=1e-6)
 
     def test_maximum_only_at_edges(self):
         for s in np.linspace(0.05, 3.95, 79):
             if min(abs(s - 2), abs(s - 4)) > 1e-3:
-                assert ns_max(s) < 1.0 - 1e-6
+                assert curve_value("ns_max", s) < 1.0 - 1e-6
 
 
 class TestW:
@@ -108,28 +102,28 @@ class TestW:
 
 class TestQcMax:
     def test_endpoints(self):
-        assert qc_max(2.0) == pytest.approx(1.0, abs=1e-12)
-        assert qc_max(TSIRELSON) == pytest.approx(4 * g_oracle(1 / math.sqrt(2)), abs=1e-12)
+        assert curve_value("qc_max", 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert curve_value("qc_max", TSIRELSON) == pytest.approx(4 * g_oracle(1 / math.sqrt(2)), abs=1e-12)
 
     def test_below_c_bound(self):
         for s in np.linspace(2, TSIRELSON, 50):
-            assert qc_max(s) <= c_nonlocal_max(s) + 1e-12
+            assert curve_value("qc_max", s) <= curve_value("c_nonlocal_max", s) + 1e-12
 
     def test_decreasing(self):
         ss = np.linspace(2, TSIRELSON, 60)
-        vals = [qc_max(s) for s in ss]
+        vals = [curve_value("qc_max", s) for s in ss]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 class TestBellPrMin:
     def test_endpoints(self):
-        assert bell_pr_min(TSIRELSON) == pytest.approx(4 * g_oracle(1 / math.sqrt(2)), abs=1e-12)
-        assert bell_pr_min(4.0) == pytest.approx(1.0, abs=1e-12)
+        assert curve_value("bell_pr_min", TSIRELSON) == pytest.approx(4 * g_oracle(1 / math.sqrt(2)), abs=1e-12)
+        assert curve_value("bell_pr_min", 4.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form_4g(self):
         for s in np.linspace(TSIRELSON, 4, 20):
-            assert bell_pr_min(s) == pytest.approx(4 * g_oracle(s / 4), abs=1e-12)
-        assert bell_pr_min(3.0) == pytest.approx(4 * g_oracle(0.75), abs=1e-12)
+            assert curve_value("bell_pr_min", s) == pytest.approx(4 * g_oracle(s / 4), abs=1e-12)
+        assert curve_value("bell_pr_min", 3.0) == pytest.approx(4 * g_oracle(0.75), abs=1e-12)
 
 
 class TestWitnesses:
@@ -143,7 +137,7 @@ class TestWitnesses:
 
     def test_local_min_is_zero(self):
         for s in np.linspace(0, 2, 9):
-            assert local_min(s) == 0.0
+            assert curve_value("local_min", s) == 0.0
             assert mutual_information(curve_witness(CurveId.LOCAL_MIN, s)) <= 1e-12
 
 
@@ -175,16 +169,55 @@ class TestRegistry:
 
     def test_ns_max_dominates_qc(self):
         for s in np.linspace(2, TSIRELSON, 25):
-            assert ns_max(s) >= qc_max(s) - 1e-12
+            assert curve_value("ns_max", s) >= curve_value("qc_max", s) - 1e-12
 
     def test_crossing(self):
         star = ld_c_crossing()
         assert 3.0 < star < 4.0
-        assert ld_pr_max(star) == pytest.approx(c_nonlocal_max(star), abs=1e-9)
-        assert ld_pr_max(star - 0.01) < c_nonlocal_max(star - 0.01)
-        assert ld_pr_max(star + 0.01) > c_nonlocal_max(star + 0.01)
+        assert curve_value("ld_pr_max", star) == pytest.approx(curve_value("c_nonlocal_max", star), abs=1e-9)
+        assert curve_value("ld_pr_max", star - 0.01) < curve_value("c_nonlocal_max", star - 0.01)
+        assert curve_value("ld_pr_max", star + 0.01) > curve_value("c_nonlocal_max", star + 0.01)
 
     def test_continuity_everywhere(self):
         for curve in CurveId:
             ss, ii = curve_grid(curve, 400)
             assert np.max(np.abs(np.diff(ii))) < 0.02
+
+
+class TestCurveTable:
+    @pytest.mark.parametrize("curve", list(CurveId))
+    def test_grid_equals_pointwise_values(self, curve):
+        ss, ii = curve_grid(curve, 101)
+        assert np.array_equal(ii, [curve_value(curve, s) for s in ss])
+
+    @pytest.mark.parametrize("curve", list(CurveId))
+    def test_array_equals_scalar_calls(self, curve, rng):
+        lo, hi = CURVE_DOMAINS[curve]
+        ss = rng.uniform(lo, hi, 50)
+        vals = curve_value(curve, ss)
+        assert vals.shape == ss.shape
+        assert np.array_equal(vals, [curve_value(curve, float(s)) for s in ss])
+        assert isinstance(curve_value(curve, float(ss[0])), float)
+        assert np.array_equal(curve_value(curve, ss.reshape(5, 10)), vals.reshape(5, 10))
+
+    @pytest.mark.parametrize("curve", [c for c in CurveId if c is not CurveId.LOCAL_MIN])
+    def test_witness_information_equals_value(self, curve):
+        # LOCAL_MIN's value is exactly 0 instead: TestWitnesses.test_local_min_is_zero
+        lo, hi = CURVE_DOMAINS[curve]
+        for s in np.linspace(lo, hi, 13):
+            assert mutual_information(curve_witness(curve, s)) == curve_value(curve, s)
+
+    def test_out_of_domain_array_names_first_bad_score(self):
+        with pytest.raises(BehaviorError, match=r"^S = 2\.5 outside curve domain \[0\.0, 2\.0\]$"):
+            curve_value(CurveId.LOCAL_MAX, np.array([0.5, 1.0, 2.5, 3.0, -1.0]))
+        with pytest.raises(BehaviorError, match=r"^S = nan outside"):
+            curve_value(CurveId.NS_MAX, np.array([1.0, np.nan]))
+
+    def test_tsirelson_endpoint_raises_no_warning(self):
+        assert 8.0 - TSIRELSON**2 < 0.0  # the radicand of w is negative there in floating point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert w(TSIRELSON) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+            assert curve_value("qc_max", TSIRELSON) == pytest.approx(4 * g_oracle(1 / math.sqrt(2)), abs=1e-12)
+            assert np.array_equal(w(np.array([2.0, TSIRELSON])), [w(2.0), w(TSIRELSON)])
+            curve_value("qc_max", np.array([2.0, TSIRELSON]))

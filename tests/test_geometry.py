@@ -13,6 +13,7 @@ from nonsig.geometry import (
     orientation_det,
     slope_kinks,
     trajectory,
+    _slope_scores,
 )
 
 TSIRELSON = 2 * np.sqrt(2)
@@ -210,6 +211,21 @@ class TestSlopeKinks:
 
     def _vec(self, a, c00, c01, c11):
         return np.array([a, a, a, a, c00, c01, c01, c11])
+
+    def test_scores_match_polyfit_oracle(self):
+        s = np.linspace(2.5, 3.1, 200)
+        a0 = np.where(s < 2.82, 2.82 - s, 0.0)
+        c00 = 0.7 + 0.1 * np.sin(4 * s)
+        traj = trajectory(synthetic_curve(s, s * 0.1, argopts=[self._vec(a, c, 0.6, -0.5) for a, c in zip(a0, c00)]))
+        window = 20
+        oracle = np.zeros(len(s))
+        for j in range(window, len(s) - window):
+            for y in traj.series().values():
+                left = np.polyfit(s[j - window : j + 1], y[j - window : j + 1], 1)[0]
+                right = np.polyfit(s[j : j + window + 1], y[j : j + window + 1], 1)[0]
+                oracle[j] = max(oracle[j], abs(right - left))
+        assert oracle.max() > 0.5  # the elbow in a0 is in there
+        np.testing.assert_allclose(_slope_scores(traj, window), oracle, rtol=0, atol=1e-9)
 
     def test_smooth_curve_fires_nowhere(self):
         s = np.linspace(2.5, 3.1, 400)
