@@ -1,5 +1,5 @@
 """Median microseconds per call of the boundary solver's penalty kernel, and
-per iteration of one gradient-descent stage.
+per iteration of the Newton tail of the penalty schedule.
 
 Usage: PYTHONPATH=src python scripts/kernel_timing.py
 
@@ -8,14 +8,15 @@ value with gradient, for NS MIN at s = 2.9 and for the arcsin-capped C MAX at
 s = 2.5.  The rows are starts drawn by the solver's own start builder, and
 the penalty stage is mu = 1e3, eps = 1e-3.
 
-Then times the last stage of the penalty schedule (``_gradient_descent`` at
-mu = 1e6), started where the five stages before it leave the rows, on two
-blocks: the 50 rows of one NS MAX point at s = 3.3 (one ``optimize_at_s``
-at 50 restarts) and 256 NS MIN rows, 32 points on [2.5, 3.1] at 8 starts
-each (one fig6 block).  It prints the microseconds per iteration and the
-value-only and value+grad kernel calls per iteration.  An iteration is one
-line search and the gradient step after it, so the iterations are the
-value-only calls that follow a value+grad call.
+Then times the Newton tail (``_newton`` at mu = 1e5 and 1e6), started where
+the gradient-descent stages leave the rows, on two blocks: the
+50 rows of one NS MAX point at s = 3.3 (one ``optimize_at_s`` at 50
+restarts) and 256 NS MIN rows, 32 points on [2.5, 3.1] at 8 starts each (one
+fig6 block).  Per stage it prints the iterations until every row has
+finished, the microseconds per iteration, and per iteration the value-only
+kernel calls and the value+gradient+Hessian calls.  Every iteration is one
+batched linear solve; the last two columns are the rows it solves on average
+and the Armijo trials (step lengths tried) per row and iteration.
 
 Prints nproc and the numpy version first; each time is the median of
 ``REPEATS`` samples.
@@ -55,50 +56,64 @@ def per_call_us(geo, off, z, grad: bool) -> float:
     return statistics.median(samples)
 
 
-def stage(k: int) -> tuple:
-    """The arguments after ``alpha`` that ``_solve`` passes stage k."""
-    return boundary._MU_SCHEDULE[k], boundary._EPS_SCHEDULE[k], boundary._INNER_ITERS[k], boundary._GTOLS[k]
-
-
-def last_stage_start(set_, mode, grid, restarts):
-    """The block's job, owners, and its rows and steps as the first five stages leave them."""
+def tail_start(set_, mode, grid, restarts):
+    """The block's job and its rows as the gradient-descent stages leave them."""
     points = _geometry(set_, mode, False).at(grid)
     starts = [_starts(points.take([j]), restarts, np.random.default_rng([0, j])) for j in range(len(grid))]
     owner = np.repeat(np.arange(len(starts)), [len(z) for z in starts])
     job = points.take(owner)
     z = np.concatenate(starts)
     alpha = np.full(len(z), 0.05)
-    last = len(boundary._MU_SCHEDULE) - 1
-    for k in range(last):
+    for k in range(len(boundary._INNER_ITERS)):
         np.maximum(alpha, 1e-6, out=alpha)
-        z, _, _ = boundary._gradient_descent(job, z, owner, alpha, *stage(k))
-    np.maximum(alpha, 1e-6, out=alpha)
-    return job, owner, z, alpha, stage(last)
+        z, _, _ = boundary._gradient_descent(
+            job, z, owner, alpha, boundary._MU_SCHEDULE[k], boundary._EPS_SCHEDULE[k],
+            boundary._INNER_ITERS[k], boundary._GTOLS[k],
+        )
+    return job, z
 
 
-def kernel_calls(job, owner, z, alpha, args) -> tuple[int, int, int]:
-    """Iterations, value-only calls and value+grad calls of one stage."""
-    kinds = []
+def tail_stages(job, z):
+    """Each Newton stage's (mu, eps, start rows), run in turn as ``_solve`` runs them."""
+    out = []
+    for k in range(len(boundary._INNER_ITERS), len(boundary._MU_SCHEDULE)):
+        mu, eps = boundary._MU_SCHEDULE[k], boundary._EPS_SCHEDULE[k]
+        out.append((mu, eps, z.copy()))
+        z, _ = boundary._newton(job, z, mu, eps)
+    return out
 
-    def counted(geo, off, zz, mu, eps, grad=True):
-        kinds.append(grad)
-        return _penalty(geo, off, zz, mu, eps, grad=grad)
 
-    boundary._penalty = counted
+def newton_counts(job, z, mu, eps) -> tuple[int, int, int, int, int]:
+    """Iterations (batched solves, one per iteration), value-only calls,
+    value+grad+Hessian calls, rows solved and step lengths tried in one stage."""
+    kinds, trials, solved = [], [0], [0]
+    solve = np.linalg.solve
+
+    def counted(geo, off, zz, mu, eps, grad=True, hess=False):
+        kinds.append((grad, hess))
+        if not grad:
+            trials[0] += len(zz)
+        return _penalty(geo, off, zz, mu, eps, grad=grad, hess=hess)
+
+    def counted_solve(a, b):
+        solved[0] += len(a)
+        kinds.append("solve")
+        return solve(a, b)
+
+    boundary._penalty, np.linalg.solve = counted, counted_solve
     try:
-        boundary._gradient_descent(job, z.copy(), owner, alpha.copy(), *args)
+        boundary._newton(job, z.copy(), mu, eps)
     finally:
-        boundary._penalty = _penalty
-    iterations = sum(1 for prev, cur in zip(kinds, kinds[1:]) if prev and not cur)
-    return iterations, kinds.count(False), kinds.count(True)
+        boundary._penalty, np.linalg.solve = _penalty, solve
+    return kinds.count("solve"), kinds.count((False, False)), kinds.count((True, True)), solved[0], trials[0]
 
 
-def per_stage_us(job, owner, z, alpha, args) -> float:
+def per_stage_us(job, z, mu, eps) -> float:
     samples = []
     for _ in range(REPEATS):
-        zz, aa = z.copy(), alpha.copy()
+        zz = z.copy()
         t0 = time.perf_counter()
-        boundary._gradient_descent(job, zz, owner, aa, *args)
+        boundary._newton(job, zz, mu, eps)
         samples.append((time.perf_counter() - t0) * 1e6)
     return statistics.median(samples)
 
@@ -115,13 +130,20 @@ def main() -> None:
             both = per_call_us(geo, off, z, True)
             print(f"{name:<14}{rows:>6}{value:>10.1f}{both:>12.1f}")
 
-    print("\nlast descent stage (mu = 1e6), per iteration")
-    print(f"{'case':<14}{'rows':>6}{'iters':>7}{'us/iter':>10}{'value/iter':>12}{'grad/iter':>11}")
+    print("\nNewton tail (mu = 1e5, 1e6), per iteration")
+    print(
+        f"{'case':<14}{'rows':>6}{'mu':>7}{'iters':>7}{'us/iter':>10}{'value/iter':>12}"
+        f"{'hess/iter':>11}{'rows/solve':>12}{'trials/row':>12}"
+    )
     for name, set_, mode, grid, restarts in DESCENT_CASES:
-        job, owner, z, alpha, args = last_stage_start(set_, mode, grid, restarts)
-        iterations, value, both = kernel_calls(job, owner, z, alpha, args)
-        us = per_stage_us(job, owner, z, alpha, args) / iterations
-        print(f"{name:<14}{len(z):>6}{iterations:>7}{us:>10.1f}{value / iterations:>12.2f}{both / iterations:>11.2f}")
+        job, z0 = tail_start(set_, mode, grid, restarts)
+        for mu, eps, z in tail_stages(job, z0):
+            iterations, value, hess, solved, trials = newton_counts(job, z, mu, eps)
+            us = per_stage_us(job, z, mu, eps) / iterations
+            print(
+                f"{name:<14}{len(z):>6}{mu:>7.0e}{iterations:>7}{us:>10.1f}{value / iterations:>12.2f}"
+                f"{hess / iterations:>11.2f}{solved / iterations:>12.1f}{trials / solved:>12.2f}"
+            )
 
 
 if __name__ == "__main__":

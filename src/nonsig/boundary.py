@@ -5,14 +5,22 @@ non-signaling marginals hold identically.  For a target score s it fixes the
 canonical CHSH expression to s by parametrizing that affine subspace
 directly, keeps the other seven signed expressions at or below s (so the
 relabeling-maximized score is exactly s), and enforces the 16 positivity
-facets through a quadratic penalty with geometric growth.  The inner solver
-is gradient descent with Armijo backtracking (spectral trial steps), run on
-the restarts of many grid points at once as one batched array program: the
-rows still descending are kept compacted, and the backtracking trials of all
-rows that need them share kernel calls, each call capped at ``_BLOCK_ROWS``
-rows like the blocks themselves.  The entropy kink at p = 0 is softened on a
-schedule so iterates can slide along positivity facets, and every reported
-value is re-evaluated exactly after an exact feasibility repair.
+facets through a quadratic penalty with geometric growth.  The entropy kink
+at p = 0 is softened on a schedule so iterates can slide along positivity
+facets, and every reported value is re-evaluated exactly after an exact
+feasibility repair.
+
+The penalty subproblems are solved on the restarts of many grid points at
+once as one batched array program, with two inner solvers.  The first four
+stages (mu = 10 to 1e4) run gradient descent with Armijo backtracking
+(spectral trial steps); the two stiffest (mu = 1e5 and 1e6) run
+Levenberg-Marquardt-damped Newton, its Hessian one product of per-row
+weights with the constant outer products of the kernel's rows.  Both keep
+the rows still working compacted, and the backtracking trials of all rows
+that need them share kernel calls, each capped at ``_BLOCK_ROWS`` rows like
+the blocks themselves.  A row is ``converged`` when it ends the last Newton
+stage with a gradient norm of at most ``_NEWTON_GTOL``, and a point reports
+the flag of the row it keeps.
 """
 
 from __future__ import annotations
@@ -38,16 +46,20 @@ from .functionals import TSIRELSON, _info, _s_max_ab
 GRAD_FLOOR = 1e-12
 
 _MU_SCHEDULE = (10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
-_INNER_ITERS = (60, 60, 80, 80, 100, 120)
-_GTOLS = (1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 3e-7)
+#: Iteration caps and gradient tolerances of the gradient-descent stages, the
+#: first ``len(_INNER_ITERS)`` of the schedule; the stiff stages after them run
+#: ``_newton``, capped at ``_NEWTON_ITERS`` and done at ``_NEWTON_GTOL``.
+_INNER_ITERS = (60, 60, 80, 80)
+_GTOLS = (1e-4, 3e-5, 1e-5, 3e-6)
+_NEWTON_ITERS = 30
+_NEWTON_GTOL = 1e-9
+#: Least Levenberg-Marquardt damping of a Newton step, relative to the Hessian's scale.
+_DAMPING_FLOOR = 1e-12
 #: Softening width of the entropy kink at p = 0, by stage.  The subproblems
 #: stay smooth while iterates slide along positivity facets; the final stages
 #: approach the exact kinked objective and the reported values are always
 #: re-evaluated exactly.
 _EPS_SCHEDULE = (1e-2, 3e-3, 1e-3, 1e-4, 1e-6, 1e-9)
-_POLISH_OUTERS = 3  # warm-started solves rerun only the stiff tail of the schedule
-#: A final stage that moves a row's value by at most this much (relative) counts as converged.
-_TOL = 1e-8
 
 _LOG2E = 1.0 / np.log(2.0)
 
@@ -192,6 +204,7 @@ class _Geometry:
     mode: ScanMode
     qtilde_cap: bool
     map: np.ndarray   # (39, d-1)
+    outer: np.ndarray  # (39, (d-1)^2) outer products of the rows of map
     zmap: np.ndarray  # (8, d-1) least-squares z of a correlator displacement
     sigma: float      # +1 minimizes I, -1 maximizes
 
@@ -223,11 +236,13 @@ def _geometry(set_: FeasibleSet, mode: ScanMode, qtilde_cap: bool) -> _Geometry:
         raise BehaviorError("the arcsin cap is implemented on the correlation space only")
     emb = _embedding(set_)
     null = _null_basis_rows((emb.T @ _SLOT_W[0])[None, :])
+    qmap = _QX @ (emb @ null)
     return _Geometry(
         set=set_,
         mode=mode,
         qtilde_cap=qtilde_cap,
-        map=_QX @ (emb @ null),
+        map=qmap,
+        outer=(qmap[:, :, None] * qmap[:, None, :]).reshape(len(qmap), -1),
         zmap=np.linalg.pinv(emb).T @ null,
         sigma=1.0 if mode is ScanMode.MIN else -1.0,
     )
@@ -276,16 +291,30 @@ def _qtilde_exprs(c4: np.ndarray, axis: int = -1) -> np.ndarray:
     return t.sum(axis=axis, keepdims=True) - 2.0 * t
 
 
+#: d e_k / d t_j of the four cap expressions e_k = sum_j t_j - 2 t_k.
+_CAP_COEFF = 1.0 - 2.0 * np.eye(4)
+
+
 def _arcsin_slope(c4: np.ndarray) -> np.ndarray:
     # consistent with the clipped arcsin: flat outside the cube
     inside = np.abs(c4) < 1.0
     return np.where(inside, 1.0 / np.sqrt(np.clip(1.0 - c4**2, 1e-12, None)), 0.0)
 
 
-def _penalty(geo: _Geometry, off: np.ndarray, z: np.ndarray, mu: float, eps: float, grad: bool = True):
+def _penalty(
+    geo: _Geometry, off: np.ndarray, z: np.ndarray, mu: float, eps: float, grad: bool = True, hess: bool = False
+):
     """Softened, penalized objective of rows z at offsets ``off`` (39, r) and, if ``grad``,
     its z-gradient: one product in, p log2 p rounded over a width ~eps at p = 0
-    (as q log2 q, q = (p + sqrt(p^2 + eps^2)) / 2), and one product back."""
+    (as q log2 q, q = (p + sqrt(p^2 + eps^2)) / 2), and one product back.
+
+    With ``hess`` it also returns the z-Hessians (r, d, d): per-row weights on
+    the quantity rows times their outer products ``geo.outer``, one product,
+    plus, under the arcsin cap, the Gauss-Newton term of the cap penalty.  The
+    arcsin curvature weighted by the cap's multipliers sits on the correlator
+    rows, so the capped Hessian is exact too: without it the Hessian misses
+    the facet's own curvature and turns indefinite along the curved facet.
+    """
     m = geo.map[: _X.stop if geo.qtilde_cap else _FACETS.stop]
     y = m @ z.T
     y += off[: len(m)]
@@ -304,6 +333,14 @@ def _penalty(geo: _Geometry, off: np.ndarray, z: np.ndarray, mu: float, eps: flo
     if not grad:
         return f
 
+    if hess:
+        # d2(q log2 q)/dp2 = q / (ln 2 root^2) + (log2 q + 1/ln 2) eps^2 / (2 root^3), the
+        # derivative of the floored slope below
+        w = np.zeros_like(y)
+        curv = np.where(lg > _LOG2_FLOOR, q * _LOG2E, 0.0)
+        curv += (np.maximum(lg, _LOG2_FLOOR) + _LOG2E) * (0.5 * eps * eps / root)
+        curv /= root * root
+        w[_ENT] = (geo.sigma * _ENT_W)[:, None] * curv
     g = np.zeros_like(y)
     # d(q log2 q)/dp = (log2 q + 1/ln 2) (1 + p/root) / 2, log2 q floored at log2(GRAD_FLOOR)
     ent = np.maximum(lg, _LOG2_FLOOR, out=g[_ENT])
@@ -315,8 +352,20 @@ def _penalty(geo: _Geometry, off: np.ndarray, z: np.ndarray, mu: float, eps: flo
     g[_FACETS] += (2.0 * mu) * viol
     if geo.qtilde_cap:
         u = up - dn
-        g[_C4] = (2.0 * mu) * (u.sum(axis=0, keepdims=True) - 2.0 * u) * _arcsin_slope(y[_C4])
-    return f, g.T @ m
+        slope = _arcsin_slope(y[_C4])
+        g[_C4] = (2.0 * mu) * (u.sum(axis=0, keepdims=True) - 2.0 * u) * slope
+    if not hess:
+        return f, g.T @ m
+    w[_FACETS] += (2.0 * mu) * (viol < 0.0)
+    d = z.shape[1]
+    if geo.qtilde_cap:
+        # arcsin'' = c arcsin'^3 on the correlator rows, times the multipliers of the gradient
+        w[_C4] = g[_C4] * y[_C4] * slope * slope
+        # d e_k / dz = sum_j (1 - 2 [j = k]) arcsin'(c_j) map_j over the four cap expressions
+        jac = np.einsum("kj,jr,jd->rkd", _CAP_COEFF, slope, m[_C4])
+        jac *= np.sqrt(2.0 * mu) * (u != 0.0).T[:, :, None]
+        return f, g.T @ m, (w.T @ geo.outer).reshape(-1, d, d) + np.einsum("rki,rkj->rij", jac, jac)
+    return f, g.T @ m, (w.T @ geo.outer[: _FACETS.stop]).reshape(-1, d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -460,27 +509,96 @@ def _gradient_descent(
     return z, (gn2 <= gtol * gtol) | stalled, f
 
 
+def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt-damped Newton with Armijo backtracking on the penalty,
+    batched over rows.
+
+    Each iteration solves (H + lam I) step = -grad for every active row in one
+    batched call, then tries the full step of every row in one kernel call and
+    up to ``_TRIAL_BATCH`` halvings of the rows that fail it in one more.  The
+    line search forgives increases within the value's rounding, so the last
+    steps, whose gains f cannot resolve, still go through.  The damping lam
+    eases tenfold after a full step and tightens tenfold after a failed
+    search; a step that is no descent direction shows curvature below -lam
+    along it, and lam then jumps past twice that curvature.  Its floor is
+    ``_DAMPING_FLOOR`` times one plus the row's largest Hessian diagonal.
+
+    A row is done when its gradient norm is at most ``_NEWTON_GTOL``
+    (converged) or when it can no longer progress: its step is below the
+    rounding of z.  Returns the iterates, those of ``z`` updated in place, and
+    the converged flags.
+    """
+    geo = job.geo
+    d = z.shape[1]
+    f, g, h = _penalty(geo, job.off, z, mu, eps, hess=True)
+    full = (z, g)
+    act = np.arange(z.shape[0])
+    za, ga, fa, ha, offa = z.copy(), g.copy(), f, h, job.off
+    lam = np.zeros(z.shape[0])
+    live = np.ones(z.shape[0], dtype=bool)
+    eye = np.eye(d)
+    for _ in range(_NEWTON_ITERS):
+        keep = live & ((ga * ga).sum(axis=1) > _NEWTON_GTOL**2)
+        act, (za, ga, fa, ha, lam, live), offa = _retire(keep, act, full, (za, ga, fa, ha, lam, live), offa)
+        if not act.size:
+            break
+        lam = np.maximum(lam, _DAMPING_FLOOR * (1.0 + np.abs(np.diagonal(ha, axis1=1, axis2=2)).max(axis=1)))
+        step = np.linalg.solve(ha + lam[:, None, None] * eye, -ga[:, :, None])[:, :, 0]
+        slope = (ga * step).sum(axis=1)
+        slack = 4e-15 * (1.0 + np.abs(fa))  # the value's rounding
+        t = np.zeros(act.size)  # the accepted step length, 0 for none
+        trial = slope < 0.0
+        for lengths in (np.ones(1), np.ldexp(1.0, -1 - np.arange(_TRIAL_BATCH))):
+            rows = np.flatnonzero(trial)
+            if not rows.size:
+                break
+            lengths = lengths[: max(1, _BLOCK_ROWS // rows.size)]
+            cand = za[rows, None] + lengths[:, None] * step[rows, None]
+            off = np.repeat(offa[:, rows], len(lengths), axis=1)
+            fc = _penalty(geo, off, cand.reshape(-1, d), mu, eps, grad=False).reshape(len(rows), -1)
+            ok = fc <= fa[rows, None] + 1e-4 * lengths * slope[rows, None] + slack[rows, None]
+            hit = ok.any(axis=1)
+            first = ok.argmax(axis=1)[hit]
+            rows = rows[hit]
+            t[rows], fa[rows] = lengths[first], fc[hit, first]
+            trial[rows] = False
+        moved = t > 0.0
+        # a step below the rounding of z, taken or proposed, ends the row
+        size = np.abs(step).max(axis=1) * np.where(moved, t, 1.0)
+        live = size > 1e-15 * (1.0 + np.abs(za).max(axis=1))
+        curv = np.einsum("ri,rij,rj->r", step, ha, step) / np.maximum((step * step).sum(axis=1), 1e-300)
+        lam = np.where(t == 1.0, 0.1 * lam, np.where(moved, lam, 10.0 * lam))
+        lam = np.where(slope >= 0.0, np.maximum(lam, -2.0 * curv), lam)
+        if moved.any():
+            za = za + t[:, None] * step
+            rows = np.flatnonzero(moved)
+            if rows.size == act.size:
+                _, ga, ha = _penalty(geo, offa, za, mu, eps, hess=True)
+            else:
+                _, ga[rows], ha[rows] = _penalty(geo, offa[:, rows], za[rows], mu, eps, hess=True)
+    _retire(np.zeros(act.size, dtype=bool), act, full, (za, ga), offa)
+    return z, (g * g).sum(axis=1) <= _NEWTON_GTOL**2
+
+
 def _solve(
     job: _Job, z0: np.ndarray, owner: np.ndarray, outers: int = len(_MU_SCHEDULE)
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the penalty schedule (last ``outers`` stages) from stacked starts.
+    """Run the penalty schedule (last ``outers`` stages) from stacked starts:
+    gradient descent on the stages ``_INNER_ITERS`` covers, damped Newton on
+    the stiff ones after them.
 
     Row k starts at ``z0[k]`` and solves at score ``job.s[k]`` for point
     ``owner[k]``.  Returns the solved iterates and their convergence flags.
     """
     z = np.array(z0, dtype=float)
-    met = np.zeros(z.shape[0], dtype=bool)
     alpha = np.full(z.shape[0], 0.05)
-    f_prev = None
     for k in range(len(_MU_SCHEDULE) - outers, len(_MU_SCHEDULE)):
-        np.maximum(alpha, 1e-6, out=alpha)
-        z, met, f = _gradient_descent(
-            job, z, owner, alpha, _MU_SCHEDULE[k], _EPS_SCHEDULE[k], _INNER_ITERS[k], _GTOLS[k]
-        )
-        if k == len(_MU_SCHEDULE) - 1 and f_prev is not None:
-            # a final stage that barely moved the value is converged in practice
-            met |= np.abs(f_prev - f) <= _TOL * (1.0 + np.abs(f))
-        f_prev = f
+        mu, eps = _MU_SCHEDULE[k], _EPS_SCHEDULE[k]
+        if k < len(_INNER_ITERS):
+            np.maximum(alpha, 1e-6, out=alpha)
+            z, _, _ = _gradient_descent(job, z, owner, alpha, mu, eps, _INNER_ITERS[k], _GTOLS[k])
+        else:
+            z, met = _newton(job, z, mu, eps)
     return z, met
 
 
@@ -689,13 +807,13 @@ def _solve_grid(points: _Job, starts: list[np.ndarray]) -> list[tuple[float, np.
 def _polish(
     point: _Job, best: tuple[float, np.ndarray, bool], z: np.ndarray
 ) -> tuple[float, np.ndarray, bool]:
-    """Rerun the stiff tail of the schedule from the feasible start ``z``.
+    """Rerun the Newton tail of the schedule from the feasible start ``z``.
 
     The result replaces ``best`` only if it is strictly better, and then
     keeps ``best``'s converged flag if that was set; otherwise ``best`` is
     returned as is.
     """
-    ((i, x, converged),) = _solve_points(point, [z], outers=_POLISH_OUTERS)
+    ((i, x, converged),) = _solve_points(point, [z], outers=len(_MU_SCHEDULE) - len(_INNER_ITERS))
     if point.geo.sigma * i < point.geo.sigma * best[0]:
         return i, x, converged or best[2]
     return best

@@ -102,6 +102,23 @@ class TestOptimizeAtS:
         assert abs(r.i) <= 1e-12
         assert not r.converged
 
+    def test_ns_min_just_above_tsirelson_is_exact(self):
+        # the slice Hessian's smallest eigenvalue is ~1.5e-4 here, so gradient
+        # steps leave the marginals at ~0.015; Newton reaches the closed form
+        r = optimize_at_s("ns", "min", 2.829, restarts=30, seed=3)
+        assert abs(r.i - curve_value("bell_pr_min", 2.829)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "s, seed",
+        [
+            (0.007486482767241775, 209725254),  # the winner once reported converged 0.12 bits low
+            (3.97503858036107, 1214898181),  # polishes once stayed on the lower branch
+        ],
+    )
+    def test_ns_max_reaches_upper_boundary(self, s, seed):
+        r = optimize_at_s("ns", "max", s, restarts=50, seed=seed)
+        assert r.i == pytest.approx(curve_value("ns_max", s), abs=2e-3)
+
     def test_unconverged_winner_is_polished(self):
         # NS MAX near s = 4: the 50 starts stop, unconverged, short of the
         # upper branch; polishing the winner reaches it
@@ -162,6 +179,15 @@ class TestScan:
         )
         curve = scan(cfg)
         assert np.max(np.abs(curve.i)) <= 1e-6
+
+    def test_ns_min_beyond_tsirelson_is_bell_pr_min(self):
+        cfg = ScanConfig(
+            set=FeasibleSet.NS, mode=ScanMode.MIN, s_lo=TSIRELSON, s_hi=3.1, grid_points=40,
+            restarts=8, seed=5,
+        )
+        curve = scan(cfg)
+        ref = np.array([curve_value("bell_pr_min", s) for s in curve.s])
+        assert np.max(np.abs(curve.i - ref)) <= 1e-12
 
     def test_sym_scan_stays_symmetric(self):
         cfg = ScanConfig(
@@ -345,6 +371,35 @@ class TestPenaltyKernel:
             fd[:, k] = (up - dn) / (2 * step)
         err = np.linalg.norm(grad - fd, axis=1)
         assert np.all(err <= 1e-5 * np.maximum(np.linalg.norm(fd, axis=1), 1.0))
+
+    @pytest.mark.parametrize("set_, mode, qtilde_cap, scores", KERNEL_CASES)
+    @pytest.mark.parametrize("mu, eps", [(1e4, 1e-4), (10.0, 1e-2)])
+    def test_hessian_matches_central_differences(self, set_, mode, qtilde_cap, scores, mu, eps):
+        """The Hessian against central differences of the z-gradient, at stages
+        whose softened entropy curvature a step of 1e-6 resolves, on rows inside
+        the feasible set and across its facets.  On capped rows the Hessian is
+        the cap penalty's Gauss-Newton term plus the arcsin curvature weighted
+        by the cap's multipliers, together its exact Hessian, so those rows are
+        held to the same relative tolerance, 1e-6, as all others."""
+        from nonsig.boundary import _C4, _FACETS, _penalty, _qtilde_exprs
+
+        geo, off, _, z = kernel_rows(set_, mode, qtilde_cap, scores, seed=44)
+        y = geo.map @ z.T + off
+        crossed = (y[_FACETS] < 0.0).any(axis=0)
+        assert crossed.any() and not crossed.all()
+        if qtilde_cap:
+            assert np.any(np.abs(_qtilde_exprs(y[_C4], axis=0)) > np.pi)
+        _, _, hess = _penalty(geo, off, z, mu, eps, hess=True)
+        step = 1e-6
+        fd = np.zeros_like(hess)
+        for k in range(z.shape[1]):
+            dz = np.zeros_like(z)
+            dz[:, k] = step
+            _, up = _penalty(geo, off, z + dz, mu, eps)
+            _, dn = _penalty(geo, off, z - dz, mu, eps)
+            fd[:, :, k] = (up - dn) / (2 * step)
+        err = np.linalg.norm(hess - fd, axis=(1, 2))
+        assert np.all(err <= 1e-6 * np.maximum(np.linalg.norm(fd, axis=(1, 2)), 1.0))
 
     @pytest.mark.parametrize("set_, mode, qtilde_cap, scores", KERNEL_CASES)
     def test_value_only_is_bit_identical(self, set_, mode, qtilde_cap, scores):
