@@ -66,7 +66,7 @@ def tail_start(set_, mode, grid, restarts):
     alpha = np.full(len(z), 0.05)
     for k in range(len(boundary._INNER_ITERS)):
         np.maximum(alpha, 1e-6, out=alpha)
-        z, _, _ = boundary._gradient_descent(
+        z = boundary._gradient_descent(
             job, z, owner, alpha, boundary._MU_SCHEDULE[k], boundary._EPS_SCHEDULE[k],
             boundary._INNER_ITERS[k], boundary._GTOLS[k],
         )

@@ -151,12 +151,6 @@ class BehaviorTag(Enum):
     P0 = "p0"
 
 
-@dataclass(frozen=True)
-class NamedBehavior:
-    tag: BehaviorTag
-    behavior: Behavior
-
-
 # ---------------------------------------------------------------------------
 # conversions
 
@@ -295,11 +289,9 @@ _NAMED_CORRELATORS = {
 }
 
 
-def named(tag: BehaviorTag | str) -> NamedBehavior:
+def named(tag: BehaviorTag | str) -> Behavior:
     """One of the canonical reference behaviors (PR box, shared coin, Bell point, ...)."""
-    if isinstance(tag, str):
-        tag = BehaviorTag(tag.lower())
-    return NamedBehavior(tag=tag, behavior=correlators_to_behavior(named_correlators(tag)))
+    return correlators_to_behavior(named_correlators(tag))
 
 
 def named_correlators(tag: BehaviorTag | str) -> Correlators:

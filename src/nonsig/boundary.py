@@ -19,13 +19,14 @@ weights with the constant outer products of the kernel's rows.  Both keep
 the rows still working compacted, and the backtracking trials of all rows
 that need them share kernel calls, each capped at ``_BLOCK_ROWS`` rows like
 the blocks themselves.  A row is ``converged`` when it ends the last Newton
-stage with a gradient norm of at most ``_NEWTON_GTOL``, and a point reports
-the flag of the row it keeps.
+stage with a gradient norm of at most ``_NEWTON_GTOL``.  ``_finish`` alone
+builds each point's ``ScanPoint`` from its best exactly evaluated row, with
+that row's flag; the polishes and the sweeps compare and replace these records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -421,7 +422,7 @@ def _retire(
 def _gradient_descent(
     job: _Job, z: np.ndarray, owner: np.ndarray, alpha: np.ndarray, mu: float, eps: float,
     max_iter: int, gtol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Armijo-backtracked gradient descent on the penalty, batched over rows.
 
     A row is done when its gradient norm drops below ``gtol`` or its value
@@ -445,13 +446,13 @@ def _gradient_descent(
     if geo.qtilde_cap:
         grad = _project_arcsin_facet(geo, job.off, z, grad)
     f_mark = f.copy()
-    full = (z, grad, f, alpha)
+    full = (z, f, alpha)
     act = np.arange(z.shape[0])
-    za, ga, fa, aa, offa = z.copy(), grad.copy(), f.copy(), alpha.copy(), job.off
+    za, fa, aa, ga, offa = z.copy(), f.copy(), alpha.copy(), grad, job.off
     for it in range(max_iter):
         gn2 = (ga * ga).sum(axis=1)
         keep = gn2 > gtol * gtol
-        act, (za, ga, fa, aa), offa = _retire(keep, act, full, (za, ga, fa, aa), offa)
+        act, (za, fa, aa, ga), offa = _retire(keep, act, full, (za, fa, aa, ga), offa)
         if not act.size:
             break
         gn2 = gn2[keep]
@@ -484,7 +485,7 @@ def _gradient_descent(
             aa[fail] *= 0.5
             keep = np.ones(act.size, dtype=bool)
             keep[fail] = False
-            act, (za, ga, fa, aa, z0), offa = _retire(keep, act, full, (za, ga, fa, aa, z0), offa)
+            act, (za, fa, aa, ga, z0), offa = _retire(keep, act, full, (za, fa, aa, ga, z0), offa)
 
         if act.size:
             fa, g = _penalty(geo, offa, za, mu, eps)
@@ -503,10 +504,9 @@ def _gradient_descent(
             live = np.isin(owner, owner[started])  # points with a row active this iteration
             stalled |= live & ((f_mark - f) <= 5e-12 * (1.0 + np.abs(f)))
             f_mark = f.copy()
-            act, (za, ga, fa, aa), offa = _retire(~stalled[act], act, full, (za, ga, fa, aa), offa)
-    _retire(np.zeros(act.size, dtype=bool), act, full, (za, ga, fa, aa), offa)
-    gn2 = (grad * grad).sum(axis=1)
-    return z, (gn2 <= gtol * gtol) | stalled, f
+            act, (za, fa, aa, ga), offa = _retire(~stalled[act], act, full, (za, fa, aa, ga), offa)
+    _retire(np.zeros(act.size, dtype=bool), act, full, (za, fa, aa), offa)
+    return z
 
 
 def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -596,7 +596,7 @@ def _solve(
         mu, eps = _MU_SCHEDULE[k], _EPS_SCHEDULE[k]
         if k < len(_INNER_ITERS):
             np.maximum(alpha, 1e-6, out=alpha)
-            z, _, _ = _gradient_descent(job, z, owner, alpha, mu, eps, _INNER_ITERS[k], _GTOLS[k])
+            z = _gradient_descent(job, z, owner, alpha, mu, eps, _INNER_ITERS[k], _GTOLS[k])
         else:
             z, met = _newton(job, z, mu, eps)
     return z, met
@@ -765,8 +765,8 @@ _TRIAL_BATCH = 8
 
 def _finish(
     points: _Job, owner: np.ndarray, z0: np.ndarray, z: np.ndarray, met: np.ndarray
-) -> list[tuple[float, np.ndarray, bool]]:
-    """Repair all rows, evaluate exactly, return each point's best (i, x, converged).
+) -> list[ScanPoint]:
+    """Repair all rows, evaluate exactly, return each point's best row as its ``ScanPoint``.
 
     A point's untouched starts compete with its solved rows (a start can beat
     its own descendant when the softened early stages walk off an exact
@@ -779,43 +779,36 @@ def _finish(
     order = np.lexsort((points.geo.sigma * vals, row_point))
     best = order[np.searchsorted(row_point[order], np.arange(len(points.s)))]
     met = np.concatenate([met, np.zeros(len(z0), dtype=bool)])
-    return [(float(vals[k]), x[k], bool(met[k])) for k in best]
+    return [
+        ScanPoint(s=float(s), i=float(vals[k]), argopt=Correlators.from_vector(x[k]), converged=bool(met[k]))
+        for s, k in zip(points.s, best)
+    ]
 
 
-def _solve_points(
-    points: _Job, starts: list[np.ndarray], outers: int = len(_MU_SCHEDULE)
-) -> list[tuple[float, np.ndarray, bool]]:
-    """Solve every point of ``points`` from its own starts as one block."""
-    owner = np.repeat(np.arange(len(starts)), [len(z) for z in starts])
-    z0 = np.concatenate(starts)
-    z, met = _solve(points.take(owner), z0, owner, outers=outers)
-    return _finish(points, owner, z0, z, met)
-
-
-def _solve_grid(points: _Job, starts: list[np.ndarray]) -> list[tuple[float, np.ndarray, bool]]:
-    """Solve consecutive points in blocks of about ``_BLOCK_ROWS`` rows: a
-    block takes the points whose first row falls in its stretch of rows."""
-    first_row = np.cumsum([0] + [len(z) for z in starts[:-1]])
-    block = first_row // _BLOCK_ROWS
+def _solve_grid(points: _Job, starts: list[np.ndarray], outers: int = len(_MU_SCHEDULE)) -> list[ScanPoint]:
+    """Solve each point from its own starts over the last ``outers`` stages,
+    consecutive points in blocks of about ``_BLOCK_ROWS`` rows: a block takes
+    the points whose first row falls in its stretch of rows."""
+    block = np.cumsum([0] + [len(z) for z in starts[:-1]]) // _BLOCK_ROWS  # of each point's first row
     out = []
-    for b in np.unique(block):
-        ks = np.flatnonzero(block == b)
-        out += _solve_points(points.take(ks), [starts[k] for k in ks])
+    for ks in np.split(np.arange(len(starts)), np.flatnonzero(np.diff(block)) + 1):
+        owner = np.repeat(np.arange(len(ks)), [len(starts[k]) for k in ks])
+        z0 = np.concatenate([starts[k] for k in ks])
+        z, met = _solve(points.take(ks[owner]), z0, owner, outers=outers)
+        out += _finish(points.take(ks), owner, z0, z, met)
     return out
 
 
-def _polish(
-    point: _Job, best: tuple[float, np.ndarray, bool], z: np.ndarray
-) -> tuple[float, np.ndarray, bool]:
+def _polish(point: _Job, best: ScanPoint, z: np.ndarray) -> ScanPoint:
     """Rerun the Newton tail of the schedule from the feasible start ``z``.
 
     The result replaces ``best`` only if it is strictly better, and then
     keeps ``best``'s converged flag if that was set; otherwise ``best`` is
     returned as is.
     """
-    ((i, x, converged),) = _solve_points(point, [z], outers=len(_MU_SCHEDULE) - len(_INNER_ITERS))
-    if point.geo.sigma * i < point.geo.sigma * best[0]:
-        return i, x, converged or best[2]
+    (new,) = _solve_grid(point, [z], outers=len(_MU_SCHEDULE) - len(_INNER_ITERS))
+    if point.geo.sigma * new.i < point.geo.sigma * best.i:
+        return replace(new, converged=new.converged or best.converged)
     return best
 
 
@@ -841,16 +834,15 @@ def optimize_at_s(
     _check_request(restarts, seed, qtilde_cap, s)
     point = _geometry(set_, mode, qtilde_cap).at([s])
     z0 = _starts(point, restarts, np.random.default_rng([seed]))
-    (best,) = _solve_points(point, [z0])
+    (best,) = _solve_grid(point, [z0])
     for _ in range(2):  # an unconverged winner gets the two polishes a scan point can get from its sweeps
-        if best[2]:
+        if best.converged:
             break
-        polished = _polish(point, best, _z_from_vector(point, best[1]))
+        polished = _polish(point, best, _z_from_vector(point, best.argopt.vector()))
         if polished is best:
             break  # a polish from the same start would only repeat itself
         best = polished
-    i, x, converged = best
-    return ScanPoint(s=float(s), i=i, argopt=Correlators.from_vector(x), converged=converged)
+    return best
 
 
 def scan(config: ScanConfig) -> BoundaryCurve:
@@ -877,16 +869,11 @@ def scan(config: ScanConfig) -> BoundaryCurve:
     for order, step in ((range(1, n), 1), (range(n - 2, -1, -1), -1)):
         for idx in order:
             point = points.take([idx])
-            z = _z_from_vector(point, vals[idx - step][1])  # the neighbour's argopt, projected here
-            cur_i, _, cur_conv = vals[idx]
-            if sigma * _info_from_x(_repair(point, z))[0] < sigma * cur_i - 1e-9 or not cur_conv:
-                vals[idx] = _polish(point, vals[idx], z)
-
-    out = tuple(
-        ScanPoint(s=float(s), i=float(i), argopt=Correlators.from_vector(x), converged=bool(conv))
-        for s, (i, x, conv) in zip(grid, vals)
-    )
-    return BoundaryCurve(points=out, set=config.set)
+            z = _z_from_vector(point, vals[idx - step].argopt.vector())  # the neighbour's argopt
+            cur = vals[idx]
+            if sigma * _info_from_x(_repair(point, z))[0] < sigma * cur.i - 1e-9 or not cur.converged:
+                vals[idx] = _polish(point, cur, z)
+    return BoundaryCurve(points=tuple(vals), set=config.set)
 
 
 def vertical_fill_check(s: float, n_samples: int = 200, *, seed: int = 0, restarts: int = 20) -> bool:

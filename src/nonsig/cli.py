@@ -174,7 +174,7 @@ def _cmd_check(args) -> int:
         return 1
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also nesting too deep or an integer literal too long
         sys.stderr.write(f"invalid JSON: {exc}\n")
         return 1
     try:

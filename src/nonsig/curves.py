@@ -96,7 +96,7 @@ def _mixture(curve: CurveId, s: np.ndarray) -> np.ndarray:
     lo, hi = CURVE_DOMAINS[curve]
     lam = ((s - lo) / (hi - lo))[:, None, None, None, None]
     p, q = _MIXTURES[curve]
-    return (1.0 - lam) * p.behavior.table + lam * q.behavior.table
+    return (1.0 - lam) * p.table + lam * q.table
 
 
 def _points(curve: CurveId, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

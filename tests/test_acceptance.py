@@ -118,7 +118,7 @@ def test_criterion_1_exact_points():
     ]
     worst = 0.0
     for tag, s_ref, i_ref in cases:
-        b = named(tag).behavior
+        b = named(tag)
         worst = max(worst, abs(s_max(b) - s_ref), abs(mutual_information(b) - i_ref))
     _report(1, worst <= 1e-10, f"named (S, I) points exact, worst deviation {worst:.2e}")
 

@@ -41,7 +41,7 @@ class TestConversions:
         assert np.allclose(b.table, 0.25, atol=1e-15)
 
     def test_pr_correlators_give_half_half_support(self):
-        b = named(BehaviorTag.PR).behavior
+        b = named(BehaviorTag.PR)
         # perfectly correlated for the first three input pairs, anticorrelated for (1,1)
         for x, y in [(0, 0), (0, 1), (1, 0)]:
             assert b.table[x, y, 0, 0] == pytest.approx(0.5, abs=1e-15)
@@ -51,7 +51,7 @@ class TestConversions:
         assert b.table[1, 1, 0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_all_ones_is_deterministic(self):
-        b = named(BehaviorTag.LD_ALLONES).behavior
+        b = named(BehaviorTag.LD_ALLONES)
         assert np.allclose(b.table[:, :, 0, 0], 1.0)
         assert b.table.sum() == pytest.approx(4.0)
 
@@ -158,15 +158,15 @@ class TestValidate:
 
     def test_named_behaviors_all_validate(self):
         for tag in BehaviorTag:
-            validate(named(tag).behavior.table, tol=1e-12)
+            validate(named(tag).table, tol=1e-12)
 
 
 class TestNamed:
     def test_noise_is_uniform(self):
-        assert np.allclose(named("noise").behavior.table, 0.25)
+        assert np.allclose(named("noise").table, 0.25)
 
     def test_p0_marginals(self):
-        c = named(BehaviorTag.P0).behavior.correlators()
+        c = named(BehaviorTag.P0).correlators()
         assert np.allclose(c.a, [-0.5, 0.5])
         assert np.allclose(c.b, [-0.5, 0.5])
         assert np.max(np.abs(c.ab)) == 0.0
@@ -174,7 +174,7 @@ class TestNamed:
     def test_bell_is_nonlocal(self):
         from nonsig.membership import is_local
 
-        b = named(BehaviorTag.BELL).behavior
+        b = named(BehaviorTag.BELL)
         local, _ = is_local(b)
         assert not local
         assert s_max(b) == pytest.approx(2 * np.sqrt(2), abs=1e-12)
@@ -185,7 +185,7 @@ class TestNamed:
 
     def test_all_named_are_symmetric(self):
         for tag in BehaviorTag:
-            assert is_symmetric(named(tag).behavior)
+            assert is_symmetric(named(tag))
 
 
 class TestMix:
@@ -195,12 +195,12 @@ class TestMix:
         assert mix(p, q, 1.0).allclose(q)
 
     def test_sc_pr_half(self):
-        m = mix(named("sc").behavior, named("pr").behavior, 0.5)
+        m = mix(named("sc"), named("pr"), 0.5)
         assert np.allclose(m.correlators().ab, [[1, 1], [1, 0]], atol=1e-15)
 
     def test_bell_pr_three_quarters(self):
         lam = (3 - 2 * np.sqrt(2)) / (4 - 2 * np.sqrt(2))
-        m = mix(named("bell").behavior, named("pr").behavior, lam)
+        m = mix(named("bell"), named("pr"), lam)
         assert np.allclose(np.abs(m.correlators().ab), 0.75, atol=1e-12)
 
     def test_out_of_range_weight(self, rng):
@@ -218,13 +218,13 @@ class TestMix:
 
 class TestRelabelings:
     def test_noise_is_fixed_point(self):
-        orbit = relabelings(named("noise").behavior)
+        orbit = relabelings(named("noise"))
         assert len(orbit) == 8
-        assert all(o.allclose(named("noise").behavior) for o in orbit)
+        assert all(o.allclose(named("noise")) for o in orbit)
 
     def test_sc_orbit_contains_sc_tilde(self):
-        orbit = relabelings(named("sc").behavior)
-        sct = named("sc_tilde").behavior
+        orbit = relabelings(named("sc"))
+        sct = named("sc_tilde")
         assert any(o.allclose(sct, tol=1e-15) for o in orbit)
 
     def test_identity_is_first(self, rng):

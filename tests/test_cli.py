@@ -204,7 +204,7 @@ class TestCliCommands:
 
     def test_check_bell(self, capsys, monkeypatch, tmp_path):
         doc = tmp_path / "bell.json"
-        doc.write_text(json.dumps(behavior_to_json_dict(named("bell").behavior)))
+        doc.write_text(json.dumps(behavior_to_json_dict(named("bell"))))
         assert dispatch(["check", "--in", str(doc)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ns_valid"] and not out["local"] and out["npa1"] and out["qtilde"]
@@ -226,10 +226,22 @@ class TestCliCommands:
         assert json.loads(captured.out) == {"ns_valid": False}
         assert "finite" in captured.err
 
-    def test_check_garbage_json(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{nope",
+            "[" * 100000 + "]" * 100000,
+            '{"marginals_a": [1' + "0" * 5000 + ', 0], "marginals_b": [0, 0], "correlations": [[0, 0], [0, 0]]}',
+        ],
+        ids=["syntax", "deep_nesting", "long_int_literal"],
+    )
+    def test_check_garbage_json(self, capsys, tmp_path, text):
         doc = tmp_path / "junk.json"
-        doc.write_text("{nope")
+        doc.write_text(text)
         assert dispatch(["check", "--in", str(doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid JSON: ")
 
     @pytest.mark.parametrize(
         "first, message",
@@ -400,7 +412,7 @@ JSON_VALUES = st.recursive(
 @st.composite
 def mutated_bell_documents(draw):
     """The valid Bell document with one field, row or component replaced or removed."""
-    doc = behavior_to_json_dict(named("bell").behavior)
+    doc = behavior_to_json_dict(named("bell"))
     key = draw(st.sampled_from(sorted(doc)))
     where = draw(st.sampled_from(["field", "row", "component", "delete"]))
     if where == "delete":

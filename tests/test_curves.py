@@ -53,7 +53,7 @@ class TestCNonlocalMax:
 
     def test_matches_mixture_definition(self):
         for lam in np.linspace(0, 1, 20):
-            m = mix(named("sc").behavior, named("pr").behavior, lam)
+            m = mix(named("sc"), named("pr"), lam)
             assert curve_value("c_nonlocal_max", 2 + 2 * lam) == pytest.approx(
                 mutual_information(m), abs=1e-14
             )
@@ -65,7 +65,7 @@ class TestLdPrMax:
         assert curve_value("ld_pr_max", 4.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_midpoint_against_oracle(self):
-        m = mix(named("ld_allones").behavior, named("pr").behavior, 0.5)
+        m = mix(named("ld_allones"), named("pr"), 0.5)
         assert curve_value("ld_pr_max", 3.0) == pytest.approx(mi_oracle(m.table), abs=1e-10)
         assert curve_value("ld_pr_max", 3.0) == pytest.approx(0.639097655573916, abs=1e-12)
 

@@ -37,9 +37,9 @@ TSIRELSON = 2 * np.sqrt(2)
 
 class TestChsh:
     def test_slot0_values(self):
-        assert chsh_linear(named("pr").behavior, 0) == pytest.approx(4.0, abs=1e-14)
-        assert chsh_linear(named("bell").behavior, 0) == pytest.approx(TSIRELSON, abs=1e-12)
-        assert chsh_linear(named("noise").behavior, 0) == 0.0
+        assert chsh_linear(named("pr"), 0) == pytest.approx(4.0, abs=1e-14)
+        assert chsh_linear(named("bell"), 0) == pytest.approx(TSIRELSON, abs=1e-12)
+        assert chsh_linear(named("noise"), 0) == 0.0
 
     def test_slots_come_in_sign_pairs(self, rng):
         vals = chsh_slot_values(random_behavior(rng))
@@ -47,22 +47,22 @@ class TestChsh:
 
     def test_bad_slot(self):
         with pytest.raises(BehaviorError):
-            chsh_linear(named("pr").behavior, 8)
+            chsh_linear(named("pr"), 8)
 
 
 class TestSMax:
     def test_named_values(self):
-        assert s_max(named("pr").behavior) == pytest.approx(4.0, abs=1e-14)
-        assert s_max(named("noise").behavior) == 0.0
-        assert s_max(named("bell").behavior) == pytest.approx(TSIRELSON, abs=1e-12)
+        assert s_max(named("pr")) == pytest.approx(4.0, abs=1e-14)
+        assert s_max(named("noise")) == 0.0
+        assert s_max(named("bell")) == pytest.approx(TSIRELSON, abs=1e-12)
 
     def test_ld_allones_by_enumeration(self):
         # each of the four expressions is 4 - 2 = 2
-        c = named("ld_allones").behavior.correlators()
+        c = named("ld_allones").correlators()
         tot = c.ab.sum()
         exprs = [abs(tot - 2 * c.ab[x, y]) for x in range(2) for y in range(2)]
         assert max(exprs) == pytest.approx(2.0, abs=1e-15)
-        assert s_max(named("ld_allones").behavior) == pytest.approx(2.0, abs=1e-15)
+        assert s_max(named("ld_allones")) == pytest.approx(2.0, abs=1e-15)
 
     def test_equals_max_over_slots(self, rng):
         for _ in range(25):
@@ -72,21 +72,21 @@ class TestSMax:
 
 class TestMutualInformation:
     def test_noise_zero(self):
-        assert mutual_information(named("noise").behavior) == pytest.approx(0.0, abs=1e-15)
+        assert mutual_information(named("noise")) == pytest.approx(0.0, abs=1e-15)
 
     def test_sc_tilde_is_one_bit(self):
-        b = named("sc_tilde").behavior
+        b = named("sc_tilde")
         assert mutual_information(b) == pytest.approx(1.0, abs=1e-12)
         assert s_max(b) == pytest.approx(2.0, abs=1e-14)
 
     def test_p0_value(self):
         # marginal entropies H(1/4) = 0.8112781244591328, joint entropies 1.5
         expected = 2 * 0.8112781244591328 - 1.5
-        assert mutual_information(named("p0").behavior) == pytest.approx(expected, abs=1e-12)
+        assert mutual_information(named("p0")) == pytest.approx(expected, abs=1e-12)
 
     def test_bell_value(self):
         expected = 4 * g_oracle(1 / math.sqrt(2))
-        assert mutual_information(named("bell").behavior) == pytest.approx(expected, abs=1e-12)
+        assert mutual_information(named("bell")) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_plain_loop_oracle(self, rng):
         for _ in range(25):
@@ -164,14 +164,14 @@ class TestCorrelationSpaceInfo:
         assert correlation_space_info(c) == pytest.approx(0.0, abs=1e-15)
 
     def test_sc_is_one(self):
-        assert correlation_space_info(named("sc").behavior.correlators()) == pytest.approx(1.0)
+        assert correlation_space_info(named("sc").correlators()) == pytest.approx(1.0)
 
     def test_three_ones_and_zero(self):
         c = Correlators(a=np.zeros(2), b=np.zeros(2), ab=np.array([[1.0, 1.0], [1.0, 0.0]]))
         assert correlation_space_info(c) == pytest.approx(0.75, abs=1e-14)
 
     def test_requires_zero_marginals(self):
-        c = named("p0").behavior.correlators()
+        c = named("p0").correlators()
         with pytest.raises(BehaviorError):
             correlation_space_info(c)
 
@@ -206,7 +206,7 @@ class TestInvariances:
                 assert s_max(o) == pytest.approx(s0, abs=1e-12)
 
     def test_functional_point(self):
-        pt = evaluate(named("bell").behavior)
+        pt = evaluate(named("bell"))
         assert isinstance(pt, FunctionalPoint)
         assert pt.s == pytest.approx(TSIRELSON, abs=1e-12)
         with pytest.raises(BehaviorError):

@@ -23,34 +23,34 @@ from nonsig.membership import (
 
 class TestIsLocal:
     def test_ld_boundary(self):
-        local, slack = is_local(named("ld_allones").behavior)
+        local, slack = is_local(named("ld_allones"))
         assert local
         assert slack == pytest.approx(0.0, abs=1e-14)
 
     def test_pr(self):
-        local, slack = is_local(named("pr").behavior)
+        local, slack = is_local(named("pr"))
         assert not local
         assert slack == pytest.approx(-2.0, abs=1e-14)
 
     def test_noise(self):
-        local, slack = is_local(named("noise").behavior)
+        local, slack = is_local(named("noise"))
         assert local
         assert slack == pytest.approx(2.0, abs=1e-15)
 
 
 class TestQtilde:
     def test_bell_sits_on_the_boundary(self):
-        ok, slack = qtilde_test(named("bell").behavior)
+        ok, slack = qtilde_test(named("bell"))
         assert ok
         assert slack == pytest.approx(0.0, abs=1e-9)
 
     def test_pr_reaches_two_pi(self):
-        ok, slack = qtilde_test(named("pr").behavior)
+        ok, slack = qtilde_test(named("pr"))
         assert not ok
         assert slack == pytest.approx(np.pi - 2 * np.pi, abs=1e-12)
 
     def test_noise_full_slack(self):
-        ok, slack = qtilde_test(named("noise").behavior)
+        ok, slack = qtilde_test(named("noise"))
         assert ok
         assert slack == pytest.approx(np.pi, abs=1e-15)
 
@@ -66,29 +66,29 @@ class TestNpa1:
             assert s_q == pytest.approx(s_n, abs=1e-12)
 
     def test_ld_degenerate_branch(self):
-        ok, slack = npa1_test(named("ld_allones").behavior)
+        ok, slack = npa1_test(named("ld_allones"))
         assert ok
         assert slack == pytest.approx(np.pi)
 
     def test_pr_fails(self):
-        ok, _ = npa1_test(named("pr").behavior)
+        ok, _ = npa1_test(named("pr"))
         assert not ok
 
 
 class TestReport:
     def test_bell(self):
-        r = report(named("bell").behavior)
+        r = report(named("bell"))
         assert r == MembershipReport(ns_valid=True, local=False, npa1=True, qtilde=True, slacks=r.slacks)
         assert r.slacks["local"] < 0 < r.slacks["npa1"] + 1e-9
 
     def test_bell_pr_mixture_leaves_qtilde(self):
-        m = mix(named("bell").behavior, named("pr").behavior, 0.5)
+        m = mix(named("bell"), named("pr"), 0.5)
         r = report(m)
         assert r.local is False
         assert r.qtilde is False
 
     def test_noise_all_true(self):
-        r = report(named("noise").behavior)
+        r = report(named("noise"))
         assert (r.local, r.npa1, r.qtilde) == (True, True, True)
 
     def test_invalid_table(self):
@@ -103,7 +103,7 @@ class TestReport:
         assert r.ns_valid and r.local
 
     def test_json_shape(self):
-        doc = report_to_json_dict(report(named("bell").behavior))
+        doc = report_to_json_dict(report(named("bell")))
         assert doc["ns_valid"] is True
         assert set(doc) == {"ns_valid", "local", "npa1", "qtilde", "slacks"}
         doc2 = report_to_json_dict(MembershipReport(ns_valid=False))

@@ -77,7 +77,7 @@ class TestBell:
         assert np.allclose(c.b, 0.0, atol=1e-12)
 
     def test_matches_named_bell(self):
-        assert bell_behavior().allclose(named("bell").behavior, tol=1e-12)
+        assert bell_behavior().allclose(named("bell"), tol=1e-12)
 
     def test_tsirelson_value(self):
         assert s_max(bell_behavior()) == pytest.approx(TSIRELSON, abs=1e-10)
