@@ -67,7 +67,7 @@ def tail_start(set_, mode, grid, restarts):
     for k in range(len(boundary._INNER_ITERS)):
         np.maximum(alpha, 1e-6, out=alpha)
         z = boundary._gradient_descent(
-            job, z, owner, alpha, boundary._MU_SCHEDULE[k], boundary._EPS_SCHEDULE[k],
+            job, z, alpha, boundary._MU_SCHEDULE[k], boundary._EPS_SCHEDULE[k],
             boundary._INNER_ITERS[k], boundary._GTOLS[k],
         )
     return job, z

@@ -121,7 +121,7 @@ class Behavior:
     """Conditional probability table p(ab|xy), shape (2,2,2,2) indexed [x, y, a, b].
 
     Construction only checks the shape; run ``validate`` on untrusted input.
-    Instances are immutable and safe to share between workers.
+    Instances are immutable.
     """
 
     table: np.ndarray
@@ -391,7 +391,7 @@ def behavior_to_json_dict(p: Behavior) -> dict:
     }
 
 
-def behavior_from_json_dict(doc: dict, tol: float = EXTERNAL_TOL) -> Behavior:
+def behavior_from_json_dict(doc: dict) -> Behavior:
     """Parse the correlator-form JSON document and validate the induced table.
 
     Every component must be a JSON number: booleans, strings and nulls are
@@ -409,6 +409,6 @@ def behavior_from_json_dict(doc: dict, tol: float = EXTERNAL_TOL) -> Behavior:
         raise BehaviorError(str(exc)) from exc
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in leaves):
         raise BehaviorError("components must be JSON numbers")
-    if np.any(np.abs(c.vector()) > 1.0 + tol):
+    if np.any(np.abs(c.vector()) > 1.0 + EXTERNAL_TOL):
         raise BehaviorError("correlator components must lie in [-1, 1]")
-    return validate(correlator_table(c), tol=tol)
+    return validate(correlator_table(c), tol=EXTERNAL_TOL)

@@ -18,10 +18,12 @@ Levenberg-Marquardt-damped Newton, its Hessian one product of per-row
 weights with the constant outer products of the kernel's rows.  Both keep
 the rows still working compacted, and the backtracking trials of all rows
 that need them share kernel calls, each capped at ``_BLOCK_ROWS`` rows like
-the blocks themselves.  A row is ``converged`` when it ends the last Newton
-stage with a gradient norm of at most ``_NEWTON_GTOL``.  ``_finish`` alone
-builds each point's ``ScanPoint`` from its best exactly evaluated row, with
-that row's flag; the polishes and the sweeps compare and replace these records.
+the blocks themselves.  Each row stops by its own rules: in descent at its
+gradient tolerance, after a failed line search or a 15-iteration stall; in
+Newton at ``_NEWTON_GTOL``, which makes it ``converged`` after the last
+stage, or at a step below the rounding of z.  ``_finish`` alone builds each
+point's ``ScanPoint`` from its best exactly evaluated row, with that row's
+flag; the polishes and the sweeps compare and replace these records.
 """
 
 from __future__ import annotations
@@ -33,13 +35,10 @@ import numpy as np
 
 from .behavior import (
     CHSH_SLOT_SIGNS,
-    Behavior,
     BehaviorError,
     Correlators,
     OUTCOME_VALUES,
     _tables_from_correlators,
-    correlator_table,
-    validate,
 )
 from .functionals import TSIRELSON, _info, _s_max_ab
 
@@ -420,8 +419,7 @@ def _retire(
 
 
 def _gradient_descent(
-    job: _Job, z: np.ndarray, owner: np.ndarray, alpha: np.ndarray, mu: float, eps: float,
-    max_iter: int, gtol: float,
+    job: _Job, z: np.ndarray, alpha: np.ndarray, mu: float, eps: float, max_iter: int, gtol: float
 ) -> np.ndarray:
     """Armijo-backtracked gradient descent on the penalty, batched over rows.
 
@@ -429,9 +427,8 @@ def _gradient_descent(
     stalls (no measurable progress over a 15-iteration window, the realistic
     endpoint on the stiff boundary-hugging subproblems).  Rows whose line
     search fails all 30 trials are frozen.  Step sizes persist across calls
-    through ``alpha``.  ``owner`` maps rows to the points they start from: a
-    point whose rows are all done stops there, exactly as if it were solved
-    alone.
+    through ``alpha``.  A row stops by its own rules only, so a point solves
+    the same in a block as alone.
 
     The active rows' state lives in compacted arrays and is written back once,
     when a row leaves.  A line search tries every active row's alpha in one
@@ -441,22 +438,19 @@ def _gradient_descent(
     """
     geo = job.geo
     d = z.shape[1]
-    stalled = np.zeros(z.shape[0], dtype=bool)
-    f, grad = _penalty(geo, job.off, z, mu, eps)
+    fa, ga = _penalty(geo, job.off, z, mu, eps)
     if geo.qtilde_cap:
-        grad = _project_arcsin_facet(geo, job.off, z, grad)
-    f_mark = f.copy()
-    full = (z, f, alpha)
+        ga = _project_arcsin_facet(geo, job.off, z, ga)
+    full = (z, alpha)
     act = np.arange(z.shape[0])
-    za, fa, aa, ga, offa = z.copy(), f.copy(), alpha.copy(), grad, job.off
+    za, aa, ma, offa = z.copy(), alpha.copy(), fa.copy(), job.off  # ma: fa at the last stall check
     for it in range(max_iter):
         gn2 = (ga * ga).sum(axis=1)
         keep = gn2 > gtol * gtol
-        act, (za, fa, aa, ga), offa = _retire(keep, act, full, (za, fa, aa, ga), offa)
+        act, (za, aa, fa, ga, ma), offa = _retire(keep, act, full, (za, aa, fa, ga, ma), offa)
         if not act.size:
             break
         gn2 = gn2[keep]
-        started = act  # the rows active at the start of this iteration
 
         z0 = za  # the iterate the spectral step measures its move from
         cand = za - aa[:, None] * ga
@@ -485,7 +479,7 @@ def _gradient_descent(
             aa[fail] *= 0.5
             keep = np.ones(act.size, dtype=bool)
             keep[fail] = False
-            act, (za, fa, aa, ga, z0), offa = _retire(keep, act, full, (za, fa, aa, ga, z0), offa)
+            act, (za, aa, fa, ga, ma, z0), offa = _retire(keep, act, full, (za, aa, fa, ga, ma, z0), offa)
 
         if act.size:
             fa, g = _penalty(geo, offa, za, mu, eps)
@@ -499,13 +493,11 @@ def _gradient_descent(
             bb = np.divide(num, denom, out=aa, where=denom > 1e-300)
             aa = np.minimum(np.maximum(np.abs(bb), 1e-8), 1.0)
             ga = g
-        if (it + 1) % 15 == 0:
-            f[act] = fa
-            live = np.isin(owner, owner[started])  # points with a row active this iteration
-            stalled |= live & ((f_mark - f) <= 5e-12 * (1.0 + np.abs(f)))
-            f_mark = f.copy()
-            act, (za, fa, aa, ga), offa = _retire(~stalled[act], act, full, (za, fa, aa, ga), offa)
-    _retire(np.zeros(act.size, dtype=bool), act, full, (za, fa, aa), offa)
+        if (it + 1) % 15 == 0:  # rows without progress since the last check leave; NaN rows stay
+            keep = ~((ma - fa) <= 5e-12 * (1.0 + np.abs(fa)))
+            act, (za, aa, fa, ga), offa = _retire(keep, act, full, (za, aa, fa, ga), offa)
+            ma = fa.copy()
+    _retire(np.zeros(act.size, dtype=bool), act, full, (za, aa), offa)
     return z
 
 
@@ -580,15 +572,13 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray
     return z, (g * g).sum(axis=1) <= _NEWTON_GTOL**2
 
 
-def _solve(
-    job: _Job, z0: np.ndarray, owner: np.ndarray, outers: int = len(_MU_SCHEDULE)
-) -> tuple[np.ndarray, np.ndarray]:
+def _solve(job: _Job, z0: np.ndarray, outers: int = len(_MU_SCHEDULE)) -> tuple[np.ndarray, np.ndarray]:
     """Run the penalty schedule (last ``outers`` stages) from stacked starts:
     gradient descent on the stages ``_INNER_ITERS`` covers, damped Newton on
     the stiff ones after them.
 
-    Row k starts at ``z0[k]`` and solves at score ``job.s[k]`` for point
-    ``owner[k]``.  Returns the solved iterates and their convergence flags.
+    Row k starts at ``z0[k]`` and solves at score ``job.s[k]``.  Returns the
+    solved iterates and their convergence flags.
     """
     z = np.array(z0, dtype=float)
     alpha = np.full(z.shape[0], 0.05)
@@ -596,7 +586,7 @@ def _solve(
         mu, eps = _MU_SCHEDULE[k], _EPS_SCHEDULE[k]
         if k < len(_INNER_ITERS):
             np.maximum(alpha, 1e-6, out=alpha)
-            z = _gradient_descent(job, z, owner, alpha, mu, eps, _INNER_ITERS[k], _GTOLS[k])
+            z = _gradient_descent(job, z, alpha, mu, eps, _INNER_ITERS[k], _GTOLS[k])
         else:
             z, met = _newton(job, z, mu, eps)
     return z, met
@@ -794,7 +784,7 @@ def _solve_grid(points: _Job, starts: list[np.ndarray], outers: int = len(_MU_SC
     for ks in np.split(np.arange(len(starts)), np.flatnonzero(np.diff(block)) + 1):
         owner = np.repeat(np.arange(len(ks)), [len(starts[k]) for k in ks])
         z0 = np.concatenate([starts[k] for k in ks])
-        z, met = _solve(points.take(ks[owner]), z0, owner, outers=outers)
+        z, met = _solve(points.take(ks[owner]), z0, outers=outers)
         out += _finish(points.take(ks), owner, z0, z, met)
     return out
 
@@ -850,11 +840,11 @@ def scan(config: ScanConfig) -> BoundaryCurve:
 
     Each grid point draws its starts from its own grid-index-seeded RNG
     stream; whole points are then stacked into blocks of at most
-    ``_BLOCK_ROWS`` rows and solved together.  Rows never interact, so a
-    point's result does not depend on its block beyond floating-point
-    rounding in shared matrix products.  The two warm-start sweeps afterwards
-    are sequential and deterministic.  Per-point failures are reported
-    through ``converged=False``, never by aborting the scan.
+    ``_BLOCK_ROWS`` rows and solved together.  Rows never interact and each
+    stops by its own rules, so a point's result does not depend on its block
+    beyond rounding in shared matrix products.  The two warm-start sweeps
+    afterwards are sequential and deterministic.  Per-point failures are
+    reported through ``converged=False``, never by aborting the scan.
     """
     grid = np.linspace(config.s_lo, config.s_hi, config.grid_points)
     points = _geometry(config.set, config.mode, config.qtilde_cap).at(grid)
@@ -903,8 +893,3 @@ def vertical_fill_check(s: float, n_samples: int = 200, *, seed: int = 0, restar
     gaps = np.diff(np.sort(ivals))
     covered = (ivals.min() <= lo_i + gap_bound) and (ivals.max() >= hi_i - gap_bound)
     return bool(covered and gaps.max() <= gap_bound)
-
-
-def argopt_behavior(point: ScanPoint) -> Behavior:
-    """Validated behavior for a scan point's optimizer output."""
-    return validate(correlator_table(point.argopt), tol=1e-9)

@@ -44,6 +44,7 @@ from .runio import (
 from .boundary import FeasibleSet, ScanConfig, ScanMode, scan
 
 USAGE_EXIT = 64
+_MAX_COUNT = np.iinfo(np.intp).max // 128  # numpy cannot size that many 128-byte probability tables
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,6 +54,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
+def count(text: str) -> int:
+    """An integer count flag (``count`` in argparse's errors); above ``_MAX_COUNT`` is a usage error."""
+    n = int(text)
+    if n > _MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"{n} is too large (at most {_MAX_COUNT})")
+    return n
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nonsig", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nonsig {__version__}")
@@ -60,7 +69,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("curve", help="evaluate an analytic boundary curve on a grid")
     p.add_argument("--id", required=True, choices=[c.value for c in CurveId])
-    p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--grid", type=count, default=200)
     p.add_argument("--out", type=Path, default=None)
 
     p = sub.add_parser("scan", help="numerical boundary scan")
@@ -68,14 +77,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", required=True, choices=[m.value for m in ScanMode])
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument("--n", type=count, required=True)
+    p.add_argument("--restarts", type=count, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--qtilde", action="store_true", help="add the arcsin quantum cap (correlation space only)")
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("sample", help="sample random two-qubit quantum behaviors")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--full", action="store_true", help="include the correlator columns")
     p.add_argument("--out", type=Path, required=True)
@@ -97,9 +106,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", type=Path, default=Path("."))
     p.add_argument("--full-scale", action="store_true", help="large reference grids instead of desk-size")
-    p.add_argument("--points", type=int, default=None, help="override the grid size")
-    p.add_argument("--n", type=int, default=None, help="override the sample count")
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--points", type=count, default=None, help="override the grid size")
+    p.add_argument("--n", type=count, default=None, help="override the sample count")
+    p.add_argument("--restarts", type=count, default=None)
     p.add_argument("--k", type=int, default=None, help="override the triple spacing")
     return parser
 
@@ -350,7 +359,7 @@ def _repro_fig6(args, outdir: Path):
     files.append(out)
     profile, doc = _inflection(curve, k)
     out = outdir / "fig6_profile.csv"
-    write_xy_csv(out, [p.s for p in profile], [p.det for p in profile], digits=17, header=("s", "det"))
+    write_xy_csv(out, *profile, digits=17, header=("s", "det"))
     files.append(out)
     doc["tsirelson"] = TSIRELSON
     out = outdir / "fig6_inflection.json"
@@ -405,7 +414,7 @@ def _cmd_repro(args) -> int:
 def dispatch(argv=None) -> int:
     """Parse arguments and run one subcommand.
 
-    Exit codes: 0 success, 1 validation error, 2 analysis error, 64 usage.
+    Exit codes: 0 success, 1 validation, I/O or out-of-memory error, 2 analysis error, 64 usage.
     """
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -427,6 +436,9 @@ def dispatch(argv=None) -> int:
         return 1
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"out of memory: {exc}\n")
         return 1
 
 

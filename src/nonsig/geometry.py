@@ -17,14 +17,6 @@ class AnalysisError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OrientationSample:
-    """Orientation determinant of one point triple; ``s`` is the first point's abscissa."""
-
-    s: float
-    det: float
-
-
-@dataclass(frozen=True)
 class InflectionEstimate:
     """Located concavity change: the transition band and its endpoint.
 
@@ -66,8 +58,9 @@ def check_window(k: int, n: int, name: str = "k") -> None:
         raise AnalysisError(f"too short for {name} {k}: need at least {2 * k + 1} points, got {n}")
 
 
-def concavity_profile_xy(s: np.ndarray, i: np.ndarray, k: int = 100) -> list[OrientationSample]:
-    """Orientation determinants of the triples (j, j+k, j+2k) along a curve.
+def concavity_profile_xy(s: np.ndarray, i: np.ndarray, k: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """Orientation determinants of the triples (j, j+k, j+2k) along a curve, as
+    the pair of arrays (first point's abscissa, determinant), one entry per triple.
 
     Spacing the triple by k grid steps keeps the matrix away from the
     near-singular regime of adjacent points.  Requires at least 2k+1 points
@@ -81,14 +74,14 @@ def concavity_profile_xy(s: np.ndarray, i: np.ndarray, k: int = 100) -> list[Ori
         raise AnalysisError("curve must have strictly increasing, uniform s spacing")
     m = len(s) - 2 * k
     dets = _orientation_dets((s[:m], i[:m]), (s[k : k + m], i[k : k + m]), (s[2 * k :], i[2 * k :]))
-    return [OrientationSample(s=x, det=d) for x, d in zip(s[:m].tolist(), dets.tolist())]
+    return s[:m].copy(), dets
 
 
-def concavity_profile(curve: BoundaryCurve, k: int = 100) -> list[OrientationSample]:
+def concavity_profile(curve: BoundaryCurve, k: int = 100) -> tuple[np.ndarray, np.ndarray]:
     return concavity_profile_xy(curve.s, curve.i, k=k)
 
 
-def locate_inflection(profile: list[OrientationSample], ds: float, k: int) -> InflectionEstimate:
+def locate_inflection(profile: tuple[np.ndarray, np.ndarray], ds: float, k: int) -> InflectionEstimate:
     """Locate the single persistent concavity change in a determinant profile.
 
     Sign runs shorter than k samples count as noise.  The persistent runs
@@ -96,10 +89,9 @@ def locate_inflection(profile: list[OrientationSample], ds: float, k: int) -> In
     k steps past its recorded abscissa, so the end of the mixed band sits
     k*ds beyond the last opposite-sign sample.
     """
-    if not profile:
+    ss, dets = profile
+    if not len(dets):
         raise AnalysisError("empty profile")
-    dets = np.array([p.det for p in profile])
-    ss = np.array([p.s for p in profile])
     signs = np.sign(dets)
     # compress into runs, drop zero-determinant samples into their neighbors
     runs: list[tuple[float, int]] = []  # (sign, length)
@@ -202,16 +194,19 @@ def _slope_scores(traj: Trajectory, window: int) -> np.ndarray:
     return scores
 
 
-def slope_kinks(traj: Trajectory, window: int = 50, threshold: float = 10.0) -> list[float]:
+_KINK_THRESHOLD = 10.0  # a slope change above this multiple of the median change is a kink
+
+
+def slope_kinks(traj: Trajectory, window: int = 50) -> list[float]:
     """Locations where some series' slope jumps: two-sided linear fits over
     ``window`` points on each side, fired where the slope change exceeds
-    ``threshold`` times the median change, merged within one window."""
+    ``_KINK_THRESHOLD`` times the median change, merged within one window."""
     n = len(traj.s)
     check_window(window, n, "window")
     scores = _slope_scores(traj, window)
     interior = scores[window : n - window]
     noise = np.median(interior)
-    cut = threshold * max(noise, 1e-12)
+    cut = _KINK_THRESHOLD * max(noise, 1e-12)
     hot = np.flatnonzero(scores > cut)
     if hot.size == 0:
         return []

@@ -14,7 +14,6 @@ from nonsig.boundary import (
     FeasibleSet,
     ScanConfig,
     ScanMode,
-    argopt_behavior,
     info_gradient,
     optimize_at_s,
     scan,
@@ -185,7 +184,7 @@ class TestScan:
 
     def test_argopts_validate_with_matching_score(self, small_max_scan):
         for p in small_max_scan.points:
-            argopt_behavior(p)  # raises if invalid
+            validate(correlator_table(p.argopt), tol=1e-9)  # raises if invalid
             assert abs(s_max(p.argopt) - p.s) <= 1e-6
 
     def test_local_min_region_is_flat_zero(self):
@@ -604,7 +603,7 @@ class TestDescentOracle:
             z_ref, met_ref, stuck, stalled = sequential_descent(
                 job, z_ref, owner, alpha_ref, mu, eps, iters, gtol
             )
-            z = boundary._gradient_descent(job, z, owner, alpha, mu, eps, iters, gtol)
+            z = boundary._gradient_descent(job, z, alpha, mu, eps, iters, gtol)
             assert np.array_equal(z, z_ref), f"stage {k}"
             assert np.array_equal(alpha, alpha_ref), f"stage {k}"
             seen += [stuck.sum(), stalled.sum(), (met_ref & ~stalled).sum()]

@@ -287,6 +287,34 @@ class TestCliCommands:
             dispatch(["curve", "--wat"])
         assert exc.value.code == 64
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--id", "ns_max", "--grid", str(2**62)],
+            ["repro", "fig6", "--points", str(2**62)],
+            ["repro", "fig5", "--n", str(2**62)],
+            ["sample", "--n", str(2**62), "--out", "cloud.csv"],
+            ["scan", "--set", "ns", "--mode", "min", "--lo", "2", "--hi", "3", "--n", "3",
+             "--restarts", str(2**62), "--out", "scan.csv"],
+        ],
+        ids=["curve_grid", "repro_points", "repro_n", "sample_n", "scan_restarts"],
+    )
+    def test_oversized_count_exits_64(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv)
+        assert exc.value.code == 64
+        assert f"{2**62} is too large" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_one(self, capsys, monkeypatch):
+        def exhausted(curve_id, n):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr("nonsig.cli.curve_grid", exhausted)
+        assert dispatch(["curve", "--id", "ns_max", "--grid", "10"]) == 1
+        out = capsys.readouterr()
+        assert out.err == "out of memory: Unable to allocate 8.00 EiB\n"
+        assert out.out == ""
+
     def test_infeasible_scan_exits_one(self, tmp_path):
         rc = dispatch([
             "scan", "--set", "ns", "--mode", "max", "--lo", "0.0", "--hi", "5.0",

@@ -51,26 +51,25 @@ class TestConcavityProfile:
     def test_parabola_positive(self):
         x = np.linspace(-1, 1, 101)
         prof = concavity_profile_xy(x, x**2, k=10)
-        assert len(prof) == 101 - 20
-        assert all(p.det > 0 for p in prof)
+        assert len(prof[1]) == 101 - 20
+        assert np.all(prof[1] > 0)
 
     def test_negative_parabola(self):
         x = np.linspace(-1, 1, 101)
         prof = concavity_profile_xy(x, -(x**2), k=10)
-        assert all(p.det < 0 for p in prof)
+        assert np.all(prof[1] < 0)
 
     def test_affine_is_zero(self):
         x = np.linspace(0, 1, 80)
         prof = concavity_profile_xy(x, 3 * x - 1, k=8)
-        assert max(abs(p.det) for p in prof) <= 1e-12
+        assert np.abs(prof[1]).max() <= 1e-12
 
     def test_cubic_brackets_origin(self):
         k = 20
         x = np.linspace(-1, 1, 401)
         ds = x[1] - x[0]
         prof = concavity_profile_xy(x, x**3, k=k)
-        dets = np.array([p.det for p in prof])
-        ss = np.array([p.s for p in prof])
+        ss, dets = prof
         flips = np.flatnonzero(np.sign(dets[1:]) != np.sign(dets[:-1]))
         assert len(flips) == 1
         # the sign change happens within the 2k*ds band ending at the inflection
@@ -85,7 +84,7 @@ class TestConcavityProfile:
             (float(s[j]), orientation_det((s[j], i[j]), (s[j + k], i[j + k]), (s[j + 2 * k], i[j + 2 * k])))
             for j in range(len(s) - 2 * k)
         ]
-        assert [(p.s, p.det) for p in prof] == expect
+        assert list(zip(prof[0].tolist(), prof[1].tolist())) == expect
 
     def test_too_short(self):
         with pytest.raises(AnalysisError):
@@ -100,7 +99,7 @@ class TestConcavityProfile:
         s = np.linspace(0, 1, 41)
         curve = synthetic_curve(s, s**2)
         prof = concavity_profile(curve, k=5)
-        assert all(p.det > 0 for p in prof)
+        assert np.all(prof[1] > 0)
 
 
 class TestLocateInflection:
@@ -149,6 +148,10 @@ class TestLocateInflection:
         with pytest.raises(AnalysisError) as exc:
             locate_inflection(prof, x[1] - x[0], 10)
         assert str(exc.value) == f"need exactly one persistent sign change, {message}"
+
+    def test_empty_profile_rejected(self):
+        with pytest.raises(AnalysisError, match="empty profile"):
+            locate_inflection((np.array([]), np.array([])), 0.01, 10)
 
     def test_band_invariant(self):
         with pytest.raises(AnalysisError):
