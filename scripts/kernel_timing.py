@@ -12,11 +12,17 @@ Then times the Newton tail (``_newton`` at mu = 1e5 and 1e6), started where
 the gradient-descent stages leave the rows, on two blocks: the
 50 rows of one NS MAX point at s = 3.3 (one ``optimize_at_s`` at 50
 restarts) and 256 NS MIN rows, 32 points on [2.5, 3.1] at 8 starts each (one
-fig6 block).  Per stage it prints the iterations until every row has
+fig6 block); and started at the lower-boundary family's points of the 100
+scores of the benchmark's fig6 grid on [2.5, 3.1], one row each, as NS MIN
+scans start them.  Per stage it prints the iterations until every row has
 finished, the microseconds per iteration, and per iteration the value-only
 kernel calls and the value+gradient+Hessian calls.  Every iteration is one
 batched linear solve; the last two columns are the rows it solves on average
 and the Armijo trials (step lengths tried) per row and iteration.
+
+Last it times the family solve itself (``_family_vectors``, the 2-D Newton
+in a) in microseconds per score, at 1 score (s = 2.6) and at 100 scores
+spread over (2, 2 sqrt 2).
 
 Prints nproc and the numpy version first; each time is the median of
 ``REPEATS`` samples.
@@ -31,7 +37,7 @@ import time
 import numpy as np
 
 from nonsig import boundary
-from nonsig.boundary import FeasibleSet, ScanMode, _geometry, _penalty, _starts
+from nonsig.boundary import FeasibleSet, ScanMode, _family_vectors, _geometry, _penalty, _starts, _z_from_vector
 
 CASES = (
     ("ns_min", FeasibleSet.NS, ScanMode.MIN, False, 2.9),
@@ -42,6 +48,8 @@ DESCENT_CASES = (
     ("ns_max point", FeasibleSet.NS, ScanMode.MAX, np.array([3.3]), 50),
     ("ns_min block", FeasibleSet.NS, ScanMode.MIN, np.linspace(2.5, 3.1, 32), 8),
 )
+FIG6_GRID = np.linspace(2.5, 3.1, 100)
+FAMILY_SCORES = (np.array([2.6]), np.linspace(2.01, 2.82, 100))
 REPEATS = 7
 
 
@@ -71,6 +79,12 @@ def tail_start(set_, mode, grid, restarts):
             boundary._INNER_ITERS[k], boundary._GTOLS[k],
         )
     return job, z
+
+
+def family_start(grid):
+    """The job of an NS MIN grid and its family starts, one row per point."""
+    points = _geometry(FeasibleSet.NS, ScanMode.MIN, False).at(grid)
+    return points, _z_from_vector(points, _family_vectors(grid))
 
 
 def tail_stages(job, z):
@@ -118,6 +132,15 @@ def per_stage_us(job, z, mu, eps) -> float:
     return statistics.median(samples)
 
 
+def family_us(scores) -> float:
+    samples = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        _family_vectors(scores)
+        samples.append((time.perf_counter() - t0) / len(scores) * 1e6)
+    return statistics.median(samples)
+
+
 def main() -> None:
     print(f"nproc {os.cpu_count()}; numpy {np.__version__}; median of {REPEATS} samples, us per call")
     print(f"{'case':<14}{'rows':>6}{'value':>10}{'value+grad':>12}")
@@ -135,8 +158,9 @@ def main() -> None:
         f"{'case':<14}{'rows':>6}{'mu':>7}{'iters':>7}{'us/iter':>10}{'value/iter':>12}"
         f"{'hess/iter':>11}{'rows/solve':>12}{'trials/row':>12}"
     )
-    for name, set_, mode, grid, restarts in DESCENT_CASES:
-        job, z0 = tail_start(set_, mode, grid, restarts)
+    blocks = [(name, *tail_start(set_, mode, grid, restarts)) for name, set_, mode, grid, restarts in DESCENT_CASES]
+    blocks.append(("ns_min family", *family_start(FIG6_GRID)))
+    for name, job, z0 in blocks:
         for mu, eps, z in tail_stages(job, z0):
             iterations, value, hess, solved, trials = newton_counts(job, z, mu, eps)
             us = per_stage_us(job, z, mu, eps) / iterations
@@ -144,6 +168,10 @@ def main() -> None:
                 f"{name:<14}{len(z):>6}{mu:>7.0e}{iterations:>7}{us:>10.1f}{value / iterations:>12.2f}"
                 f"{hess / iterations:>11.2f}{solved / iterations:>12.1f}{trials / solved:>12.2f}"
             )
+
+    print("\nfamily solve (_family_vectors), us per score")
+    for scores in FAMILY_SCORES:
+        print(f"{len(scores):>6} scores {family_us(scores):>10.1f}")
 
 
 if __name__ == "__main__":

@@ -24,6 +24,15 @@ Newton at ``_NEWTON_GTOL``, which makes it ``converged`` after the last
 stage, or at a step below the rounding of z.  ``_finish`` alone builds each
 point's ``ScanPoint`` from its best exactly evaluated row, with that row's
 flag; the polishes and the sweeps compare and replace these records.
+
+NS and SYM MIN solves start every point at the least-I point of a
+two-parameter family of behaviors (both marginals a = (a0, a1) and
+C = a a^T + t sigma), found by a batched 2-D damped Newton in a
+(``_family_vectors``, the curve ``ns_min``), and run only the Newton tail
+from it.  The random restarts become an audit: they run the full schedule
+only on every ``_AUDIT_EVERY``-th grid point and where the family point is
+closer to a facet than the last descent stage's softening width, and a
+result of theirs replaces the family's only if it is strictly better.
 """
 
 from __future__ import annotations
@@ -77,7 +86,11 @@ class ScanMode(Enum):
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Grid scan configuration; ``qtilde_cap`` adds the four arcsin facets."""
+    """Grid scan configuration; ``qtilde_cap`` adds the four arcsin facets.
+
+    ``restarts`` is the number of random starts per point, and for NS and
+    SYM MIN scans per audited point (see ``scan``).
+    """
 
     set: FeasibleSet
     mode: ScanMode
@@ -257,11 +270,16 @@ def _entropy_rows(x: np.ndarray) -> np.ndarray:
     return _Q0[_ENT] + x @ _QX[_ENT].T
 
 
-def _probs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rows_probs(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 16 joint probabilities (..., 16), ordered (x, y, a, b), and the marginal
-    tables p(a|x), p(b|y), (..., 2, 2), of batched correlator 8-vectors."""
-    q, lead = _entropy_rows(x), x.shape[:-1]
+    tables p(a|x), p(b|y), (..., 2, 2), of batched quantities q (..., >= 24)."""
+    lead = q.shape[:-1]
     return q[..., _P16], q[..., _PA].reshape(*lead, 2, 2), q[..., _PB].reshape(*lead, 2, 2)
+
+
+def _probs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_rows_probs`` of batched correlator 8-vectors."""
+    return _rows_probs(_entropy_rows(x))
 
 
 def _info_from_x(x: np.ndarray) -> np.ndarray:
@@ -501,6 +519,11 @@ def _gradient_descent(
     return z
 
 
+def _rounding(f: np.ndarray) -> np.ndarray:
+    """The rounding of penalty and information values f."""
+    return 4e-15 * (1.0 + np.abs(f))
+
+
 def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Levenberg-Marquardt-damped Newton with Armijo backtracking on the penalty,
     batched over rows.
@@ -537,7 +560,7 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray
         lam = np.maximum(lam, _DAMPING_FLOOR * (1.0 + np.abs(np.diagonal(ha, axis1=1, axis2=2)).max(axis=1)))
         step = np.linalg.solve(ha + lam[:, None, None] * eye, -ga[:, :, None])[:, :, 0]
         slope = (ga * step).sum(axis=1)
-        slack = 4e-15 * (1.0 + np.abs(fa))  # the value's rounding
+        slack = _rounding(fa)
         t = np.zeros(act.size)  # the accepted step length, 0 for none
         trial = slope < 0.0
         for lengths in (np.ones(1), np.ldexp(1.0, -1 - np.arange(_TRIAL_BATCH))):
@@ -590,6 +613,157 @@ def _solve(job: _Job, z0: np.ndarray, outers: int = len(_MU_SCHEDULE)) -> tuple[
         else:
             z, met = _newton(job, z, mu, eps)
     return z, met
+
+
+# ---------------------------------------------------------------------------
+# the lower-boundary family
+
+#: The family's correlators at a = (a0, a1) and score s: both marginals a and
+#: C = a a^T + t sigma with sigma = (1, 1, 1, -1) and t = (s - sigma . a a^T) / 4,
+#: so x = s * _ANCHOR_DIR + _FAMILY_LIN @ a + (a^T _FAMILY_QUAD a per correlator).
+_SIGMA = np.array([[1.0, 1.0], [1.0, -1.0]])
+_FAMILY_LIN = np.vstack([np.eye(2), np.eye(2), np.zeros((4, 2))])
+_FAMILY_QUAD = np.concatenate([np.zeros((4, 2, 2)), [
+    0.5 * (np.outer(e, f) + np.outer(f, e)) - 0.25 * sigma * _SIGMA
+    for (e, f), sigma in zip([(e, f) for e in np.eye(2) for f in np.eye(2)], _SIGMA.flat)
+]])
+#: The same for the entropy and facet quantities: q = _Q0 + s _Q_PER_S + _FAM_L a + a^T _FAM_Q a,
+#: with _FAM_MONO the coefficients of the monomials (a0, a1, a0^2, a0 a1, a1^2).
+_FAM_L = _QX[: _FACETS.stop] @ _FAMILY_LIN
+_FAM_Q = np.einsum("kj,juv->kuv", _QX[: _FACETS.stop], _FAMILY_QUAD)
+_FAM_MONO = np.column_stack([_FAM_L, _FAM_Q[:, 0, 0], 2.0 * _FAM_Q[:, 0, 1], _FAM_Q[:, 1, 1]])
+#: The two facets, p(-+|01) (and its twin p(+-|10)) and p(--|11), that meet at
+#: the family's vertex near a = (1, 1), where the minimizer sits as s -> 2.
+_VERTEX_ROWS = [_P16.start + 6, _P16.start + 15]
+#: Coarse start grid of the family Newton: a uniform grid plus a0, a1 = 1 - 2^-k
+#: toward the corner a = (1, 1), on the half a0 + a1 > 0 (I is even in a).
+_GRID_AXIS = np.concatenate([np.linspace(-0.875, 0.875, 8), 1.0 - 2.0 ** -np.arange(2.0, 30.0, 3.0)])
+_FAMILY_GRID = np.stack(np.meshgrid(_GRID_AXIS, _GRID_AXIS, indexing="ij"), axis=-1).reshape(-1, 2)
+_FAMILY_GRID = _FAMILY_GRID[_FAMILY_GRID.sum(axis=1) > 0.0]
+#: Iteration cap of the family Newton; only rows just above s = 2, creeping
+#: toward the facet vertex, come near it.
+_FAMILY_ITERS = 200
+#: Scores whose grid is evaluated at once.
+_GRID_BLOCK = 8
+#: Most a step may shrink any probability or slack, as a fraction of its value.
+_FAMILY_SHRINK = 0.5
+
+
+def _family_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The entropy and facet quantities (..., 31) of the family points a (..., 2) at scores s (...)."""
+    a0, a1 = a[..., 0], a[..., 1]
+    mono = np.stack([a0, a1, a0 * a0, a0 * a1, a1 * a1], axis=-1)
+    return _Q0[: _FACETS.stop] + s[..., None] * _Q_PER_S[: _FACETS.stop] + np.einsum("...j,kj->...k", mono, _FAM_MONO)
+
+
+def _family_derivs(q: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient (n, 2) and Hessian (n, 2, 2) in a of I at family points a
+    (n, 2) with quantities q (n, 31), all probabilities positive."""
+    grad_q = _FAM_L[_ENT] + 2.0 * np.einsum("kuv,nv->nku", _FAM_Q[_ENT], a)
+    d1 = _ENT_W * (np.log2(q[:, _ENT]) + _LOG2E)
+    hess = np.einsum("nk,nku,nkv->nuv", _ENT_W * _LOG2E / q[:, _ENT], grad_q, grad_q)
+    hess += 2.0 * np.einsum("nk,kuv->nuv", d1, _FAM_Q[_ENT])
+    return np.einsum("nk,nku->nu", d1, grad_q), hess
+
+
+def _family_newton(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least I of the family at scores s (n,) in (2, 2 sqrt 2), and its a (n, 2).
+
+    A batched damped Newton in xi = log(1 - a) (the minimizer runs into the
+    corner a = (1, 1) as s -> 2, with 1 - a0 ~ (s - 2) / 2 and 1 - a1 ~
+    sqrt(s - 2)), with the analytic gradient and Hessian of I in a.  It starts
+    at the feasible argmin of ``_FAMILY_GRID``.  Each step takes the
+    Hessian's eigenvalues by magnitude and backtracks until it decreases I
+    (Armijo) and shrinks no probability or slack below ``_FAMILY_SHRINK``
+    times its value, so every iterate is feasible: the full step of every row
+    in one call, then 39 halvings of the rows it fails in one more.  A row
+    stops at a gradient norm of 1e-12 in a, when no trial passes, or at a
+    step below the rounding of xi.  Rows without a feasible grid point keep
+    I = inf.
+    """
+    a, f = np.empty((len(s), 2)), np.empty(len(s))
+    for block in np.array_split(np.arange(len(s)), -(-len(s) // _GRID_BLOCK)):  # keeps the grid's arrays small
+        q = _family_rows(s[block, None], _FAMILY_GRID)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fg = np.where((q > 0.0).all(axis=-1), _info(*_rows_probs(q)), np.inf)
+        best = fg.argmin(axis=1)
+        a[block], f[block] = _FAMILY_GRID[best], fg[np.arange(len(block)), best]
+    act = np.flatnonzero(np.isfinite(f))
+    xi, qa, fa, sa = np.log1p(-a[act]), _family_rows(s[act], a[act]), f[act], s[act]
+    for _ in range(_FAMILY_ITERS):
+        ga, ha = _family_derivs(qa, -np.expm1(xi))
+        # to xi: da/dxi = -w, d2a/dxi2 = -w with w = exp(xi)
+        w = np.exp(xi)
+        g = -w * ga
+        h = w[:, :, None] * ha * w[:, None, :] - np.einsum("nu,uv->nuv", w * ga, np.eye(2))
+        lam, vec = np.linalg.eigh(h)
+        mag = np.maximum(np.abs(lam), 1e-12 * np.abs(lam).max(axis=1, keepdims=True) + 1e-300)
+        step = -np.einsum("nuv,nv->nu", vec, np.einsum("nvu,nv->nu", vec, g) / mag)
+        slope = (g * step).sum(axis=1)
+        t = np.zeros(act.size)  # the accepted step length, 0 for none
+        trial = (ga * ga).sum(axis=1) > 1e-24
+        for lengths in (np.ones(1), np.ldexp(1.0, -np.arange(1, 40))):
+            rows = np.flatnonzero(trial)
+            if not rows.size:
+                break
+            cx = xi[rows, None] + lengths[:, None] * step[rows, None]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                cq = _family_rows(sa[rows, None], -np.expm1(cx))
+                cf = _info(*_rows_probs(cq))
+                ok = (cq >= _FAMILY_SHRINK * qa[rows, None]).all(axis=-1)
+                ok &= cf <= fa[rows, None] + 1e-4 * lengths * slope[rows, None] + _rounding(fa[rows, None])
+            hit = ok.any(axis=1)
+            first = ok.argmax(axis=1)[hit]
+            rows = rows[hit]
+            t[rows] = lengths[first]
+            xi[rows], qa[rows], fa[rows] = cx[hit, first], cq[hit, first], cf[hit, first]
+            trial[rows] = False
+        a[act], f[act] = -np.expm1(xi), fa
+        keep = t * np.abs(step).max(axis=1) > 1e-15 * (1.0 + np.abs(xi).max(axis=1))
+        act, xi, qa, fa, sa = act[keep], xi[keep], qa[keep], fa[keep], sa[keep]
+        if not act.size:
+            break
+    return f, a
+
+
+def _family_vertex(s: np.ndarray) -> np.ndarray:
+    """The family point a (n, 2) where the two ``_VERTEX_ROWS`` facets meet, for s just above 2.
+
+    Newton on the two quadratic facets from 1 - a ~ ((s - 2) / 2, sqrt(s - 2)),
+    a fixed 12 steps (it settles within 6 on (2, 2 sqrt 2)).
+    """
+    d = s - 2.0
+    a = np.stack([1.0 - 0.5 * d, 1.0 - np.sqrt(d)], axis=-1)
+    for _ in range(12):
+        q = _family_rows(s, a)[:, _VERTEX_ROWS]
+        jac = _FAM_L[_VERTEX_ROWS] + 2.0 * np.einsum("kuv,nv->nku", _FAM_Q[_VERTEX_ROWS], a)
+        a = a - np.linalg.solve(jac, q[:, :, None])[:, :, 0]
+    return a
+
+
+def _family_vectors(s) -> np.ndarray:
+    """Correlator vectors (n, 8) of the family's least-I points at scores s (n,).
+
+    On [0, 2] the t = 0 member, a product behavior; on (2, 2 sqrt 2) the
+    better of ``_family_newton`` and ``_family_vertex`` (below s ~ 2 + 1e-5
+    the minimizer lies within the rounding of the vertex, where no Newton
+    step resolves it); from 2 sqrt 2 on, a = 0, the isotropic PR mixture.
+    """
+    s = np.asarray(s, dtype=float)
+    a = np.zeros((len(s), 2))
+    low = s <= 1.0
+    a[low, 0] = np.sqrt(s[low])
+    mid = (s > 1.0) & (s <= 2.0)
+    a[mid] = np.stack([np.ones(mid.sum()), 1.0 - np.sqrt(2.0 - s[mid])], axis=-1)
+    mid = np.flatnonzero((s > 2.0) & (s < TSIRELSON))
+    if mid.size:
+        f, found = _family_newton(s[mid])
+        vertex = _family_vertex(s[mid])
+        q = _family_rows(s[mid], vertex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fv = np.where(q.min(axis=-1) >= -1e-15, _info(*_rows_probs(q)), np.inf)
+        a[mid] = np.where((fv < f)[:, None], vertex, found)
+    return s[:, None] * _ANCHOR_DIR + a @ _FAMILY_LIN.T + np.einsum("juv,nu,nv->nj", _FAMILY_QUAD, a, a)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +842,7 @@ def _repair(job: _Job, z: np.ndarray) -> np.ndarray:
 # The start builders below take a single-row job: one grid point.
 
 
-def _random_starts(point: _Job, n: int, rng: np.random.Generator) -> np.ndarray:
+def _starts(point: _Job, n: int, rng: np.random.Generator) -> np.ndarray:
     """Spread starts inside the feasible slice: random directions from the
     anchor, stepped a random fraction of the distance to the nearest facet."""
     af = point.geo.map[_FACETS]
@@ -702,42 +876,10 @@ def _null_basis_rows(rows: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
-def _z_from_vector(point: _Job, vec8: np.ndarray) -> np.ndarray:
-    """Project an 8-correlator vector into a feasible z start for this point."""
-    return _feasible_z(point, ((vec8 - point.off[_X, 0]) @ point.geo.zmap)[None, :])
-
-
-def _product_starts(point: _Job) -> list[np.ndarray]:
-    """Exact product behaviors with score s, added to MIN starts for s <= 2.
-
-    Plain descent cannot carve the last digits into these deterministic-margin
-    corners, and they are ordinary feasible points of the slice.
-    """
-    s = float(point.s[0])
-    if point.geo.mode is not ScanMode.MIN or s > 2.0 + 1e-12:
-        return []
-    out = []
-    if point.geo.set in (FeasibleSet.NS, FeasibleSet.SYM):
-        if s <= 1.0:
-            q = np.sqrt(s)
-            a = np.array([q, 0.0])
-        else:
-            q = 1.0 - np.sqrt(2.0 - s)
-            a = np.array([1.0, q])
-        out.append(np.concatenate([a, a, np.outer(a, a).ravel()]))
-    if point.geo.set is FeasibleSet.NS:
-        a = np.array([1.0, 1.0])
-        b = np.array([s / 2.0, 0.0])
-        out.append(np.concatenate([a, b, np.outer(a, b).ravel()]))
-        out.append(np.concatenate([b, a, np.outer(b, a).ravel()]))
-    return out
-
-
-def _starts(point: _Job, restarts: int, rng: np.random.Generator) -> np.ndarray:
-    blocks = [_random_starts(point, restarts, rng)]
-    for vec in _product_starts(point):
-        blocks.append(_z_from_vector(point, vec))
-    return np.concatenate(blocks)
+def _z_from_vector(points: _Job, vec8: np.ndarray) -> np.ndarray:
+    """Project 8-correlator vectors, one per row of ``points`` (or one vector
+    for a one-row job), into feasible z starts of those rows."""
+    return _feasible_z(points, (vec8 - points.off[_X].T) @ points.geo.zmap)
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +893,10 @@ def _starts(point: _Job, restarts: int, rng: np.random.Generator) -> np.ndarray:
 _BLOCK_ROWS = 256
 #: Most backtracking trials (alpha/2, alpha/4, ...) of one row in one kernel call.
 _TRIAL_BATCH = 8
+#: The Newton tail: the stages after the gradient-descent ones.
+_TAIL_STAGES = len(_MU_SCHEDULE) - len(_INNER_ITERS)
+#: Every ``_AUDIT_EVERY``-th point of an NS or SYM MIN grid also runs its random starts.
+_AUDIT_EVERY = 10
 
 
 def _finish(
@@ -760,13 +906,16 @@ def _finish(
 
     A point's untouched starts compete with its solved rows (a start can beat
     its own descendant when the softened early stages walk off an exact
-    corner optimum), but a raw start never counts as converged.  Ties go to
-    the earlier row.
+    corner optimum), but a raw start wins only by more than the value's
+    rounding, so it never displaces a converged descendant on rounding
+    alone, and it never counts as converged.  Ties go to the earlier row.
     """
     row_point = np.concatenate([owner, owner])
     x = _repair(points.take(row_point), np.concatenate([z, z0]))
     vals = _info_from_x(x)
-    order = np.lexsort((points.geo.sigma * vals, row_point))
+    key = points.geo.sigma * vals
+    key[len(z) :] += _rounding(vals[len(z) :])
+    order = np.lexsort((key, row_point))
     best = order[np.searchsorted(row_point[order], np.arange(len(points.s)))]
     met = np.concatenate([met, np.zeros(len(z0), dtype=bool)])
     return [
@@ -789,17 +938,49 @@ def _solve_grid(points: _Job, starts: list[np.ndarray], outers: int = len(_MU_SC
     return out
 
 
-def _polish(point: _Job, best: ScanPoint, z: np.ndarray) -> ScanPoint:
-    """Rerun the Newton tail of the schedule from the feasible start ``z``.
-
-    The result replaces ``best`` only if it is strictly better, and then
-    keeps ``best``'s converged flag if that was set; otherwise ``best`` is
-    returned as is.
-    """
-    (new,) = _solve_grid(point, [z], outers=len(_MU_SCHEDULE) - len(_INNER_ITERS))
-    if point.geo.sigma * new.i < point.geo.sigma * best.i:
+def _better(sigma: float, best: ScanPoint, new: ScanPoint) -> ScanPoint:
+    """``new`` if it is strictly better than ``best``, keeping ``best``'s
+    converged flag if that was set; otherwise ``best`` as is."""
+    if sigma * new.i < sigma * best.i:
         return replace(new, converged=new.converged or best.converged)
     return best
+
+
+def _polish(point: _Job, best: ScanPoint, z: np.ndarray) -> ScanPoint:
+    """Rerun the Newton tail of the schedule from the feasible start ``z``;
+    the result replaces ``best`` only if it is ``_better``."""
+    (new,) = _solve_grid(point, [z], outers=_TAIL_STAGES)
+    return _better(point.geo.sigma, best, new)
+
+
+def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
+    """Solve every point of ``points``; point k draws its random starts from
+    ``default_rng(seeds[k])``.
+
+    NS and SYM MIN points start at the lower-boundary family's least-I point
+    (``_family_vectors``), which only the Newton tail solves, all points in
+    one ``_solve_grid`` call; the tail doubles as the start's KKT check.
+    Their ``restarts`` random starts run the full schedule only on audited
+    points: every ``_AUDIT_EVERY``-th grid index, and every point whose
+    family start has a facet slack below the softening width of the last
+    descent stage.  An audit result replaces the family result only if it
+    is ``_better``; such a win would be a point below the family.  Every
+    other set and mode solves its random starts over the full schedule.
+    """
+    geo, n = points.geo, len(points.s)
+
+    def starts(ks) -> list[np.ndarray]:
+        return [_starts(points.take([k]), restarts, np.random.default_rng(seeds[k])) for k in ks]
+
+    if geo.mode is not ScanMode.MIN or geo.set is FeasibleSet.C:
+        return _solve_grid(points, starts(range(n)))
+    z = _z_from_vector(points, _family_vectors(points.s))
+    vals = _solve_grid(points, list(z[:, None]), outers=_TAIL_STAGES)
+    slack = (points.off[_FACETS].T + z @ geo.map[_FACETS].T).min(axis=1)
+    audited = np.flatnonzero((np.arange(n) % _AUDIT_EVERY == 0) | (slack < _EPS_SCHEDULE[len(_INNER_ITERS) - 1]))
+    for k, audit in zip(audited, _solve_grid(points.take(audited), starts(audited))):
+        vals[k] = _better(geo.sigma, vals[k], audit)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -817,14 +998,16 @@ def optimize_at_s(
 ) -> ScanPoint:
     """Extremize the mutual information at CHSH score exactly s.
 
-    Multi-start local search; deterministic given ``seed``.
+    Multi-start local search; deterministic given ``seed``.  A query is a
+    one-point grid at index 0, so an NS or SYM MIN query is always audited:
+    it runs its ``restarts`` random starts over the full schedule and the
+    family start over the Newton tail (see ``_solve_points``).
     """
     set_ = FeasibleSet(set_) if isinstance(set_, str) else set_
     mode = ScanMode(mode) if isinstance(mode, str) else mode
     _check_request(restarts, seed, qtilde_cap, s)
     point = _geometry(set_, mode, qtilde_cap).at([s])
-    z0 = _starts(point, restarts, np.random.default_rng([seed]))
-    (best,) = _solve_grid(point, [z0])
+    (best,) = _solve_points(point, restarts, [[seed]])
     for _ in range(2):  # an unconverged winner gets the two polishes a scan point can get from its sweeps
         if best.converged:
             break
@@ -838,31 +1021,39 @@ def optimize_at_s(
 def scan(config: ScanConfig) -> BoundaryCurve:
     """Scan the grid, then sweep warm starts both ways along it.
 
-    Each grid point draws its starts from its own grid-index-seeded RNG
-    stream; whole points are then stacked into blocks of at most
-    ``_BLOCK_ROWS`` rows and solved together.  Rows never interact and each
-    stops by its own rules, so a point's result does not depend on its block
-    beyond rounding in shared matrix products.  The two warm-start sweeps
-    afterwards are sequential and deterministic.  Per-point failures are
-    reported through ``converged=False``, never by aborting the scan.
+    Each grid point draws its random starts from its own grid-index-seeded
+    RNG stream; whole points are then stacked into blocks of at most
+    ``_BLOCK_ROWS`` rows and solved together.  NS and SYM MIN scans start
+    every point at the lower-boundary family's least-I point and solve it
+    with the Newton tail only; their random starts (``restarts`` per audited
+    point) run only on the audited points (see ``_solve_points``).  Rows
+    never interact and each stops by its own rules, so a point's result
+    does not depend on its block beyond rounding in shared matrix products.
+
+    Each of the two warm-start sweeps afterwards evaluates every point's
+    neighbour argopt, repaired into the point's slice, in one batched call
+    (a neighbour polished earlier in the same sweep is evaluated again), and
+    polishes in order, deterministically, every point that the neighbour
+    beats by more than 1e-9 or that has not converged.  Per-point failures
+    are reported through ``converged=False``, never by aborting the scan.
     """
     grid = np.linspace(config.s_lo, config.s_hi, config.grid_points)
     points = _geometry(config.set, config.mode, config.qtilde_cap).at(grid)
-    starts = [
-        _starts(points.take([k]), config.restarts, np.random.default_rng([config.seed, k]))
-        for k in range(len(grid))
-    ]
-    vals = _solve_grid(points, starts)
+    vals = _solve_points(points, config.restarts, [[config.seed, k] for k in range(len(grid))])
 
     n = len(grid)
     sigma = points.geo.sigma
-    for order, step in ((range(1, n), 1), (range(n - 2, -1, -1), -1)):
-        for idx in order:
-            point = points.take([idx])
-            z = _z_from_vector(point, vals[idx - step].argopt.vector())  # the neighbour's argopt
-            cur = vals[idx]
-            if sigma * _info_from_x(_repair(point, z))[0] < sigma * cur.i - 1e-9 or not cur.converged:
-                vals[idx] = _polish(point, cur, z)
+    for order, step in ((np.arange(1, n), 1), (np.arange(n - 2, -1, -1), -1)):
+        start = list(vals)
+        rows = points.take(order)
+        vecs = np.array([start[k - step].argopt.vector() for k in order])
+        neighbour = _info_from_x(_repair(rows, _z_from_vector(rows, vecs)))
+        for idx, value in zip(order, neighbour):
+            point, cur, near = points.take([idx]), vals[idx], vals[idx - step]
+            if near is not start[idx - step]:  # polished earlier in this sweep
+                value = _info_from_x(_repair(point, _z_from_vector(point, near.argopt.vector())))[0]
+            if sigma * value < sigma * cur.i - 1e-9 or not cur.converged:
+                vals[idx] = _polish(point, cur, _z_from_vector(point, near.argopt.vector()))
     return BoundaryCurve(points=tuple(vals), set=config.set)
 
 

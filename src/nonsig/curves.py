@@ -1,11 +1,18 @@
-"""Closed-form boundary curves of the S-I plane.
+"""Boundary curves of the S-I plane.
 
-Every curve is realized by an explicit one-parameter family of behaviors; the
-curve value is the mutual information of that behavior, so the entropy
-formulas live in exactly one place (``functionals``) and the g-expression
-forms stay available as independent test oracles.  ``_points`` builds the
-witness tables of a whole array of scores at once; values, witnesses and
-grids all come from it.
+Every curve is realized by an explicit family of behaviors; the curve value
+is the mutual information of that behavior, so the entropy formulas live in
+exactly one place (``functionals``) and the g-expression forms stay
+available as independent test oracles.  ``_points`` builds the witness
+tables of a whole array of scores at once; values, witnesses and grids all
+come from it.
+
+All curves but one are closed forms.  ``ns_min`` is a 2-D minimization: the
+least I over a two-parameter family of non-signaling behaviors (both
+marginals a = (a0, a1), C = a a^T + t sigma), solved by a batched damped
+Newton in ``boundary``.  Its points are feasible behaviors, so it is a
+proven upper bound on the NS and SYM minimum of I; that it is the minimum
+is a measured conjecture.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .behavior import (
     named,
     validate,
 )
+from .boundary import _family_vectors
 from .functionals import TSIRELSON, _mi_tables
 
 _DOMAIN_SLACK = 1e-9
@@ -37,6 +45,7 @@ class CurveId(Enum):
     QC_MAX = "qc_max"
     BELL_PR_MIN = "bell_pr_min"
     LOCAL_MIN = "local_min"
+    NS_MIN = "ns_min"
 
 
 #: Domain interval of S for each curve.
@@ -48,6 +57,7 @@ CURVE_DOMAINS = {
     CurveId.QC_MAX: (2.0, TSIRELSON),
     CurveId.BELL_PR_MIN: (TSIRELSON, 4.0),
     CurveId.LOCAL_MIN: (0.0, 2.0),
+    CurveId.NS_MIN: (0.0, 4.0),
 }
 
 #: Curves that are straight mixtures from one named behavior (at the low end of
@@ -121,6 +131,10 @@ def _points(curve: CurveId, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ws = w(s)
         a = b = np.zeros((len(s), 2))
         ab = np.stack([ws, ws, ws, 3.0 * ws - s], axis=-1)
+    elif curve is CurveId.NS_MIN:
+        # the family's least-I point: a product up to S = 2, the isotropic PR mixture from 2 sqrt 2
+        x = _family_vectors(s)
+        a, b, ab = x[:, :2], x[:, 2:4], x[:, 4:]
     else:
         # LOCAL_MIN: a product behavior attaining S = s, so I is identically zero
         half, zero = s / 2.0, np.zeros(len(s))

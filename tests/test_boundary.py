@@ -130,6 +130,19 @@ class TestOptimizeAtS:
         r = optimize_at_s("ns", "min", s, restarts=4, seed=4212655702)
         assert abs(r.i - curve_value("bell_pr_min", s)) <= 1e-12
 
+    def test_raw_start_does_not_beat_its_converged_descendant_on_rounding(self):
+        # the tail from this argopt converges, and its raw start is only
+        # rounding-level better after repair; the converged row is kept
+        from nonsig.boundary import _geometry, _info_from_x, _repair, _rounding, _solve_grid, _z_from_vector
+
+        s = 2.5
+        point = _geometry(FeasibleSet.NS, ScanMode.MIN, False).at([s])
+        z = _z_from_vector(point, optimize_at_s("ns", "min", s, restarts=8, seed=1).argopt.vector())
+        (r,) = _solve_grid(point, [z], outers=2)
+        assert r.converged
+        raw = _info_from_x(_repair(point, z))[0]
+        assert r.i <= raw + _rounding(raw)
+
     def test_polish_reaches_capped_c_max(self):
         # without the polish the best of 2 starts stays 4.0e-11 below the closed form
         s = 2.3154406173881354
@@ -163,6 +176,27 @@ class TestArgoptProperty:
             assert r.i <= curve_value("bell_pr_min", s) + 1e-12
         if cap and s >= 2.0:
             assert r.i >= curve_value("qc_max", s) - 1e-12
+
+
+@st.composite
+def min_queries(draw):
+    """An NS or SYM MIN query: a score from [0, 4] (the family's interior range
+    and the edges at 2 and 2 sqrt 2 drawn on purpose), restarts and a seed."""
+    set_ = draw(st.sampled_from(["ns", "sym"]))
+    near_tsirelson = st.floats(TSIRELSON - 0.05, TSIRELSON + 0.05)
+    s = draw(st.floats(0.0, 4.0) | st.floats(2.0, 2.3) | st.floats(2.0, 2.0 + 1e-4) | near_tsirelson)
+    return set_, s, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestLowerFamilyProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(min_queries())
+    def test_min_query_equals_ns_min(self, query):
+        # below ns_min would be a point under the family: a counterexample to
+        # the conjecture that the family is the minimum
+        set_, s, restarts, seed = query
+        r = optimize_at_s(set_, "min", s, restarts=restarts, seed=seed)
+        assert abs(r.i - curve_value("ns_min", s)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +250,24 @@ class TestScan:
             assert abs(c.a[1] - c.b[1]) <= 1e-8
             assert abs(c.ab[0, 1] - c.ab[1, 0]) <= 1e-8
             assert p.i == pytest.approx(curve_value("bell_pr_min", p.s) if p.s >= TSIRELSON else p.i, abs=2e-3)
+
+    def test_ns_min_near_two_is_the_family(self):
+        cfg = ScanConfig(
+            set=FeasibleSet.NS, mode=ScanMode.MIN, s_lo=2.0, s_hi=2.3, grid_points=13,
+            restarts=4, seed=28,
+        )
+        curve = scan(cfg)
+        assert np.max(np.abs(curve.i - curve_value("ns_min", curve.s))) <= 1e-12
+
+    def test_sym_min_last_point_reaches_bell_pr_min(self):
+        # the forward sweep polishes the last point from its left neighbour only
+        # and the backward sweep never visits it; the family start puts it there
+        cfg = ScanConfig(
+            set=FeasibleSet.SYM, mode=ScanMode.MIN, s_lo=3.8412287726136487, s_hi=3.998238356306063,
+            grid_points=6, restarts=4, seed=1769797462,
+        )
+        last = scan(cfg).points[-1]
+        assert abs(last.i - curve_value("bell_pr_min", last.s)) <= 1e-12
 
     @pytest.mark.parametrize(
         "s_lo, s_hi, grid_points, restarts, seed",
@@ -300,14 +352,14 @@ class TestKernel:
         """At mu = 0 and a vanishing softening width the penalty kernel is the
         exact mutual information, with the exact gradient, on interior rows."""
         from nonsig.behavior import _tables_from_correlators
-        from nonsig.boundary import _X, _geometry, _info_from_x, _penalty, _probs, _random_starts, _x_from_z
+        from nonsig.boundary import _X, _geometry, _info_from_x, _penalty, _probs, _starts, _x_from_z
         from nonsig.functionals import _mi_tables
 
         for set_ in FeasibleSet:
             for mode in ScanMode:
                 geo = _geometry(set_, mode, False)
                 point = geo.at([2.6])
-                z = _random_starts(point, 20, np.random.default_rng([7]))
+                z = _starts(point, 20, np.random.default_rng([7]))
                 job = point.take(np.zeros(len(z), dtype=int))
                 x = _x_from_z(job, z)
                 assert _probs(x)[0].min() > 1e-3

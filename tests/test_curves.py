@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nonsig.behavior import BehaviorError, mix, named
+from nonsig.behavior import INTERNAL_TOL, BehaviorError, mix, named, validate
 from nonsig.curves import (
     CURVE_DOMAINS,
     CurveId,
@@ -221,3 +221,44 @@ class TestCurveTable:
             assert curve_value("qc_max", TSIRELSON) == pytest.approx(4 * g_oracle(1 / math.sqrt(2)), abs=1e-12)
             assert np.array_equal(w(np.array([2.0, TSIRELSON])), [w(2.0), w(TSIRELSON)])
             curve_value("qc_max", np.array([2.0, TSIRELSON]))
+
+
+class TestNsMin:
+    """The lower-boundary family: a product up to 2, a 2-D minimization up to 2 sqrt 2, then bell_pr_min."""
+
+    def test_equals_closed_forms_outside_the_family_range(self):
+        low = np.linspace(0.0, 2.0, 81)
+        assert np.max(np.abs(curve_value("ns_min", low) - curve_value("local_min", low))) <= 1e-15
+        high = np.linspace(TSIRELSON, 4.0, 81)
+        assert np.max(np.abs(curve_value("ns_min", high) - curve_value("bell_pr_min", high))) <= 1e-15
+
+    def test_witnesses_validate_at_their_score(self):
+        near = np.logspace(-9, -1, 17)
+        scores = np.concatenate([np.linspace(0.0, 4.0, 41), 2.0 + near, TSIRELSON - near])
+        for s in scores:
+            b = curve_witness("ns_min", s)
+            validate(b.table, tol=INTERNAL_TOL)
+            assert abs(s_max(b) - s) <= 1e-12
+            assert mutual_information(b) == curve_value("ns_min", s)
+
+    def test_newton_reaches_a_stationary_point(self):
+        # below s ~ 2.05 the minimizer's smallest probability drops under 4e-6 and
+        # the rounding of a alone leaves a gradient above 1e-12
+        from nonsig.boundary import _family_derivs, _family_newton, _family_rows
+
+        s = np.linspace(2.05, TSIRELSON - 1e-6, 100)
+        f, a = _family_newton(s)
+        grad, _ = _family_derivs(_family_rows(s, a), a)
+        assert np.max(np.linalg.norm(grad, axis=1)) <= 1e-12
+        assert np.max(np.abs(f - curve_value("ns_min", s))) <= 1e-15
+
+    def test_clean_point_at_two_and_a_half(self):
+        # a = (sqrt(0.4), sqrt(0.1)) up to sign
+        c = curve_witness("ns_min", 2.5).correlators()
+        assert np.allclose(np.abs(c.a), np.sqrt([0.4, 0.1]), atol=1e-12)
+        assert np.allclose(c.a, c.b, atol=0.0)
+
+    def test_rises_from_zero_at_two(self):
+        ss = 2.0 + np.logspace(-9, -1, 30)
+        vals = curve_value("ns_min", ss)
+        assert np.all(np.diff(vals) > 0.0) and vals[0] < 1e-8
