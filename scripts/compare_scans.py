@@ -6,7 +6,10 @@ Every file present in both trees gets one line.  A scan CSV (the header of
 ``runio.write_curve_csv``, read with ``runio.read_curve_csv``) reports its
 row count, the rows that moved (any of i, converged or the argopt differs),
 the largest increase and the largest decrease of I from A to B, and the
-converged count A -> B.  Any other file reports ``identical`` or
+converged count A -> B.  A recipe scan with a known witness curve (see
+``WITNESSES``) also reports, for each tree, its worst gap to the witness on
+the losing side (above it for a MIN curve, below it for a MAX curve) and the
+number of rows beyond 1e-12 there.  Any other file reports ``identical`` or
 ``differs`` by SHA-256.  Run manifests (``*_manifest.json``) are skipped:
 they hold wall times.  Files found in one tree only are listed too.
 
@@ -21,7 +24,20 @@ from pathlib import Path
 
 import numpy as np
 
+from nonsig.curves import curve_value
 from nonsig.runio import ParseError, read_curve_csv, sha256_file
+
+#: The recipe scans with a known witness curve: the curve and the sign that
+#: makes a gap positive on the losing side (+1 for a MIN scan, which loses
+#: above its witness; -1 for a MAX scan, which loses below it).
+WITNESSES = {
+    "fig3_ns_max.csv": ("ns_max", -1.0),
+    "fig3_ns_min.csv": ("ns_min", 1.0),
+    "fig4_ns_min.csv": ("ns_min", 1.0),
+    "fig6_scan.csv": ("ns_min", 1.0),
+    "fig7_scan.csv": ("ns_min", 1.0),
+    "fig4_qtilde_max.csv": ("qc_max", -1.0),
+}
 
 
 def _files(root: Path) -> set[Path]:
@@ -30,21 +46,33 @@ def _files(root: Path) -> set[Path]:
     }
 
 
+def _witness_gap(name: str, curve) -> str:
+    """The worst gap of a scan to its witness curve on the losing side and the
+    rows beyond 1e-12 there, or "" for a file without a witness."""
+    if name not in WITNESSES:
+        return ""
+    witness, sign = WITNESSES[name]
+    gap = sign * (curve.i - curve_value(witness, curve.s))
+    return f"worst gap to {witness} {max(0.0, gap.max()):.3g} ({(gap > 1e-12).sum()} rows beyond 1e-12)"
+
+
 def _scan_report(a: Path, b: Path) -> str | None:
     """The scan summary of two scan CSVs, or None if either is not one."""
     try:
         ca, cb = read_curve_csv(a), read_curve_csv(b)
     except ParseError:
         return None
+    gaps = _witness_gap(a.name, ca), _witness_gap(b.name, cb)
+    witness = f"; A {gaps[0]}, B {gaps[1]}" if gaps[0] else ""
     conv_a, conv_b = (np.array([p.converged for p in c.points]) for c in (ca, cb))
     converged = f"converged {conv_a.sum()} -> {conv_b.sum()}"
     if len(conv_a) != len(conv_b) or not np.array_equal(ca.s, cb.s):
-        return f"scan: grids differ ({len(conv_a)} -> {len(conv_b)} rows), {converged}"
+        return f"scan: grids differ ({len(conv_a)} -> {len(conv_b)} rows), {converged}{witness}"
     moved = (ca.i != cb.i) | (conv_a != conv_b) | (ca.argopt_vectors() != cb.argopt_vectors()).any(axis=1)
     di = cb.i - ca.i
     return (
         f"scan: {len(di)} rows, {moved.sum()} moved, largest increase of I {max(0.0, di.max()):.3g},"
-        f" largest decrease {max(0.0, -di.min()):.3g}, {converged}"
+        f" largest decrease {max(0.0, -di.min()):.3g}, {converged}{witness}"
     )
 
 

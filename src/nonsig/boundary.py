@@ -23,7 +23,7 @@ gradient tolerance, after a failed line search or a 15-iteration stall; in
 Newton at ``_NEWTON_GTOL``, which makes it ``converged`` after the last
 stage, or at a step below the rounding of z.  ``_finish`` alone builds each
 point's ``ScanPoint`` from its best exactly evaluated row, with that row's
-flag; the polishes and the sweeps compare and replace these records.
+flag; the audits and ``_refine`` replace these records only through ``_better``.
 
 NS and SYM MIN solves start every point at the least-I point of a
 two-parameter family of behaviors (both marginals a = (a0, a1) and
@@ -742,14 +742,14 @@ def _family_vertex(s: np.ndarray) -> np.ndarray:
 
 
 def _family_vectors(s) -> np.ndarray:
-    """Correlator vectors (n, 8) of the family's least-I points at scores s (n,).
+    """Correlator vectors (n, 8) of the family's least-I points at scores s (n,), clipped into [0, 4].
 
     On [0, 2] the t = 0 member, a product behavior; on (2, 2 sqrt 2) the
     better of ``_family_newton`` and ``_family_vertex`` (below s ~ 2 + 1e-5
     the minimizer lies within the rounding of the vertex, where no Newton
     step resolves it); from 2 sqrt 2 on, a = 0, the isotropic PR mixture.
     """
-    s = np.asarray(s, dtype=float)
+    s = np.clip(np.asarray(s, dtype=float), 0.0, 4.0)
     a = np.zeros((len(s), 2))
     low = s <= 1.0
     a[low, 0] = np.sqrt(s[low])
@@ -780,7 +780,7 @@ def _shrink_lambda(job: _Job, z: np.ndarray) -> np.ndarray:
     Slacks are affine in z, so the bound is exact.
     """
     slack_move = z @ job.geo.map[_FACETS].T  # (r, 23), slack(lam*z) = off + lam*slack_move
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam_j = np.where(slack_move < -1e-13, job.off[_FACETS].T / (-slack_move), np.inf)
     lam = np.minimum(1.0, lam_j.min(axis=-1))
     return np.clip(lam, 0.0, 1.0)
@@ -858,7 +858,7 @@ def _starts(point: _Job, n: int, rng: np.random.Generator) -> np.ndarray:
         norms = np.linalg.norm(u, axis=1, keepdims=True)
         u = np.divide(u, norms, out=np.zeros_like(u), where=norms > 1e-12)
     slope = u @ af.T
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_j = np.where(slope < -1e-12, ca / (-slope), np.inf)
     t_max = np.minimum(t_j.min(axis=-1), 8.0)
     beta = rng.uniform(0.2, 0.95, size=n)
@@ -946,11 +946,39 @@ def _better(sigma: float, best: ScanPoint, new: ScanPoint) -> ScanPoint:
     return best
 
 
-def _polish(point: _Job, best: ScanPoint, z: np.ndarray) -> ScanPoint:
-    """Rerun the Newton tail of the schedule from the feasible start ``z``;
-    the result replaces ``best`` only if it is ``_better``."""
-    (new,) = _solve_grid(point, [z], outers=_TAIL_STAGES)
-    return _better(point.geo.sigma, best, new)
+def _refine(points: _Job, vals: list[ScanPoint]) -> list[ScanPoint]:
+    """Polish the records ``vals`` of ``points``, in place, in Jacobi rounds until no point changes.
+
+    In each round every point that changed in the previous one (every point
+    in the first) offers its argopt to its grid neighbours and, while it is
+    unconverged, to itself.  A point takes an offer when it is unconverged
+    or when the offer, repaired into its slice, beats it by more than 1e-9.
+    The Newton tail solves all offers taken in a round in one
+    ``_solve_grid`` call, rows grouped per point, and a result replaces its
+    point only if it is ``_better``.  Every change is a strict improvement,
+    so the rounds cannot cycle.
+    """
+    sigma, n = points.geo.sigma, len(vals)
+    changed = np.ones(n, dtype=bool)
+    while changed.any():
+        src = np.flatnonzero(changed)
+        to, frm = (src[:, None] + np.arange(-1, 2)).ravel(), np.repeat(src, 3)
+        conv, cur = np.array([p.converged for p in vals]), np.array([p.i for p in vals])
+        offer = (to >= 0) & (to < n) & ((to != frm) | ~conv[to.clip(0, n - 1)])
+        order = np.flatnonzero(offer)[np.argsort(to[offer], kind="stable")]  # per point, sources in grid order
+        to, frm = to[order], frm[order]
+        rows = points.take(to)
+        z = _z_from_vector(rows, np.array([vals[j].argopt.vector() for j in frm]).reshape(-1, 8))
+        take = ~conv[to] | (sigma * _info_from_x(_repair(rows, z)) < sigma * cur[to] - 1e-9)
+        ks, first = np.unique(to[take], return_index=True)
+        changed[:] = False
+        if not ks.size:
+            break
+        for k, new in zip(ks, _solve_grid(points.take(ks), np.split(z[take], first[1:]), outers=_TAIL_STAGES)):
+            best = _better(sigma, vals[k], new)
+            changed[k] = best is not vals[k]
+            vals[k] = best
+    return vals
 
 
 def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
@@ -966,6 +994,7 @@ def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
     descent stage.  An audit result replaces the family result only if it
     is ``_better``; such a win would be a point below the family.  Every
     other set and mode solves its random starts over the full schedule.
+    Every set and mode ends with ``_refine``.
     """
     geo, n = points.geo, len(points.s)
 
@@ -973,14 +1002,14 @@ def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
         return [_starts(points.take([k]), restarts, np.random.default_rng(seeds[k])) for k in ks]
 
     if geo.mode is not ScanMode.MIN or geo.set is FeasibleSet.C:
-        return _solve_grid(points, starts(range(n)))
+        return _refine(points, _solve_grid(points, starts(range(n))))
     z = _z_from_vector(points, _family_vectors(points.s))
     vals = _solve_grid(points, list(z[:, None]), outers=_TAIL_STAGES)
     slack = (points.off[_FACETS].T + z @ geo.map[_FACETS].T).min(axis=1)
     audited = np.flatnonzero((np.arange(n) % _AUDIT_EVERY == 0) | (slack < _EPS_SCHEDULE[len(_INNER_ITERS) - 1]))
     for k, audit in zip(audited, _solve_grid(points.take(audited), starts(audited))):
         vals[k] = _better(geo.sigma, vals[k], audit)
-    return vals
+    return _refine(points, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -999,61 +1028,30 @@ def optimize_at_s(
     """Extremize the mutual information at CHSH score exactly s.
 
     Multi-start local search; deterministic given ``seed``.  A query is a
-    one-point grid at index 0, so an NS or SYM MIN query is always audited:
-    it runs its ``restarts`` random starts over the full schedule and the
-    family start over the Newton tail (see ``_solve_points``).
+    one-point grid at index 0 (see ``_solve_points``), so an NS or SYM MIN
+    query is always audited: it runs its ``restarts`` random starts over the
+    full schedule and the family start over the Newton tail.
     """
     set_ = FeasibleSet(set_) if isinstance(set_, str) else set_
     mode = ScanMode(mode) if isinstance(mode, str) else mode
     _check_request(restarts, seed, qtilde_cap, s)
-    point = _geometry(set_, mode, qtilde_cap).at([s])
-    (best,) = _solve_points(point, restarts, [[seed]])
-    for _ in range(2):  # an unconverged winner gets the two polishes a scan point can get from its sweeps
-        if best.converged:
-            break
-        polished = _polish(point, best, _z_from_vector(point, best.argopt.vector()))
-        if polished is best:
-            break  # a polish from the same start would only repeat itself
-        best = polished
+    (best,) = _solve_points(_geometry(set_, mode, qtilde_cap).at([s]), restarts, [[seed]])
     return best
 
 
 def scan(config: ScanConfig) -> BoundaryCurve:
-    """Scan the grid, then sweep warm starts both ways along it.
+    """Solve every point of the evenly spaced grid (see ``_solve_points``).
 
     Each grid point draws its random starts from its own grid-index-seeded
     RNG stream; whole points are then stacked into blocks of at most
-    ``_BLOCK_ROWS`` rows and solved together.  NS and SYM MIN scans start
-    every point at the lower-boundary family's least-I point and solve it
-    with the Newton tail only; their random starts (``restarts`` per audited
-    point) run only on the audited points (see ``_solve_points``).  Rows
-    never interact and each stops by its own rules, so a point's result
-    does not depend on its block beyond rounding in shared matrix products.
-
-    Each of the two warm-start sweeps afterwards evaluates every point's
-    neighbour argopt, repaired into the point's slice, in one batched call
-    (a neighbour polished earlier in the same sweep is evaluated again), and
-    polishes in order, deterministically, every point that the neighbour
-    beats by more than 1e-9 or that has not converged.  Per-point failures
-    are reported through ``converged=False``, never by aborting the scan.
+    ``_BLOCK_ROWS`` rows and solved together.  Rows never interact and each
+    stops by its own rules, so a point's result does not depend on its block
+    beyond rounding in shared matrix products.  Per-point failures are
+    reported through ``converged=False``, never by aborting the scan.
     """
     grid = np.linspace(config.s_lo, config.s_hi, config.grid_points)
     points = _geometry(config.set, config.mode, config.qtilde_cap).at(grid)
     vals = _solve_points(points, config.restarts, [[config.seed, k] for k in range(len(grid))])
-
-    n = len(grid)
-    sigma = points.geo.sigma
-    for order, step in ((np.arange(1, n), 1), (np.arange(n - 2, -1, -1), -1)):
-        start = list(vals)
-        rows = points.take(order)
-        vecs = np.array([start[k - step].argopt.vector() for k in order])
-        neighbour = _info_from_x(_repair(rows, _z_from_vector(rows, vecs)))
-        for idx, value in zip(order, neighbour):
-            point, cur, near = points.take([idx]), vals[idx], vals[idx - step]
-            if near is not start[idx - step]:  # polished earlier in this sweep
-                value = _info_from_x(_repair(point, _z_from_vector(point, near.argopt.vector())))[0]
-            if sigma * value < sigma * cur.i - 1e-9 or not cur.converged:
-                vals[idx] = _polish(point, cur, _z_from_vector(point, near.argopt.vector()))
     return BoundaryCurve(points=tuple(vals), set=config.set)
 
 
