@@ -7,8 +7,12 @@ Runs the stages of ``repro fig5``'s cloud writer at n = 500,000, seed 1:
 ``_mi_tables``, the CSV write and the SHA-256 of the CSV that the manifest
 records.  The ``draws`` row times the sampler's random draws alone
 (``_random_states`` and ``_random_bloch`` over the same per-chunk RNG
-streams), the fixed cost inside ``sample_tables``.  Prints nproc, the numpy
-version and OPENBLAS_NUM_THREADS first and the process's peak RSS last.
+streams), the fixed cost inside ``sample_tables``.  The ``_write_cloud``
+row is the writer that ``repro fig5`` really runs, end to end: it samples,
+scores and writes one chunk at a time, and its tracemalloc peak (numpy
+reports its buffers to tracemalloc) is printed below the table.  Prints
+nproc, the numpy version and OPENBLAS_NUM_THREADS first and the process's
+peak RSS last.
 Each figure is the median of ``REPEATS`` runs.  CPU time counts every thread
 of the process, so a cpu/wall ratio above 1 shows threads working or
 spinning beside the caller (for example idle BLAS threads).
@@ -21,11 +25,13 @@ import resource
 import statistics
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from nonsig.behavior import _correlators_from_tables
+from nonsig.cli import _write_cloud
 from nonsig.functionals import _mi_tables, _s_max_ab
 from nonsig.quantum import _SAMPLE_CHUNK, _random_bloch, _random_states, sample_tables
 from nonsig.runio import sha256_file, write_xy_csv
@@ -60,7 +66,18 @@ def one_run(out: Path) -> dict[str, tuple[float, float]]:
     i = timed("_mi_tables", _mi_tables, tables)
     timed("csv write", write_xy_csv, out, s, i)
     timed("manifest hash", sha256_file, out)
+    timed("_write_cloud", _write_cloud, out, N, SEED)
     return times
+
+
+def cloud_peak(out: Path) -> int:
+    """The tracemalloc peak, in bytes, of one streamed ``_write_cloud``."""
+    tracemalloc.start()
+    try:
+        _write_cloud(out, N, SEED)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> None:
@@ -69,11 +86,13 @@ def main() -> None:
     print(f"n = {N:,}, seed {SEED}; median of {REPEATS} runs, seconds")
     with tempfile.TemporaryDirectory() as tmp:
         runs = [one_run(Path(tmp) / "fig5_quantum.csv") for _ in range(REPEATS)]
+        peak = cloud_peak(Path(tmp) / "fig5_quantum.csv")
     print(f"{'stage':<26}{'wall':>8}{'cpu':>8}{'cpu/wall':>10}")
     for name in runs[0]:
         wall = statistics.median(r[name][0] for r in runs)
         cpu = statistics.median(r[name][1] for r in runs)
         print(f"{name:<26}{wall:>8.3f}{cpu:>8.3f}{cpu / wall:>10.2f}")
+    print(f"_write_cloud tracemalloc peak {peak / 2**20:.1f} MiB")
     # ru_maxrss is in KiB on Linux.
     print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB")
 

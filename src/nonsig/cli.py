@@ -33,7 +33,7 @@ from .geometry import (
     trajectory,
 )
 from .membership import _arcsin_margin, report, report_to_json_dict
-from .quantum import sample_tables
+from .quantum import sample_chunks
 from .runio import (
     read_curve_csv,
     write_curve_csv,
@@ -44,7 +44,9 @@ from .runio import (
 from .boundary import FeasibleSet, ScanConfig, ScanMode, scan
 
 USAGE_EXIT = 64
-_MAX_COUNT = np.iinfo(np.intp).max // 128  # numpy cannot size that many 128-byte probability tables
+#: The largest count flag: numpy cannot size more 128-byte probability tables, and a curve
+#: grid builds one per point.  The streamed cloud would not need the bound but keeps it.
+_MAX_COUNT = np.iinfo(np.intp).max // 128
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,16 +220,18 @@ def _write_file_manifest(out: Path, seed: int | None, started: float) -> None:
 
 
 def _write_cloud(out: Path, n: int, seed: int, full: bool = False) -> None:
-    """Sample n quantum behaviors and write their (s, i), plus the correlators if ``full``."""
-    tables = sample_tables(n, seed)
+    """Sample n quantum behaviors and write their (s, i), plus the correlators if ``full``,
+    one sampling chunk at a time, so memory does not grow with n."""
+    chunks = sample_chunks(n, seed)  # checks n and seed before the file is opened
+    header = ["s", "i", "a0", "a1", "b0", "b1", "c00", "c01", "c10", "c11"] if full else ["s", "i"]
+    write_table_csv(out, header, (_cloud_rows(tables, full) for tables in chunks))
+
+
+def _cloud_rows(tables: np.ndarray, full: bool) -> np.ndarray:
     a, b, ab = _correlators_from_tables(tables)
     s = _s_max_ab(ab)
     i = _mi_tables(tables)
-    if full:
-        header = ["s", "i", "a0", "a1", "b0", "b1", "c00", "c01", "c10", "c11"]
-        write_table_csv(out, header, np.column_stack([s, i, a, b, ab.reshape(-1, 4)]))
-    else:
-        write_xy_csv(out, s, i)
+    return np.column_stack([s, i, a, b, ab.reshape(-1, 4)] if full else [s, i])
 
 
 def _inflection(curve, k: int):

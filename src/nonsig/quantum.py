@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,27 +162,34 @@ def _random_bloch(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / norm[..., None]
 
 
-def sample_tables(n: int, seed: int) -> np.ndarray:
-    """n Born tables from Haar-random pure states and uniform Bloch measurements.
+def sample_chunks(n: int, seed: int) -> Iterator[np.ndarray]:
+    """n Born tables from Haar-random pure states and uniform Bloch measurements,
+    yielded ``_SAMPLE_CHUNK`` at a time (the last chunk may be shorter).
 
-    Deterministic given the seed and independent of chunking internals; the
-    RNG stream for chunk c is derived from (seed, c).  The tables are built
-    from ``_pauli_correlators``; ``_born_tables`` is their test oracle.
+    Deterministic given the seed; the RNG stream for chunk c is derived from
+    (seed, c).  ``n`` and ``seed`` are checked by the call itself, before the
+    first chunk is asked for.  The tables are built from
+    ``_pauli_correlators``; ``_born_tables`` is their test oracle.
     """
     if n < 1:
         raise BehaviorError("sample size must be >= 1")
     if seed < 0:
         raise BehaviorError(f"seed must be >= 0, got {seed}")
-    out = np.empty((n, 2, 2, 2, 2))
-    for chunk, start in enumerate(range(0, n, _SAMPLE_CHUNK)):
-        m = min(_SAMPLE_CHUNK, n - start)
-        rng = np.random.default_rng([seed, chunk])
-        a, b, ab = _pauli_correlators(_random_states(m, rng), _random_bloch(m, rng), _random_bloch(m, rng))
-        out[start : start + m] = _tables_from_correlators(a, b, ab)
-    return out
+    return (_chunk_tables(min(_SAMPLE_CHUNK, n - start), np.random.default_rng([seed, chunk]))
+            for chunk, start in enumerate(range(0, n, _SAMPLE_CHUNK)))
+
+
+def _chunk_tables(m: int, rng: np.random.Generator) -> np.ndarray:
+    a, b, ab = _pauli_correlators(_random_states(m, rng), _random_bloch(m, rng), _random_bloch(m, rng))
+    return _tables_from_correlators(a, b, ab)
+
+
+def sample_tables(n: int, seed: int) -> np.ndarray:
+    """The n tables of the ``sample_chunks(n, seed)`` generator in one (n, 2, 2, 2, 2) array."""
+    return np.concatenate(list(sample_chunks(n, seed)))
 
 
 def sample(n: int, seed: int) -> list[Behavior]:
-    """n random quantum behaviors; see ``sample_tables`` for the distribution."""
+    """n random quantum behaviors; see ``sample_chunks`` for the distribution."""
     tables = np.clip(sample_tables(n, seed), 0.0, None)
     return [Behavior(t) for t in tables]

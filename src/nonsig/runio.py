@@ -12,6 +12,7 @@ import io
 import json
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -31,25 +32,28 @@ class ParseError(BehaviorError):
 _BLOCK_ROWS = 4096
 
 
-def _write_rows(path, header, rows, digits: int) -> None:
-    """Header, then float rows (n, k) as ``format(v, ".<digits>g")`` fields.
+def _write_rows(path, header, blocks, digits: int) -> None:
+    """Header, then the float rows of each (n, k) block as ``format(v, ".<digits>g")`` fields.
 
     Byte-identical to ``csv.writer`` with one such string per value (CRLF
-    line ends), but each block of rows goes through one %-format spec.
+    line ends), but each ``_BLOCK_ROWS`` rows of a block go through one
+    %-format spec.  Blocks are written as they come, so an iterator of
+    blocks is never held in memory at once.
     """
-    rows = np.asarray(rows, dtype=float)
     with Path(path).open("w", newline="\n") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start : start + _BLOCK_ROWS]
-            spec = (",".join([f"%.{digits}g"] * block.shape[1]) + "\r\n") * len(block)
-            fh.write(spec % tuple(block.ravel().tolist()))
+        for rows in blocks:
+            rows = np.asarray(rows, dtype=float)
+            for start in range(0, len(rows), _BLOCK_ROWS):
+                block = rows[start : start + _BLOCK_ROWS]
+                spec = (",".join([f"%.{digits}g"] * block.shape[1]) + "\r\n") * len(block)
+                fh.write(spec % tuple(block.ravel().tolist()))
 
 
 def write_curve_csv(path, curve: BoundaryCurve) -> None:
     """The scan at 17 digits; ``converged`` 1.0/0.0 prints as 1/0."""
     converged = [float(p.converged) for p in curve.points]
-    _write_rows(path, SCAN_HEADER, np.column_stack([curve.s, curve.i, converged, curve.argopt_vectors()]), 17)
+    _write_rows(path, SCAN_HEADER, [np.column_stack([curve.s, curve.i, converged, curve.argopt_vectors()])], 17)
 
 
 def read_curve_csv(path) -> BoundaryCurve:
@@ -105,11 +109,12 @@ def read_curve_csv(path) -> BoundaryCurve:
 
 
 def write_xy_csv(path, s, i, digits: int = 12, header=("s", "i")) -> None:
-    _write_rows(path, header, np.column_stack([s, i]), digits)
+    _write_rows(path, header, [np.column_stack([s, i])], digits)
 
 
 def write_table_csv(path, header, rows, digits: int = 12) -> None:
-    _write_rows(path, header, rows, digits)
+    """``rows`` is one (n, k) array, or an iterator of such blocks written in turn."""
+    _write_rows(path, header, rows if isinstance(rows, Iterator) else [rows], digits)
 
 
 # ---------------------------------------------------------------------------

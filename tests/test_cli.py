@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from nonsig.behavior import behavior_to_json_dict, named
+from nonsig.behavior import _correlators_from_tables, behavior_to_json_dict, named
 from nonsig.boundary import BoundaryCurve, FeasibleSet, ScanConfig, ScanMode, scan
-from nonsig.cli import dispatch
+from nonsig.cli import _write_cloud, dispatch
+from nonsig.functionals import _mi_tables, _s_max_ab
+from nonsig.quantum import _SAMPLE_CHUNK, sample_tables
 from nonsig.runio import (
     SCAN_HEADER,
     ParseError,
@@ -537,6 +540,48 @@ class TestScanCsvProperty:
                     rc = dispatch(argv)
                 assert rc in (0, 1, 2)
                 assert bool(err.getvalue()) == (rc != 0)
+
+
+class TestCloudStream:
+    """The quantum cloud is sampled, scored and written one ``_SAMPLE_CHUNK`` at a time."""
+
+    def test_bad_count_or_seed_leaves_files_alone(self, tmp_path, capsys):
+        out = tmp_path / "cloud.csv"
+        out.write_bytes(b"earlier run\r\n")
+        for argv in (["--n", "0"], ["--n", "10", "--seed", "-1"]):
+            assert dispatch(["sample", *argv, "--out", str(out)]) == 1, argv
+            assert capsys.readouterr().err.startswith("validation error: "), argv
+            assert out.read_bytes() == b"earlier run\r\n", argv
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.csv"]
+        outdir = tmp_path / "f5"
+        assert dispatch(["repro", "fig5", "--n", "0", "--outdir", str(outdir)]) == 1
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_chunk_boundaries_leave_no_trace(self, tmp_path, full):
+        n, seed = 2 * _SAMPLE_CHUNK + 17, 4
+        tables = sample_tables(n, seed)
+        a, b, ab = _correlators_from_tables(tables)
+        s, i = _s_max_ab(ab), _mi_tables(tables)
+        ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+        if full:
+            header = ["s", "i", "a0", "a1", "b0", "b1", "c00", "c01", "c10", "c11"]
+            write_table_csv(ref, header, np.column_stack([s, i, a, b, ab.reshape(-1, 4)]))
+        else:
+            write_xy_csv(ref, s, i)
+        _write_cloud(out, n, seed, full=full)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_memory_does_not_grow_with_n(self, tmp_path):
+        def peak(chunks):
+            tracemalloc.start()
+            try:
+                _write_cloud(tmp_path / "cloud.csv", chunks * _SAMPLE_CHUNK, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16) <= 1.2 * peak(4)
 
 
 class TestRepro:
