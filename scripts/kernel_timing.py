@@ -1,5 +1,5 @@
 """Median microseconds per call of the boundary solver's penalty kernel, and
-per iteration of the Newton tail of the penalty schedule.
+per iteration of each stage of the penalty schedule.
 
 Usage: PYTHONPATH=src python scripts/kernel_timing.py
 
@@ -8,17 +8,18 @@ value with gradient, for NS MIN at s = 2.9 and for the arcsin-capped C MAX at
 s = 2.5.  The rows are starts drawn by the solver's own start builder, and
 the penalty stage is mu = 1e3, eps = 1e-3.
 
-Then times the Newton tail (``_newton`` at mu = 1e5 and 1e6), started where
-the gradient-descent stages leave the rows, on two blocks: the
-50 rows of one NS MAX point at s = 3.3 (one ``optimize_at_s`` at 50
-restarts) and 256 NS MIN rows, 32 points on [2.5, 3.1] at 8 starts each (one
-fig6 block); and started at the lower-boundary family's points of the 100
-scores of the benchmark's fig6 grid on [2.5, 3.1], one row each, as NS MIN
-scans start them.  Per stage it prints the iterations until every row has
-finished, the microseconds per iteration, and per iteration the value-only
-kernel calls and the value+gradient+Hessian calls.  Every iteration is one
-batched linear solve; the last two columns are the rows it solves on average
-and the Armijo trials (step lengths tried) per row and iteration.
+Then times ``_newton`` on each of the six stages (mu = 10 to 1e6), each
+started where the stage before it leaves the rows, as ``_solve`` runs them,
+from random starts on two blocks: the 50 rows of one NS MAX point at s = 3.3
+(one ``optimize_at_s`` at 50 restarts) and 256 NS MIN rows, 32 points on
+[2.5, 3.1] at 8 starts each (one fig6 block); and on the two tail stages
+only, started at the lower-boundary family's points of the 100 scores of the
+benchmark's fig6 grid on [2.5, 3.1], one row each, as NS MIN scans start
+them.  Per stage it prints the iterations until every row has finished, the
+microseconds per iteration, and per iteration the value-only kernel calls
+and the value+gradient+Hessian calls.  Every iteration is one batched linear
+solve; the last two columns are the rows it solves on average and the Armijo
+trials (step lengths tried) per row and iteration.
 
 Last it times the family solve itself (``_family_vectors``, the 2-D Newton
 in a) in microseconds per score, at 1 score (s = 2.6) and at 100 scores
@@ -44,7 +45,7 @@ CASES = (
     ("c_max_capped", FeasibleSet.C, ScanMode.MAX, True, 2.5),
 )
 ROWS = (1, 10, 100, 256, 1000)
-DESCENT_CASES = (
+BLOCK_CASES = (
     ("ns_max point", FeasibleSet.NS, ScanMode.MAX, np.array([3.3]), 50),
     ("ns_min block", FeasibleSet.NS, ScanMode.MIN, np.linspace(2.5, 3.1, 32), 8),
 )
@@ -64,21 +65,12 @@ def per_call_us(geo, off, z, grad: bool) -> float:
     return statistics.median(samples)
 
 
-def tail_start(set_, mode, grid, restarts):
-    """The block's job and its rows as the gradient-descent stages leave them."""
+def random_start(set_, mode, grid, restarts):
+    """The block's job and its random starts, drawn as scans draw them."""
     points = _geometry(set_, mode, False).at(grid)
     starts = [_starts(points.take([j]), restarts, np.random.default_rng([0, j])) for j in range(len(grid))]
     owner = np.repeat(np.arange(len(starts)), [len(z) for z in starts])
-    job = points.take(owner)
-    z = np.concatenate(starts)
-    alpha = np.full(len(z), 0.05)
-    for k in range(len(boundary._INNER_ITERS)):
-        np.maximum(alpha, 1e-6, out=alpha)
-        z = boundary._gradient_descent(
-            job, z, alpha, boundary._MU_SCHEDULE[k], boundary._EPS_SCHEDULE[k],
-            boundary._INNER_ITERS[k], boundary._GTOLS[k],
-        )
-    return job, z
+    return points.take(owner), np.concatenate(starts)
 
 
 def family_start(grid):
@@ -87,11 +79,10 @@ def family_start(grid):
     return points, _z_from_vector(points, _family_vectors(grid))
 
 
-def tail_stages(job, z):
-    """Each Newton stage's (mu, eps, start rows), run in turn as ``_solve`` runs them."""
+def stages(job, z, outers):
+    """Each of the last ``outers`` stages' (mu, eps, start rows), run in turn as ``_solve`` runs them."""
     out = []
-    for k in range(len(boundary._INNER_ITERS), len(boundary._MU_SCHEDULE)):
-        mu, eps = boundary._MU_SCHEDULE[k], boundary._EPS_SCHEDULE[k]
+    for mu, eps in zip(boundary._MU_SCHEDULE[-outers:], boundary._EPS_SCHEDULE[-outers:]):
         out.append((mu, eps, z.copy()))
         z, _ = boundary._newton(job, z, mu, eps)
     return out
@@ -153,15 +144,18 @@ def main() -> None:
             both = per_call_us(geo, off, z, True)
             print(f"{name:<14}{rows:>6}{value:>10.1f}{both:>12.1f}")
 
-    print("\nNewton tail (mu = 1e5, 1e6), per iteration")
+    print("\nNewton stages, per iteration")
     print(
         f"{'case':<14}{'rows':>6}{'mu':>7}{'iters':>7}{'us/iter':>10}{'value/iter':>12}"
         f"{'hess/iter':>11}{'rows/solve':>12}{'trials/row':>12}"
     )
-    blocks = [(name, *tail_start(set_, mode, grid, restarts)) for name, set_, mode, grid, restarts in DESCENT_CASES]
-    blocks.append(("ns_min family", *family_start(FIG6_GRID)))
-    for name, job, z0 in blocks:
-        for mu, eps, z in tail_stages(job, z0):
+    blocks = [
+        (name, *random_start(set_, mode, grid, restarts), len(boundary._MU_SCHEDULE))
+        for name, set_, mode, grid, restarts in BLOCK_CASES
+    ]
+    blocks.append(("ns_min family", *family_start(FIG6_GRID), boundary._TAIL_STAGES))
+    for name, job, z0, outers in blocks:
+        for mu, eps, z in stages(job, z0, outers):
             iterations, value, hess, solved, trials = newton_counts(job, z, mu, eps)
             us = per_stage_us(job, z, mu, eps) / iterations
             print(

@@ -10,29 +10,26 @@ at p = 0 is softened on a schedule so iterates can slide along positivity
 facets, and every reported value is re-evaluated exactly after an exact
 feasibility repair.
 
-The penalty subproblems are solved on the restarts of many grid points at
-once as one batched array program, with two inner solvers.  The first four
-stages (mu = 10 to 1e4) run gradient descent with Armijo backtracking
-(spectral trial steps); the two stiffest (mu = 1e5 and 1e6) run
-Levenberg-Marquardt-damped Newton, its Hessian one product of per-row
-weights with the constant outer products of the kernel's rows.  Both keep
-the rows still working compacted, and the backtracking trials of all rows
-that need them share kernel calls, each capped at ``_BLOCK_ROWS`` rows like
-the blocks themselves.  Each row stops by its own rules: in descent at its
-gradient tolerance, after a failed line search or a 15-iteration stall; in
-Newton at ``_NEWTON_GTOL``, which makes it ``converged`` after the last
-stage, or at a step below the rounding of z.  ``_finish`` alone builds each
-point's ``ScanPoint`` from its best exactly evaluated row, with that row's
-flag; the audits and ``_refine`` replace these records only through ``_better``.
+The penalty subproblems are solved on the starts of many grid points at
+once as one batched array program, by one inner solver on every stage:
+Levenberg-Marquardt-damped Newton with Armijo backtracking, its Hessian one
+product of per-row weights with the constant outer products of the kernel's
+rows.  It keeps the rows still working compacted, and the backtracking
+trials of all rows that need them share kernel calls, each capped at
+``_BLOCK_ROWS`` rows like the blocks themselves.  Each row stops by its own
+rules: at ``_NEWTON_GTOL``, which makes it ``converged`` after the last
+stage, at a step below the rounding of z, or after ``_NEWTON_ITERS``
+iterations.  ``_finish`` alone builds each point's ``ScanPoint`` from its
+best exactly evaluated row, with that row's flag; the random results and
+``_refine`` replace these records only through ``_better``.
 
-NS and SYM MIN solves start every point at the least-I point of a
-two-parameter family of behaviors (both marginals a = (a0, a1) and
-C = a a^T + t sigma), found by a batched 2-D damped Newton in a
-(``_family_vectors``, the curve ``ns_min``), and run only the Newton tail
-from it.  The random restarts become an audit: they run the full schedule
-only on every ``_AUDIT_EVERY``-th grid point and where the family point is
-closer to a facet than the last descent stage's softening width, and a
-result of theirs replaces the family's only if it is strictly better.
+Where a kind has a known witness, each point starts there and runs only the
+Newton tail (``curves.witness_vectors``): NS and SYM MIN at the least-I
+point of a two-parameter family of behaviors (both marginals a = (a0, a1)
+and C = a a^T + t sigma, found by a batched 2-D damped Newton in a; the
+curve ``ns_min``), NS and SYM MAX at ``ns_max`` and capped C MAX at
+``qc_max``.  Random restarts run the full schedule on every MAX point and
+every point without a witness; on MIN they are an audit (``_solve_points``).
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import curves
 from .behavior import (
     CHSH_SLOT_SIGNS,
     BehaviorError,
@@ -54,12 +52,9 @@ from .functionals import TSIRELSON, _info, _s_max_ab
 #: Probability floor used inside entropy *gradients* only; values use exact 0 log 0 = 0.
 GRAD_FLOOR = 1e-12
 
+#: Penalty weights by stage; every stage runs ``_newton``, capped at
+#: ``_NEWTON_ITERS`` iterations and done at ``_NEWTON_GTOL``.
 _MU_SCHEDULE = (10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
-#: Iteration caps and gradient tolerances of the gradient-descent stages, the
-#: first ``len(_INNER_ITERS)`` of the schedule; the stiff stages after them run
-#: ``_newton``, capped at ``_NEWTON_ITERS`` and done at ``_NEWTON_GTOL``.
-_INNER_ITERS = (60, 60, 80, 80)
-_GTOLS = (1e-4, 3e-5, 1e-5, 3e-6)
 _NEWTON_ITERS = 30
 _NEWTON_GTOL = 1e-9
 #: Least Levenberg-Marquardt damping of a Newton step, relative to the Hessian's scale.
@@ -88,8 +83,9 @@ class ScanMode(Enum):
 class ScanConfig:
     """Grid scan configuration; ``qtilde_cap`` adds the four arcsin facets.
 
-    ``restarts`` is the number of random starts per point, and for NS and
-    SYM MIN scans per audited point (see ``scan``).
+    ``restarts`` is the number of random starts per point, which run next to
+    the witness start where the kind has one; for NS and SYM MIN scans they
+    run only on audited points (see ``_solve_points``).
     """
 
     set: FeasibleSet
@@ -390,34 +386,6 @@ def _penalty(
 # inner solver
 
 
-def _project_arcsin_facet(geo: _Geometry, off: np.ndarray, z: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Drop the gradient component that pushes across an active arcsin facet.
-
-    The facet is curved, so at large mu a raw step into it gets rejected down
-    to microscopic lengths and tangential progress dies with it.  Projecting
-    the gradient keeps rows sliding along the facet; the normal drift is
-    handled by the penalty equilibrium and the final repair.
-    """
-    c4 = off[_C4].T + z @ geo.map[_C4].T
-    e = _qtilde_exprs(c4)
-    worst = np.argmax(np.abs(e), axis=1)
-    rows = np.arange(len(z))
-    active = np.abs(e[rows, worst]) >= np.pi - 1e-6
-    if not active.any():
-        return grad
-    sign = np.sign(e[rows, worst])
-    coeff = np.ones((len(z), 4))
-    coeff[rows, worst] = -1.0
-    gn = (sign[:, None] * coeff * _arcsin_slope(c4)) @ geo.map[_C4]
-    norms = np.linalg.norm(gn, axis=1)
-    dots = (grad * gn).sum(axis=1)
-    mask = active & (dots < 0.0) & (norms > 1e-12)
-    if mask.any():
-        grad = grad.copy()
-        grad[mask] -= (dots[mask] / norms[mask] ** 2)[:, None] * gn[mask]
-    return grad
-
-
 def _retire(
     keep: np.ndarray, act: np.ndarray, full: tuple, part: tuple, off: np.ndarray
 ) -> tuple[np.ndarray, tuple, np.ndarray]:
@@ -434,89 +402,6 @@ def _retire(
     for whole, rows in zip(full, part):
         whole[act[gone]] = rows[gone]
     return act[keep], tuple(rows[keep] for rows in part), off[:, keep]
-
-
-def _gradient_descent(
-    job: _Job, z: np.ndarray, alpha: np.ndarray, mu: float, eps: float, max_iter: int, gtol: float
-) -> np.ndarray:
-    """Armijo-backtracked gradient descent on the penalty, batched over rows.
-
-    A row is done when its gradient norm drops below ``gtol`` or its value
-    stalls (no measurable progress over a 15-iteration window, the realistic
-    endpoint on the stiff boundary-hugging subproblems).  Rows whose line
-    search fails all 30 trials are frozen.  Step sizes persist across calls
-    through ``alpha``.  A row stops by its own rules only, so a point solves
-    the same in a block as alone.
-
-    The active rows' state lives in compacted arrays and is written back once,
-    when a row leaves.  A line search tries every active row's alpha in one
-    kernel call; the rows that fail it try alpha/2, alpha/4, ... in batches of
-    up to ``_TRIAL_BATCH`` trials per call, and each takes its first trial
-    that meets Armijo: the step that halving one trial at a time would take.
-    """
-    geo = job.geo
-    d = z.shape[1]
-    fa, ga = _penalty(geo, job.off, z, mu, eps)
-    if geo.qtilde_cap:
-        ga = _project_arcsin_facet(geo, job.off, z, ga)
-    full = (z, alpha)
-    act = np.arange(z.shape[0])
-    za, aa, ma, offa = z.copy(), alpha.copy(), fa.copy(), job.off  # ma: fa at the last stall check
-    for it in range(max_iter):
-        gn2 = (ga * ga).sum(axis=1)
-        keep = gn2 > gtol * gtol
-        act, (za, aa, fa, ga, ma), offa = _retire(keep, act, full, (za, aa, fa, ga, ma), offa)
-        if not act.size:
-            break
-        gn2 = gn2[keep]
-
-        z0 = za  # the iterate the spectral step measures its move from
-        cand = za - aa[:, None] * ga
-        fc = _penalty(geo, offa, cand, mu, eps, grad=False)
-        ok = fc <= fa - 1e-4 * aa * gn2
-        za = np.where(ok[:, None], cand, za)
-        fa = np.where(ok, fc, fa)
-        fail = np.flatnonzero(~ok)  # rows whose alpha is a failed trial
-        tried = 1
-        while fail.size and tried < 30:
-            width = max(1, min(_TRIAL_BATCH, 30 - tried, _BLOCK_ROWS // fail.size))
-            steps = np.ldexp(aa[fail, None], -1 - np.arange(width))  # (failing, width): halved alphas
-            cand = za[fail, None] - steps[:, :, None] * ga[fail, None]
-            off = np.repeat(offa[:, fail], width, axis=1)
-            fc = _penalty(geo, off, cand.reshape(-1, d), mu, eps, grad=False).reshape(-1, width)
-            ok = fc <= fa[fail, None] - 1e-4 * steps * gn2[fail, None]
-            hit = ok.any(axis=1)
-            took, first = np.flatnonzero(hit), ok.argmax(axis=1)[hit]
-            rows = fail[took]
-            za[rows], fa[rows], aa[rows] = cand[took, first], fc[took, first], steps[took, first]
-            missed = np.flatnonzero(~hit)
-            fail = fail[missed]
-            aa[fail] = steps[missed, -1]
-            tried += width
-        if fail.size:  # stuck: all 30 trials failed; alpha halves after the last, as after each
-            aa[fail] *= 0.5
-            keep = np.ones(act.size, dtype=bool)
-            keep[fail] = False
-            act, (za, aa, fa, ga, ma, z0), offa = _retire(keep, act, full, (za, aa, fa, ga, ma, z0), offa)
-
-        if act.size:
-            fa, g = _penalty(geo, offa, za, mu, eps)
-            if geo.qtilde_cap:
-                g = _project_arcsin_facet(geo, offa, za, g)
-            # spectral (Barzilai-Borwein) trial step for the next line search
-            dz = za - z0
-            dg = g - ga
-            denom = (dg * dg).sum(axis=1)
-            num = (dz * dg).sum(axis=1)
-            bb = np.divide(num, denom, out=aa, where=denom > 1e-300)
-            aa = np.minimum(np.maximum(np.abs(bb), 1e-8), 1.0)
-            ga = g
-        if (it + 1) % 15 == 0:  # rows without progress since the last check leave; NaN rows stay
-            keep = ~((ma - fa) <= 5e-12 * (1.0 + np.abs(fa)))
-            act, (za, aa, fa, ga), offa = _retire(keep, act, full, (za, aa, fa, ga), offa)
-            ma = fa.copy()
-    _retire(np.zeros(act.size, dtype=bool), act, full, (za, aa), offa)
-    return z
 
 
 def _rounding(f: np.ndarray) -> np.ndarray:
@@ -596,22 +481,12 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray
 
 
 def _solve(job: _Job, z0: np.ndarray, outers: int = len(_MU_SCHEDULE)) -> tuple[np.ndarray, np.ndarray]:
-    """Run the penalty schedule (last ``outers`` stages) from stacked starts:
-    gradient descent on the stages ``_INNER_ITERS`` covers, damped Newton on
-    the stiff ones after them.
-
-    Row k starts at ``z0[k]`` and solves at score ``job.s[k]``.  Returns the
-    solved iterates and their convergence flags.
-    """
+    """Run the last ``outers`` stages of the penalty schedule through ``_newton``
+    from stacked starts: row k starts at ``z0[k]`` and solves at score
+    ``job.s[k]``.  Returns the solved iterates and their last stage's flags."""
     z = np.array(z0, dtype=float)
-    alpha = np.full(z.shape[0], 0.05)
-    for k in range(len(_MU_SCHEDULE) - outers, len(_MU_SCHEDULE)):
-        mu, eps = _MU_SCHEDULE[k], _EPS_SCHEDULE[k]
-        if k < len(_INNER_ITERS):
-            np.maximum(alpha, 1e-6, out=alpha)
-            z = _gradient_descent(job, z, alpha, mu, eps, _INNER_ITERS[k], _GTOLS[k])
-        else:
-            z, met = _newton(job, z, mu, eps)
+    for mu, eps in zip(_MU_SCHEDULE[-outers:], _EPS_SCHEDULE[-outers:]):
+        z, met = _newton(job, z, mu, eps)
     return z, met
 
 
@@ -774,14 +649,25 @@ def _x_from_z(job: _Job, z: np.ndarray) -> np.ndarray:
     return job.off[_X].T + z @ job.geo.map[_X].T
 
 
+#: Most a repaired point's score may exceed s by: the rounding of its dominance slacks.
+_SCORE_ROUNDING = 1e-15
+
+
 def _shrink_lambda(job: _Job, z: np.ndarray) -> np.ndarray:
     """Largest scaling of z (toward the anchor at z = 0) keeping the linear facets.
 
-    Slacks are affine in z, so the bound is exact.
+    Slacks are affine in z, so the bound is exact.  A dominance slack short
+    by at most ``_SCORE_ROUNDING`` counts as met: near s = 0 the anchor's
+    dominance slacks are ~s, and shrinking off such a violation would lift
+    probabilities at 0, where I has infinite slope, by ~1e-16 / s.
     """
     slack_move = z @ job.geo.map[_FACETS].T  # (r, 23), slack(lam*z) = off + lam*slack_move
+    off = job.off[_FACETS].T
+    short = slack_move < -1e-13
+    dom = slice(_DOM.start - _FACETS.start, None)  # the dominance facets among the facets
+    short[:, dom] &= (off + slack_move)[:, dom] < -_SCORE_ROUNDING
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lam_j = np.where(slack_move < -1e-13, job.off[_FACETS].T / (-slack_move), np.inf)
+        lam_j = np.where(short, off / (-slack_move), np.inf)
     lam = np.minimum(1.0, lam_j.min(axis=-1))
     return np.clip(lam, 0.0, 1.0)
 
@@ -891,10 +777,10 @@ def _z_from_vector(points: _Job, vec8: np.ndarray) -> np.ndarray:
 #: minor page faults per call were observed to jump from about 384 rows on,
 #: and fig6_scan ran 8-9% slower in the median at 384 than at 256.
 _BLOCK_ROWS = 256
-#: Most backtracking trials (alpha/2, alpha/4, ...) of one row in one kernel call.
+#: Most backtracking trials (step halvings) of one row in one kernel call.
 _TRIAL_BATCH = 8
-#: The Newton tail: the stages after the gradient-descent ones.
-_TAIL_STAGES = len(_MU_SCHEDULE) - len(_INNER_ITERS)
+#: The Newton tail, the two stiffest stages: all that witness starts and refinement offers run.
+_TAIL_STAGES = 2
 #: Every ``_AUDIT_EVERY``-th point of an NS or SYM MIN grid also runs its random starts.
 _AUDIT_EVERY = 10
 
@@ -981,34 +867,49 @@ def _refine(points: _Job, vals: list[ScanPoint]) -> list[ScanPoint]:
     return vals
 
 
+#: The curve whose witnesses start each kind's points; the other kinds have none.
+_WITNESS_CURVES = {
+    (FeasibleSet.NS, ScanMode.MIN, False): "ns_min",
+    (FeasibleSet.SYM, ScanMode.MIN, False): "ns_min",
+    (FeasibleSet.NS, ScanMode.MAX, False): "ns_max",
+    (FeasibleSet.SYM, ScanMode.MAX, False): "ns_max",
+    (FeasibleSet.C, ScanMode.MAX, True): "qc_max",
+}
+
+
 def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
     """Solve every point of ``points``; point k draws its random starts from
     ``default_rng(seeds[k])``.
 
-    NS and SYM MIN points start at the lower-boundary family's least-I point
-    (``_family_vectors``), which only the Newton tail solves, all points in
-    one ``_solve_grid`` call; the tail doubles as the start's KKT check.
-    Their ``restarts`` random starts run the full schedule only on audited
-    points: every ``_AUDIT_EVERY``-th grid index, and every point whose
-    family start has a facet slack below the softening width of the last
-    descent stage.  An audit result replaces the family result only if it
-    is ``_better``; such a win would be a point below the family.  Every
-    other set and mode solves its random starts over the full schedule.
-    Every set and mode ends with ``_refine``.
+    Each point inside the domain of its kind's witness curve
+    (``_WITNESS_CURVES``) starts at that witness, which only the Newton tail
+    solves, all such points in one ``_solve_grid`` call; the tail doubles as
+    the start's KKT check.  The ``restarts`` random starts run the full
+    schedule on every point, except on a MIN point with a witness: there
+    they are an audit, run on every ``_AUDIT_EVERY``-th grid index and where
+    the witness has a facet slack below the softening width of the last
+    stage before the tail.  A random result replaces the witness's only if
+    it is ``_better`` (on MIN, a point below the family).  All end with
+    ``_refine``.
     """
     geo, n = points.geo, len(points.s)
-
-    def starts(ks) -> list[np.ndarray]:
-        return [_starts(points.take([k]), restarts, np.random.default_rng(seeds[k])) for k in ks]
-
-    if geo.mode is not ScanMode.MIN or geo.set is FeasibleSet.C:
-        return _refine(points, _solve_grid(points, starts(range(n))))
-    z = _z_from_vector(points, _family_vectors(points.s))
-    vals = _solve_grid(points, list(z[:, None]), outers=_TAIL_STAGES)
-    slack = (points.off[_FACETS].T + z @ geo.map[_FACETS].T).min(axis=1)
-    audited = np.flatnonzero((np.arange(n) % _AUDIT_EVERY == 0) | (slack < _EPS_SCHEDULE[len(_INNER_ITERS) - 1]))
-    for k, audit in zip(audited, _solve_grid(points.take(audited), starts(audited))):
-        vals[k] = _better(geo.sigma, vals[k], audit)
+    vals: list = [None] * n
+    audit = np.ones(n, dtype=bool)
+    curve = _WITNESS_CURVES.get((geo.set, geo.mode, geo.qtilde_cap))
+    lo, hi = curves.CURVE_DOMAINS[curves.CurveId(curve)] if curve else (np.inf, -np.inf)
+    has = np.flatnonzero((points.s >= lo - curves._DOMAIN_SLACK) & (points.s <= hi + curves._DOMAIN_SLACK))
+    if has.size:
+        wit = points.take(has)
+        z = _z_from_vector(wit, curves.witness_vectors(curve, wit.s))
+        for k, p in zip(has, _solve_grid(wit, list(z[:, None]), outers=_TAIL_STAGES)):
+            vals[k] = p
+        if geo.mode is ScanMode.MIN:
+            slack = (wit.off[_FACETS].T + z @ geo.map[_FACETS].T).min(axis=1)
+            audit[has] = (has % _AUDIT_EVERY == 0) | (slack < _EPS_SCHEDULE[-_TAIL_STAGES - 1])
+    audited = np.flatnonzero(audit)
+    starts = [_starts(points.take([k]), restarts, np.random.default_rng(seeds[k])) for k in audited]
+    for k, p in zip(audited, _solve_grid(points.take(audited), starts)):
+        vals[k] = p if vals[k] is None else _better(geo.sigma, vals[k], p)
     return _refine(points, vals)
 
 
@@ -1028,9 +929,10 @@ def optimize_at_s(
     """Extremize the mutual information at CHSH score exactly s.
 
     Multi-start local search; deterministic given ``seed``.  A query is a
-    one-point grid at index 0 (see ``_solve_points``), so an NS or SYM MIN
-    query is always audited: it runs its ``restarts`` random starts over the
-    full schedule and the family start over the Newton tail.
+    one-point grid at index 0 (see ``_solve_points``): it runs its
+    ``restarts`` random starts over the full schedule (an NS or SYM MIN
+    query is always audited) and, where its kind has a witness at s
+    (``ns_min``, ``ns_max`` or ``qc_max``), that witness over the Newton tail.
     """
     set_ = FeasibleSet(set_) if isinstance(set_, str) else set_
     mode = ScanMode(mode) if isinstance(mode, str) else mode

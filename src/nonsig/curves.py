@@ -3,9 +3,9 @@
 Every curve is realized by an explicit family of behaviors; the curve value
 is the mutual information of that behavior, so the entropy formulas live in
 exactly one place (``functionals``) and the g-expression forms stay
-available as independent test oracles.  ``_points`` builds the witness
-tables of a whole array of scores at once; values, witnesses and grids all
-come from it.
+available as independent test oracles.  ``witness_vectors`` builds the
+witness correlators of a whole array of scores at once; values, witnesses,
+grids and the boundary solver's MIN and MAX starts all come from it.
 
 All curves but one are closed forms.  ``ns_min`` is a 2-D minimization: the
 least I over a two-parameter family of non-signaling behaviors (both
@@ -22,16 +22,16 @@ from enum import Enum
 
 import numpy as np
 
+from . import boundary
 from .behavior import (
     INTERNAL_TOL,
     Behavior,
     BehaviorError,
     BehaviorTag,
     _tables_from_correlators,
-    named,
+    named_correlators,
     validate,
 )
-from .boundary import _family_vectors
 from .functionals import TSIRELSON, _mi_tables
 
 _DOMAIN_SLACK = 1e-9
@@ -68,10 +68,10 @@ CURVE_DOMAINS = {
 #: - BELL_PR_MIN, the minimum beyond Tsirelson: all four correlators at
 #:   magnitude s/4, so the curve equals 4 g(s/4).
 _MIXTURES = {
-    CurveId.LOCAL_MAX: (named(BehaviorTag.P0), named(BehaviorTag.SC_TILDE)),
-    CurveId.C_NONLOCAL_MAX: (named(BehaviorTag.SC), named(BehaviorTag.PR)),
-    CurveId.LD_PR_MAX: (named(BehaviorTag.LD_ALLONES), named(BehaviorTag.PR)),
-    CurveId.BELL_PR_MIN: (named(BehaviorTag.BELL), named(BehaviorTag.PR)),
+    CurveId.LOCAL_MAX: (BehaviorTag.P0, BehaviorTag.SC_TILDE),
+    CurveId.C_NONLOCAL_MAX: (BehaviorTag.SC, BehaviorTag.PR),
+    CurveId.LD_PR_MAX: (BehaviorTag.LD_ALLONES, BehaviorTag.PR),
+    CurveId.BELL_PR_MIN: (BehaviorTag.BELL, BehaviorTag.PR),
 }
 
 
@@ -104,58 +104,61 @@ def w(s):
 
 def _mixture(curve: CurveId, s: np.ndarray) -> np.ndarray:
     lo, hi = CURVE_DOMAINS[curve]
-    lam = ((s - lo) / (hi - lo))[:, None, None, None, None]
-    p, q = _MIXTURES[curve]
-    return (1.0 - lam) * p.table + lam * q.table
+    lam = ((s - lo) / (hi - lo))[:, None]
+    p, q = (named_correlators(tag).vector() for tag in _MIXTURES[curve])
+    return (1.0 - lam) * p + lam * q
 
 
-def _points(curve: CurveId, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Witness tables (n, 2, 2, 2, 2) and their I (n,) for in-domain scores s (n,)."""
+def _tables(x: np.ndarray) -> np.ndarray:
+    """Probability tables (..., 2, 2, 2, 2) of correlator vectors x (..., 8), rounding below 0 clipped."""
+    p = _tables_from_correlators(x[..., :2], x[..., 2:4], x[..., 4:].reshape(*x.shape[:-1], 2, 2))
+    return np.clip(p, 0.0, None)
+
+
+def witness_vectors(curve: CurveId | str, s) -> np.ndarray:
+    """Correlator vectors (n, 8) of the curve's witness behaviors at scores s (n,)."""
+    curve = _curve_id(curve)
+    s = _in_domain(curve, np.ravel(s))
     if curve in _MIXTURES:
-        tables = _mixture(curve, s)
-        return tables, _mi_tables(tables)
+        return _mixture(curve, s)
     if curve is CurveId.NS_MAX:
         # the local maximum up to S = 2, then the larger of the two edges into the PR box
         low = s <= 2.0
-        first = np.where(
-            low[:, None, None, None, None],
-            _mixture(CurveId.LOCAL_MAX, np.minimum(s, 2.0)),
-            _mixture(CurveId.LD_PR_MAX, np.maximum(s, 2.0)),
-        )
+        local, edge = _mixture(CurveId.LOCAL_MAX, np.minimum(s, 2.0)), _mixture(CurveId.LD_PR_MAX, np.maximum(s, 2.0))
+        first = np.where(low[:, None], local, edge)
         second = _mixture(CurveId.C_NONLOCAL_MAX, np.maximum(s, 2.0))
-        i_first, i_second = _mi_tables(np.stack([first, second]))
-        keep = low | (i_first >= i_second)
-        return np.where(keep[:, None, None, None, None], first, second), np.where(keep, i_first, i_second)
+        i_first, i_second = _mi_tables(_tables(np.stack([first, second])))
+        return np.where((low | (i_first >= i_second))[:, None], first, second)
     if curve is CurveId.QC_MAX:
         # correlators (w, w, w, 3w - s) with unbiased marginals; closed form 3 g(w) + g(3w - s)
         ws = w(s)
-        a = b = np.zeros((len(s), 2))
-        ab = np.stack([ws, ws, ws, 3.0 * ws - s], axis=-1)
-    elif curve is CurveId.NS_MIN:
+        return np.column_stack([np.zeros((len(s), 4)), ws, ws, ws, 3.0 * ws - s])
+    if curve is CurveId.NS_MIN:
         # the family's least-I point: a product up to S = 2, the isotropic PR mixture from 2 sqrt 2
-        x = _family_vectors(s)
-        a, b, ab = x[:, :2], x[:, 2:4], x[:, 4:]
-    else:
-        # LOCAL_MIN: a product behavior attaining S = s, so I is identically zero
-        half, zero = s / 2.0, np.zeros(len(s))
-        a, b = np.ones((len(s), 2)), np.stack([half, zero], axis=-1)
-        ab = np.stack([half, zero, half, zero], axis=-1)
-    tables = np.clip(_tables_from_correlators(a, b, ab.reshape(-1, 2, 2)), 0.0, None)
-    return tables, np.zeros(len(s)) if curve is CurveId.LOCAL_MIN else _mi_tables(tables)
+        return boundary._family_vectors(s)
+    # LOCAL_MIN: a product behavior attaining S = s, so I is identically zero
+    half, zero, one = s / 2.0, np.zeros(len(s)), np.ones(len(s))
+    return np.column_stack([one, one, half, zero, half, zero, half, zero])
+
+
+def _points(curve: CurveId, s) -> tuple[np.ndarray, np.ndarray]:
+    """Witness tables (n, 2, 2, 2, 2) and their I (n,) at scores s (n,)."""
+    tables = _tables(witness_vectors(curve, s))
+    return tables, np.zeros(len(tables)) if curve is CurveId.LOCAL_MIN else _mi_tables(tables)
 
 
 def curve_value(curve: CurveId | str, s):
     """I on the curve at score s: a float for a float, an array for an array."""
     curve = _curve_id(curve)
     s = np.asarray(s, dtype=float)
-    i = _points(curve, _in_domain(curve, s.ravel()))[1]
+    i = _points(curve, s)[1]
     return float(i[0]) if s.ndim == 0 else i.reshape(s.shape)
 
 
 def curve_witness(curve: CurveId | str, s: float) -> Behavior:
     """The explicit behavior realizing the curve point (s, curve(s))."""
     curve = _curve_id(curve)
-    tables = _points(curve, _in_domain(curve, [s]))[0]
+    tables = _points(curve, s)[0]
     return validate(tables[0], tol=INTERNAL_TOL)
 
 

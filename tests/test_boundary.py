@@ -221,19 +221,61 @@ def small_scans(draw, lo, hi):
 
 
 class TestScanWitnessProperty:
-    # The MAX witnesses are left out until MAX starts stop being purely random.
-    # ns_max: of 60 random 1-restart NS MAX scans of this size, 5 ended a
-    # grid-end point 2e-3 to 0.058 bits below it.  qc_max: the capped C MAX
-    # scan (2.5625, 2.75, 2 points, 1 restart, seed 2) ends its first point
-    # 0.10 bits below it, converged, on another stationary point of the arcsin
-    # facet; its neighbour's offer repairs to a lower I, so it is not taken.
-
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from([FeasibleSet.NS, FeasibleSet.SYM]), small_scans(0.0, 4.0))
     def test_min_scan_never_above_ns_min(self, set_, grid):
         s_lo, s_hi, n, restarts, seed = grid
         curve = scan(ScanConfig(set_, ScanMode.MIN, s_lo, s_hi, grid_points=n, restarts=restarts, seed=seed))
         assert np.all(curve.i <= curve_value("ns_min", curve.s) + 1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([FeasibleSet.NS, FeasibleSet.SYM]), small_scans(0.0, 4.0))
+    def test_max_scan_never_below_ns_max(self, set_, grid):
+        s_lo, s_hi, n, restarts, seed = grid
+        curve = scan(ScanConfig(set_, ScanMode.MAX, s_lo, s_hi, grid_points=n, restarts=restarts, seed=seed))
+        assert np.all(curve.i >= curve_value("ns_max", curve.s) - 1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_scans(2.0, TSIRELSON))
+    def test_capped_max_scan_never_below_qc_max(self, grid):
+        s_lo, s_hi, n, restarts, seed = grid
+        cfg = ScanConfig(FeasibleSet.C, ScanMode.MAX, s_lo, s_hi, grid_points=n, restarts=restarts, seed=seed,
+                         qtilde_cap=True)
+        curve = scan(cfg)
+        assert np.all(curve.i >= curve_value("qc_max", curve.s) - 1e-12)
+
+    @pytest.mark.parametrize(
+        "config, witness",
+        [
+            # random starts alone ended the first point 0.058 bits below ns_max
+            (ScanConfig(FeasibleSet.NS, ScanMode.MAX, 3.2066576203674932, 3.8402836681047043, 2, 1, 3667941031),
+             "ns_max"),
+            # random starts alone ended the first point 0.10 bits below qc_max, converged, on
+            # another stationary point of the arcsin facet
+            (ScanConfig(FeasibleSet.C, ScanMode.MAX, 2.5625, 2.75, 2, 1, 2, qtilde_cap=True), "qc_max"),
+        ],
+        ids=["ns_max", "qc_max"],
+    )
+    def test_max_scan_reaches_its_witness(self, config, witness):
+        curve = scan(config)
+        assert np.max(np.abs(curve.i - curve_value(witness, curve.s))) <= 1e-12
+
+    def test_sym_max_query_reaches_ns_max(self):
+        # random starts alone ended 5.3e-7 below ns_max
+        s = 1.9720920749269704
+        r = optimize_at_s("sym", "max", s, restarts=50, seed=1429937343)
+        assert abs(r.i - curve_value("ns_max", s)) <= 1e-12
+
+
+def refined(monkeypatch, config):
+    """The points of ``scan(config)`` before ``_refine`` (the merged witness and
+    random results) and after it."""
+    from nonsig import boundary
+
+    with monkeypatch.context() as m:
+        m.setattr(boundary, "_refine", lambda points, vals: vals)
+        before = scan(config).points
+    return before, scan(config).points
 
 
 @pytest.fixture(scope="module")
@@ -306,25 +348,24 @@ class TestScan:
         assert abs(last.i - curve_value("bell_pr_min", last.s)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "s_lo, s_hi, grid_points, restarts, seed",
-        [(0.0, 4.0, 12, 4, 1), (2.0, 4.0, 10, 3, 5)],
+        "config",
+        [
+            ScanConfig(FeasibleSet.NS, ScanMode.MAX, 0.0, 4.0, grid_points=12, restarts=4, seed=1),
+            ScanConfig(FeasibleSet.NS, ScanMode.MAX, 2.0, 4.0, grid_points=10, restarts=3, seed=5),
+            ScanConfig(FeasibleSet.C, ScanMode.MAX, 2.0, 3.0, grid_points=20, restarts=4, seed=2),
+        ],
+        ids=["0.0-4.0-12-4-1", "2.0-4.0-10-3-5", "c-2.0-3.0-20-4-2"],
     )
-    def test_sweeps_only_improve(self, s_lo, s_hi, grid_points, restarts, seed):
-        from nonsig.boundary import _geometry, _solve_grid, _starts
-
-        cfg = ScanConfig(
-            set=FeasibleSet.NS, mode=ScanMode.MAX, s_lo=s_lo, s_hi=s_hi, grid_points=grid_points,
-            restarts=restarts, seed=seed,
-        )
-        points = _geometry(cfg.set, cfg.mode, cfg.qtilde_cap).at(np.linspace(s_lo, s_hi, grid_points))
-        starts = [
-            _starts(points.take([k]), restarts, np.random.default_rng([seed, k])) for k in range(grid_points)
-        ]
-        before = _solve_grid(points, starts)  # the scan's points before their refinement
-        after = scan(cfg).points
+    def test_sweeps_only_improve(self, monkeypatch, config):
+        before, after = refined(monkeypatch, config)
         assert all(a.i >= b.i for a, b in zip(after, before))
         assert all(a.converged for a, b in zip(after, before) if b.converged)
-        assert any(a.i > b.i for a, b in zip(after, before))
+
+    def test_refine_lifts_uncapped_c_max(self, monkeypatch):
+        # uncapped C MAX has no witness start; without the refinement two of
+        # its points end up to 0.28 bits short
+        before, after = refined(monkeypatch, ScanConfig(FeasibleSet.C, ScanMode.MAX, 2.0, 3.0, 20, 4, 2))
+        assert max(a.i - b.i for a, b in zip(after, before)) > 0.25
 
     def test_short_ns_max_scan_reaches_ns_max(self):
         # the sequential warm-start sweeps left the two middle points 0.058 and
@@ -560,7 +601,7 @@ class TestBlockIndependence:
         [
             ("ns", "min", np.linspace(1.6, 2.4, 9), 6, False),  # product starts below s = 2
             ("ns", "max", np.linspace(0.0, 4.0, 9), 6, False),  # anchor on a facet at 0 and 4
-            ("c", "max", np.linspace(2.0, TSIRELSON, 6), 6, True),  # arcsin projection
+            ("c", "max", np.linspace(2.0, TSIRELSON, 6), 6, True),  # the arcsin cap
             ("ns", "min", np.linspace(2.5, 3.1, 70), 16, False),  # more rows than one block
         ],
     )
@@ -595,121 +636,56 @@ class TestVerticalFill:
         assert vertical_fill_check(4.0, n_samples=16, seed=8, restarts=4)
 
 
-def sequential_descent(job, z, owner, alpha, mu, eps, max_iter, gtol):
-    """The descent loop with one backtracking trial per kernel call over freshly
-    gathered rows, the form the compacted, batched loop replaced.  Returns
-    the iterates that ``_gradient_descent`` returns, the rows at gtol or
-    stalled, and the stuck and the stalled rows."""
-    from nonsig import boundary
-
-    geo, off = job.geo, job.off
-    r = z.shape[0]
-    stuck = np.zeros(r, dtype=bool)
-    stalled = np.zeros(r, dtype=bool)
-    f, grad = boundary._penalty(geo, off, z, mu, eps)
-    if geo.qtilde_cap:
-        grad = boundary._project_arcsin_facet(geo, off, z, grad)
-    z_prev = z.copy()
-    g_prev = grad.copy()
-    f_mark = f.copy()
-    for it in range(max_iter):
-        gn2 = (grad * grad).sum(axis=1)
-        small_grad = gn2 <= gtol * gtol
-        active = ~small_grad & ~stuck & ~stalled
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        remaining = idx.copy()
-        for _trial in range(30):
-            if remaining.size == 0:
-                break
-            cand = z[remaining] - alpha[remaining, None] * grad[remaining]
-            fc = boundary._penalty(geo, off[:, remaining], cand, mu, eps, grad=False)
-            ok = fc <= f[remaining] - 1e-4 * alpha[remaining] * gn2[remaining]
-            good = remaining[ok]
-            z[good] = cand[ok]
-            f[good] = fc[ok]
-            alpha[remaining[~ok]] *= 0.5
-            remaining = remaining[~ok]
-        stuck[remaining] = True
-        moved = idx[~stuck[idx]]
-        if moved.size:
-            off_moved = off[:, moved]
-            f[moved], g_moved = boundary._penalty(geo, off_moved, z[moved], mu, eps)
-            if geo.qtilde_cap:
-                g_moved = boundary._project_arcsin_facet(geo, off_moved, z[moved], g_moved)
-            dz = z[moved] - z_prev[moved]
-            dg = g_moved - g_prev[moved]
-            denom = (dg * dg).sum(axis=1)
-            num = (dz * dg).sum(axis=1)
-            bb = np.divide(num, denom, out=alpha[moved].copy(), where=denom > 1e-300)
-            alpha[moved] = np.minimum(np.maximum(np.abs(bb), 1e-8), 1.0)
-            z_prev[moved] = z[moved]
-            g_prev[moved] = g_moved
-            grad[moved] = g_moved
-        if (it + 1) % 15 == 0:
-            live = np.bincount(owner, weights=active)[owner] > 0
-            stalled |= live & ((f_mark - f) <= 5e-12 * (1.0 + np.abs(f)))
-            f_mark = f.copy()
-    gn2 = (grad * grad).sum(axis=1)
-    return z, (gn2 <= gtol * gtol) | stalled, stuck, stalled
-
-
-class TestDescentOracle:
-    """The compacted descent with batched backtracking against the sequential
-    loop, bit for bit, with the kernel run one row at a time so that no row's
+class TestNewtonOracle:
+    """``_newton`` on a block of several points against each of its rows solved
+    alone, bit for bit, with the kernel run one row at a time so that no row's
     rounding depends on which rows share its call.
 
-    Each block holds several points and runs the full penalty schedule as
-    ``_solve`` does; its last row starts from a step far too long, so its
-    first line search exhausts all 30 trials.  The SYM MAX block has a point
-    whose only row gets stuck on a stall-check iteration.
+    Each block runs the whole penalty schedule as ``_solve`` does, from a few
+    random starts per point, and across its stages it has rows that stop at
+    ``_NEWTON_GTOL``, rows that stop at a step below the rounding of z and
+    rows that run all ``_NEWTON_ITERS`` iterations.
     """
 
     @pytest.mark.parametrize(
-        "set_, mode, qtilde_cap, grid, picks, restarts, seed",
+        "set_, mode, qtilde_cap, grid, seed",
         [
-            ("ns", "min", False, np.linspace(2.0, 4.0, 8), [2, 3, 4, 5, 6], [3, 3, 3, 3, 3], 0),
-            ("ns", "max", False, np.linspace(0.0, 4.0, 8), [0, 7, 2, 5], [3, 3, 3, 3], 0),
-            ("sym", "max", False, np.linspace(0.0, 4.0, 250), [159, 100, 40, 210], [1, 2, 3, 3], 0),
-            ("c", "max", True, np.linspace(2.0, 2.8, 4), [0, 1, 2, 3], [6, 6, 6, 6], 4),
+            ("ns", "min", False, np.linspace(1.6, 2.4, 5), 0),
+            ("ns", "max", False, np.linspace(0.0, 4.0, 5), 0),
+            ("c", "max", True, np.linspace(2.0, 2.8, 4), 4),
         ],
-        ids=["ns_min", "ns_max", "sym_max", "c_max_capped"],
+        ids=["ns_min", "ns_max", "c_max_capped"],
     )
-    def test_matches_sequential_loop(self, monkeypatch, set_, mode, qtilde_cap, grid, picks, restarts, seed):
+    def test_block_matches_rows_alone(self, monkeypatch, set_, mode, qtilde_cap, grid, seed):
         from nonsig import boundary
 
-        kernel = boundary._penalty
+        kernel, solve = boundary._penalty, np.linalg.solve
+        iterations = [0]  # of the last one-row run: one batched solve per iteration
 
-        def one_row_at_a_time(geo, off, z, mu, eps, grad=True):
-            rows = [kernel(geo, off[:, k : k + 1], z[k : k + 1], mu, eps, grad=grad) for k in range(len(z))]
-            if not grad:
-                return np.concatenate(rows)
-            return np.concatenate([f for f, _ in rows]), np.concatenate([g for _, g in rows])
+        def one_row_at_a_time(geo, off, z, mu, eps, grad=True, hess=False):
+            rows = [kernel(geo, off[:, k : k + 1], z[k : k + 1], mu, eps, grad=grad, hess=hess) for k in range(len(z))]
+            return tuple(map(np.concatenate, zip(*rows))) if grad else np.concatenate(rows)
+
+        def counted_solve(a, b):
+            iterations[0] += 1
+            return solve(a, b)
 
         monkeypatch.setattr(boundary, "_penalty", one_row_at_a_time)
-        points = boundary._geometry(FeasibleSet(set_), ScanMode(mode), qtilde_cap).at(grid[picks])
-        starts = [
-            boundary._starts(points.take([j]), n, np.random.default_rng([seed, k]))
-            for j, (k, n) in enumerate(zip(picks, restarts))
-        ]
-        owner = np.repeat(np.arange(len(starts)), [len(z) for z in starts])
-        job = points.take(owner)
-        z_ref = np.concatenate(starts)
-        alpha_ref = np.full(len(z_ref), 0.05)
-        alpha_ref[-1] = 1e12
-        z, alpha = z_ref.copy(), alpha_ref.copy()
-        seen = np.zeros(3, dtype=int)  # rows stuck, stalled, at gtol
-        for k, (mu, eps, iters, gtol) in enumerate(
-            zip(boundary._MU_SCHEDULE, boundary._EPS_SCHEDULE, boundary._INNER_ITERS, boundary._GTOLS)
-        ):
-            np.maximum(alpha_ref, 1e-6, out=alpha_ref)
-            np.maximum(alpha, 1e-6, out=alpha)
-            z_ref, met_ref, stuck, stalled = sequential_descent(
-                job, z_ref, owner, alpha_ref, mu, eps, iters, gtol
-            )
-            z = boundary._gradient_descent(job, z, alpha, mu, eps, iters, gtol)
-            assert np.array_equal(z, z_ref), f"stage {k}"
-            assert np.array_equal(alpha, alpha_ref), f"stage {k}"
-            seen += [stuck.sum(), stalled.sum(), (met_ref & ~stalled).sum()]
+        points = boundary._geometry(FeasibleSet(set_), ScanMode(mode), qtilde_cap).at(grid)
+        starts = [boundary._starts(points.take([j]), 3, np.random.default_rng([seed, j])) for j in range(len(grid))]
+        job = points.take(np.repeat(np.arange(len(grid)), 3))
+        z = np.concatenate(starts)
+        seen = np.zeros(3, dtype=int)  # rows at gtol, at a rounding-size step, at the iteration cap
+        for k, (mu, eps) in enumerate(zip(boundary._MU_SCHEDULE, boundary._EPS_SCHEDULE)):
+            block, met = boundary._newton(job, z.copy(), mu, eps)
+            for r in range(len(z)):
+                iterations[0] = 0
+                with monkeypatch.context() as m:
+                    m.setattr(np.linalg, "solve", counted_solve)
+                    alone, met_alone = boundary._newton(job.take([r]), z[r : r + 1].copy(), mu, eps)
+                assert np.array_equal(alone[0], block[r]), f"stage {k}, row {r}"
+                assert met_alone[0] == met[r], f"stage {k}, row {r}"
+                capped = iterations[0] == boundary._NEWTON_ITERS
+                seen += [met[r], not met[r] and not capped, not met[r] and capped]
+            z = block
         assert np.all(seen > 0), seen

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nonsig.behavior import INTERNAL_TOL, BehaviorError, mix, named, validate
+from nonsig.behavior import CHSH_SLOT_SIGNS, INTERNAL_TOL, BehaviorError, mix, named, validate
 from nonsig.curves import (
     CURVE_DOMAINS,
     CurveId,
@@ -14,6 +14,7 @@ from nonsig.curves import (
     curve_witness,
     ld_c_crossing,
     w,
+    witness_vectors,
 )
 from nonsig.functionals import g, mutual_information, s_max
 
@@ -134,6 +135,17 @@ class TestWitnesses:
             b = curve_witness(curve, s)
             assert s_max(b) == pytest.approx(s, abs=1e-10)
             assert mutual_information(b) == pytest.approx(curve_value(curve, s), abs=1e-10)
+
+    @pytest.mark.parametrize("curve", list(CurveId))
+    def test_vectors_are_the_witnesses_in_canonical_labeling(self, curve):
+        # the boundary solver starts at these rows, in the slice where the canonical expression is s
+        ss = np.linspace(*CURVE_DOMAINS[curve], 9)
+        x = witness_vectors(curve, ss)
+        for s, row in zip(ss, x):
+            assert np.allclose(row, curve_witness(curve, s).correlators().vector(), rtol=0.0, atol=1e-15)
+        slots = x[:, 4:] @ CHSH_SLOT_SIGNS.reshape(8, 4).T
+        assert np.allclose(slots[:, 0], ss, rtol=0.0, atol=1e-15)
+        assert np.all(slots <= ss[:, None] + 1e-15)
 
     def test_local_min_is_zero(self):
         for s in np.linspace(0, 2, 9):
