@@ -18,8 +18,10 @@ benchmark's fig6 grid on [2.5, 3.1], one row each, as NS MIN scans start
 them.  Per stage it prints the iterations until every row has finished, the
 microseconds per iteration, and per iteration the value-only kernel calls
 and the value+gradient+Hessian calls.  Every iteration is one batched linear
-solve; the last two columns are the rows it solves on average and the Armijo
-trials (step lengths tried) per row and iteration.
+solve; the last three columns are the rows it solves on average, the Armijo
+trials (step lengths tried) per row and iteration, and the share of solved
+rows whose step no trial could take because it was no descent direction
+(non-descent steps per row and iteration).
 
 Last it times the family solve itself (``_family_vectors``, the 2-D Newton
 in a) in microseconds per score, at 1 score (s = 2.6) and at 100 scores
@@ -88,21 +90,23 @@ def stages(job, z, outers):
     return out
 
 
-def newton_counts(job, z, mu, eps) -> tuple[int, int, int, int, int]:
+def newton_counts(job, z, mu, eps) -> tuple[int, int, int, int, int, int]:
     """Iterations (batched solves, one per iteration), value-only calls,
-    value+grad+Hessian calls, rows solved and step lengths tried in one stage."""
-    kinds, trials, solved = [], [0], [0]
+    value+grad+Hessian calls, rows solved, step lengths tried and non-descent
+    steps in one stage.
+
+    An iteration's first value-only call, if any, directly follows its solve
+    and tries the full step of each row whose step is a descent direction,
+    one row each; the other rows that iteration solved are non-descent steps."""
+    events = []  # (call, rows): "solve", "value" or "hess"
     solve = np.linalg.solve
 
     def counted(geo, off, zz, mu, eps, grad=True, hess=False):
-        kinds.append((grad, hess))
-        if not grad:
-            trials[0] += len(zz)
+        events.append(("hess" if hess else "grad" if grad else "value", len(zz)))
         return _penalty(geo, off, zz, mu, eps, grad=grad, hess=hess)
 
     def counted_solve(a, b):
-        solved[0] += len(a)
-        kinds.append("solve")
+        events.append(("solve", len(a)))
         return solve(a, b)
 
     boundary._penalty, np.linalg.solve = counted, counted_solve
@@ -110,7 +114,16 @@ def newton_counts(job, z, mu, eps) -> tuple[int, int, int, int, int]:
         boundary._newton(job, z.copy(), mu, eps)
     finally:
         boundary._penalty, np.linalg.solve = _penalty, solve
-    return kinds.count("solve"), kinds.count((False, False)), kinds.count((True, True)), solved[0], trials[0]
+
+    def calls(kind):
+        return sum(k == kind for k, _ in events)
+
+    def rows(kind):
+        return sum(r for k, r in events if k == kind)
+
+    following = events[1:] + [("end", 0)]
+    nondescent = sum(r - (nr if nk == "value" else 0) for (k, r), (nk, nr) in zip(events, following) if k == "solve")
+    return calls("solve"), calls("value"), calls("hess"), rows("solve"), rows("value"), nondescent
 
 
 def per_stage_us(job, z, mu, eps) -> float:
@@ -147,7 +160,7 @@ def main() -> None:
     print("\nNewton stages, per iteration")
     print(
         f"{'case':<14}{'rows':>6}{'mu':>7}{'iters':>7}{'us/iter':>10}{'value/iter':>12}"
-        f"{'hess/iter':>11}{'rows/solve':>12}{'trials/row':>12}"
+        f"{'hess/iter':>11}{'rows/solve':>12}{'trials/row':>12}{'nondescent/row':>16}"
     )
     blocks = [
         (name, *random_start(set_, mode, grid, restarts), len(boundary._MU_SCHEDULE))
@@ -156,11 +169,12 @@ def main() -> None:
     blocks.append(("ns_min family", *family_start(FIG6_GRID), boundary._TAIL_STAGES))
     for name, job, z0, outers in blocks:
         for mu, eps, z in stages(job, z0, outers):
-            iterations, value, hess, solved, trials = newton_counts(job, z, mu, eps)
+            iterations, value, hess, solved, trials, nondescent = newton_counts(job, z, mu, eps)
             us = per_stage_us(job, z, mu, eps) / iterations
             print(
                 f"{name:<14}{len(z):>6}{mu:>7.0e}{iterations:>7}{us:>10.1f}{value / iterations:>12.2f}"
                 f"{hess / iterations:>11.2f}{solved / iterations:>12.1f}{trials / solved:>12.2f}"
+                f"{nondescent / solved:>16.3f}"
             )
 
     print("\nfamily solve (_family_vectors), us per score")

@@ -14,9 +14,11 @@ The penalty subproblems are solved on the starts of many grid points at
 once as one batched array program, by one inner solver on every stage:
 Levenberg-Marquardt-damped Newton with Armijo backtracking, its Hessian one
 product of per-row weights with the constant outer products of the kernel's
-rows.  It keeps the rows still working compacted, and the backtracking
-trials of all rows that need them share kernel calls, each capped at
-``_BLOCK_ROWS`` rows like the blocks themselves.  Each row stops by its own
+rows.  A row whose damped step is no descent direction steps the other
+way, along negative curvature.  It keeps the rows still working compacted,
+and the backtracking trials of all rows that need them share kernel calls,
+each capped at ``_BLOCK_ROWS`` rows like the blocks themselves; only that
+cap lets a row depend on its block (``_penalty``).  Each row stops by its own
 rules: at ``_NEWTON_GTOL``, which makes it ``converged`` after the last
 stage, at a step below the rounding of z, or after ``_NEWTON_ITERS``
 iterations.  ``_finish`` alone builds each point's ``ScanPoint`` from its
@@ -328,7 +330,13 @@ def _penalty(
     arcsin curvature weighted by the cap's multipliers sits on the correlator
     rows, so the capped Hessian is exact too: without it the Hessian misses
     the facet's own curvature and turns indefinite along the curved facet.
+
+    A row rounds alike whichever rows share its call: the sums over quantity
+    rows are einsums, and a lone row runs as two, as BLAS rounds gemv unlike gemm.
     """
+    n = len(z)
+    if n == 1:
+        off, z = np.repeat(off, 2, axis=1), np.repeat(z, 2, axis=0)
     m = geo.map[: _X.stop if geo.qtilde_cap else _FACETS.stop]
     y = m @ z.T
     y += off[: len(m)]
@@ -338,14 +346,14 @@ def _penalty(
     q *= 0.5
     lg = np.log2(q + 1e-300)
     viol = np.minimum(y[_FACETS], 0.0)
-    f = geo.sigma * (_ENT_W @ (q * lg)) + mu * np.einsum("ij,ij->j", viol, viol)
+    f = geo.sigma * np.einsum("i,ij->j", _ENT_W, q * lg) + mu * np.einsum("ij,ij->j", viol, viol)
     if geo.qtilde_cap:
         e = _qtilde_exprs(y[_C4], axis=0)
         up = np.maximum(e - np.pi, 0.0)
         dn = np.maximum(-e - np.pi, 0.0)
         f += mu * (up**2 + dn**2).sum(axis=0)
     if not grad:
-        return f
+        return f[:n]
 
     if hess:
         # d2(q log2 q)/dp2 = q / (ln 2 root^2) + (log2 q + 1/ln 2) eps^2 / (2 root^3), the
@@ -369,7 +377,7 @@ def _penalty(
         slope = _arcsin_slope(y[_C4])
         g[_C4] = (2.0 * mu) * (u.sum(axis=0, keepdims=True) - 2.0 * u) * slope
     if not hess:
-        return f, g.T @ m
+        return f[:n], (g.T @ m)[:n]
     w[_FACETS] += (2.0 * mu) * (viol < 0.0)
     d = z.shape[1]
     if geo.qtilde_cap:
@@ -378,8 +386,8 @@ def _penalty(
         # d e_k / dz = sum_j (1 - 2 [j = k]) arcsin'(c_j) map_j over the four cap expressions
         jac = np.einsum("kj,jr,jd->rkd", _CAP_COEFF, slope, m[_C4])
         jac *= np.sqrt(2.0 * mu) * (u != 0.0).T[:, :, None]
-        return f, g.T @ m, (w.T @ geo.outer).reshape(-1, d, d) + np.einsum("rki,rkj->rij", jac, jac)
-    return f, g.T @ m, (w.T @ geo.outer[: _FACETS.stop]).reshape(-1, d, d)
+        return f[:n], (g.T @ m)[:n], ((w.T @ geo.outer).reshape(-1, d, d) + np.einsum("rki,rkj->rij", jac, jac))[:n]
+    return f[:n], (g.T @ m)[:n], (w.T @ geo.outer[: _FACETS.stop]).reshape(-1, d, d)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +425,14 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray
     batched call, then tries the full step of every row in one kernel call and
     up to ``_TRIAL_BATCH`` halvings of the rows that fail it in one more.  The
     line search forgives increases within the value's rounding, so the last
-    steps, whose gains f cannot resolve, still go through.  The damping lam
-    eases tenfold after a full step and tightens tenfold after a failed
-    search; a step that is no descent direction shows curvature below -lam
-    along it, and lam then jumps past twice that curvature.  Its floor is
-    ``_DAMPING_FLOOR`` times one plus the row's largest Hessian diagonal.
+    steps, whose gains f cannot resolve, still go through.  A step with
+    grad . step >= 0 has curvature below -lam along it, as step . (H + lam I)
+    step = -grad . step; the row is near a saddle and takes the reversed step,
+    a descent direction of negative curvature (More and Sorensen 1979).  The
+    damping lam eases tenfold after a full step and tightens tenfold after a
+    failed search; after a reversed step it also jumps past twice that
+    curvature.  Its floor is ``_DAMPING_FLOOR`` times one plus the row's
+    largest Hessian diagonal.
 
     A row is done when its gradient norm is at most ``_NEWTON_GTOL``
     (converged) or when it can no longer progress: its step is below the
@@ -445,6 +456,9 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray
         lam = np.maximum(lam, _DAMPING_FLOOR * (1.0 + np.abs(np.diagonal(ha, axis1=1, axis2=2)).max(axis=1)))
         step = np.linalg.solve(ha + lam[:, None, None] * eye, -ga[:, :, None])[:, :, 0]
         slope = (ga * step).sum(axis=1)
+        uphill = slope >= 0.0
+        step[uphill] *= -1.0
+        slope[uphill] *= -1.0
         slack = _rounding(fa)
         t = np.zeros(act.size)  # the accepted step length, 0 for none
         trial = slope < 0.0
@@ -468,7 +482,7 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray
         live = size > 1e-15 * (1.0 + np.abs(za).max(axis=1))
         curv = np.einsum("ri,rij,rj->r", step, ha, step) / np.maximum((step * step).sum(axis=1), 1e-300)
         lam = np.where(t == 1.0, 0.1 * lam, np.where(moved, lam, 10.0 * lam))
-        lam = np.where(slope >= 0.0, np.maximum(lam, -2.0 * curv), lam)
+        lam = np.where(uphill, np.maximum(lam, -2.0 * curv), lam)
         if moved.any():
             za = za + t[:, None] * step
             rows = np.flatnonzero(moved)
@@ -673,19 +687,20 @@ def _shrink_lambda(job: _Job, z: np.ndarray) -> np.ndarray:
 
 
 def _project_active(job: _Job, z: np.ndarray) -> np.ndarray:
-    """Cyclic projection onto the facets the anchor itself sits on.
+    """Cyclic projection onto the facets the anchor sits on, or within 1e-12 of.
 
     Where the anchor slack is zero, shrinking toward it cannot repair a
     violation; the violating component must be projected out instead (this
     happens at the edges of the score range, where the anchor is extremal).
+    Each facet keeps its own slack, so a point that meets them stays put.
     """
-    az = job.geo.map[_FACETS]
+    az, off = job.geo.map[_FACETS], job.off[_FACETS].T
     norms2 = (az * az).sum(axis=1)
-    facets = (job.off[_FACETS].T <= 1e-12) & (norms2 > 1e-20)
+    facets = (off <= 1e-12) & (norms2 > 1e-20)
     if not facets.any():
         return z
     for _ in range(12):
-        viol = np.where(facets, z @ az.T, np.inf)
+        viol = np.where(facets, off + z @ az.T, np.inf)
         if viol.min() >= -1e-14:
             break
         jmin = viol.argmin(axis=1)

@@ -1,4 +1,4 @@
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -143,6 +143,12 @@ class TestOptimizeAtS:
         raw = _info_from_x(_repair(point, z))[0]
         assert r.i <= raw + _rounding(raw)
 
+    def test_ns_max_at_tiny_score_is_exact(self):
+        # the repair projected the exact witness off the dominance facets,
+        # whose slack is only ~s here, and ended 3.9e-12 below ns_max
+        r = optimize_at_s("ns", "max", 1e-12, restarts=1, seed=0)
+        assert abs(r.i - curve_value("ns_max", 1e-12)) <= 1e-12
+
     def test_min_just_below_zero_is_exact(self, tmp_path):
         # _check_request accepts scores down to -1e-12; the family start once
         # took the square root of such a score and left I = nan there
@@ -230,6 +236,8 @@ class TestScanWitnessProperty:
 
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from([FeasibleSet.NS, FeasibleSet.SYM]), small_scans(0.0, 4.0))
+    # the repair projected the witness at s ~ 8e-13 off the dominance facets, 1.1e-12 below ns_max
+    @example(FeasibleSet.NS, (0.0, 8.246234491351707e-13, 2, 1, 0))
     def test_max_scan_never_below_ns_max(self, set_, grid):
         s_lo, s_hi, n, restarts, seed = grid
         curve = scan(ScanConfig(set_, ScanMode.MAX, s_lo, s_hi, grid_points=n, restarts=restarts, seed=seed))
@@ -362,9 +370,9 @@ class TestScan:
         assert all(a.converged for a, b in zip(after, before) if b.converged)
 
     def test_refine_lifts_uncapped_c_max(self, monkeypatch):
-        # uncapped C MAX has no witness start; without the refinement two of
-        # its points end up to 0.28 bits short
-        before, after = refined(monkeypatch, ScanConfig(FeasibleSet.C, ScanMode.MAX, 2.0, 3.0, 20, 4, 2))
+        # uncapped C MAX has no witness start; without the refinement one
+        # random start per point leaves points up to 0.32 bits short
+        before, after = refined(monkeypatch, ScanConfig(FeasibleSet.C, ScanMode.MAX, 2.0, 3.0, 20, 1, 2))
         assert max(a.i - b.i for a, b in zip(after, before)) > 0.25
 
     def test_short_ns_max_scan_reaches_ns_max(self):
@@ -584,6 +592,22 @@ class TestPenaltyKernel:
         assert np.all(err <= 1e-6 * np.maximum(np.linalg.norm(fd, axis=(1, 2)), 1.0))
 
     @pytest.mark.parametrize("set_, mode, qtilde_cap, scores", KERNEL_CASES)
+    def test_rows_round_alone_as_in_a_block(self, set_, mode, qtilde_cap, scores):
+        """Each row's value, gradient and Hessian are bit for bit the same
+        whichever rows share its call, one row alone included."""
+        from nonsig.boundary import _penalty
+
+        geo, off, _, z = kernel_rows(set_, mode, qtilde_cap, scores, seed=45)
+        for mu, eps in KERNEL_STAGES:
+            block = _penalty(geo, off, z, mu, eps, hess=True)
+            for size in (1, 2, 5):
+                for a in range(0, len(z) - size + 1, size):
+                    rows = slice(a, a + size)
+                    part = _penalty(geo, off[:, rows], z[rows], mu, eps, hess=True)
+                    assert all(np.array_equal(p, b[rows]) for p, b in zip(part, block))
+                    assert np.array_equal(_penalty(geo, off[:, rows], z[rows], mu, eps, grad=False), block[0][rows])
+
+    @pytest.mark.parametrize("set_, mode, qtilde_cap, scores", KERNEL_CASES)
     def test_value_only_is_bit_identical(self, set_, mode, qtilde_cap, scores):
         from nonsig.boundary import _penalty
 
@@ -689,3 +713,25 @@ class TestNewtonOracle:
                 seen += [met[r], not met[r] and not capped, not met[r] and capped]
             z = block
         assert np.all(seen > 0), seen
+
+
+class TestNewtonSaddle:
+    def test_row_leaves_a_saddle_every_iteration(self, monkeypatch):
+        """A row near a saddle of the first stage moves on every iteration.
+
+        From its third iteration this row sits at |grad| = 4e-7 where the
+        Hessian has an eigenvalue of -0.0996.  When the damped step there was
+        no descent direction the row used to stand still on every other
+        iteration, and after 30 it was still at |grad| = 3.2e-3."""
+        from nonsig import boundary
+
+        point = boundary._geometry(FeasibleSet.NS, ScanMode.MIN, False).at([2.047286498801027])
+        z0 = boundary._starts(point, 50, np.random.default_rng([1621709875]))[:1]
+        after = []
+        for k in range(3, 14):
+            monkeypatch.setattr(boundary, "_NEWTON_ITERS", k)
+            z, _ = boundary._newton(point, z0.copy(), 10.0, 1e-2)
+            f, g = boundary._penalty(point.geo, point.off, z, 10.0, 1e-2)
+            after.append((f[0], np.linalg.norm(g)))
+        for (f, gnorm), (f_next, _) in zip(after, after[1:]):
+            assert gnorm <= boundary._NEWTON_GTOL or f_next < f
