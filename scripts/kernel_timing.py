@@ -23,9 +23,9 @@ trials (step lengths tried) per row and iteration, and the share of solved
 rows whose step no trial could take because it was no descent direction
 (non-descent steps per row and iteration).
 
-Last it times the family solve itself (``_family_vectors``, the 2-D Newton
-in a) in microseconds per score, at 1 score (s = 2.6) and at 100 scores
-spread over (2, 2 sqrt 2).
+Last it times the family points themselves (``_family_vectors``, the
+closed-form minimizer in a) in microseconds per score, at 1 score (s =
+2 + 1e-9, 2.001 and 2.6) and at 100 scores spread over (2, 2 sqrt 2).
 
 Prints nproc and the numpy version first; each time is the median of
 ``REPEATS`` samples.
@@ -52,7 +52,7 @@ BLOCK_CASES = (
     ("ns_min block", FeasibleSet.NS, ScanMode.MIN, np.linspace(2.5, 3.1, 32), 8),
 )
 FIG6_GRID = np.linspace(2.5, 3.1, 100)
-FAMILY_SCORES = (np.array([2.6]), np.linspace(2.01, 2.82, 100))
+FAMILY_SCORES = (np.array([2.0 + 1e-9]), np.array([2.001]), np.array([2.6]), np.linspace(2.01, 2.82, 100))
 REPEATS = 7
 
 
@@ -177,9 +177,10 @@ def main() -> None:
                 f"{nondescent / solved:>16.3f}"
             )
 
-    print("\nfamily solve (_family_vectors), us per score")
+    print("\nfamily points (_family_vectors), us per score")
     for scores in FAMILY_SCORES:
-        print(f"{len(scores):>6} scores {family_us(scores):>10.1f}")
+        where = f"s = {float(scores[0])!r}" if len(scores) == 1 else f"s = {scores[0]}..{scores[-1]}"
+        print(f"{len(scores):>6} scores {where:<22}{family_us(scores):>10.1f}")
 
 
 if __name__ == "__main__":

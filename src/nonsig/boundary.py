@@ -28,7 +28,7 @@ best exactly evaluated row, with that row's flag; the random results and
 Where a kind has a known witness, each point starts there and runs only the
 Newton tail (``curves.witness_vectors``): NS and SYM MIN at the least-I
 point of a two-parameter family of behaviors (both marginals a = (a0, a1)
-and C = a a^T + t sigma, found by a batched 2-D damped Newton in a; the
+and C = a a^T + t sigma, a closed form in the score, ``_family_min``; the
 curve ``ns_min``), NS and SYM MAX at ``ns_max`` and capped C MAX at
 ``qc_max``.  Random restarts run the full schedule on every MAX point and
 every point without a witness; on MIN they are an audit (``_solve_points``).
@@ -521,122 +521,62 @@ _FAMILY_QUAD = np.concatenate([np.zeros((4, 2, 2)), [
 _FAM_L = _QX[: _FACETS.stop] @ _FAMILY_LIN
 _FAM_Q = np.einsum("kj,juv->kuv", _QX[: _FACETS.stop], _FAMILY_QUAD)
 _FAM_MONO = np.column_stack([_FAM_L, _FAM_Q[:, 0, 0], 2.0 * _FAM_Q[:, 0, 1], _FAM_Q[:, 1, 1]])
-#: The two facets, p(-+|01) (and its twin p(+-|10)) and p(--|11), that meet at
-#: the family's vertex near a = (1, 1), where the minimizer sits as s -> 2.
-_VERTEX_ROWS = [_P16.start + 6, _P16.start + 15]
-#: Coarse start grid of the family Newton: a uniform grid plus a0, a1 = 1 - 2^-k
-#: toward the corner a = (1, 1), on the half a0 + a1 > 0 (I is even in a).
-_GRID_AXIS = np.concatenate([np.linspace(-0.875, 0.875, 8), 1.0 - 2.0 ** -np.arange(2.0, 30.0, 3.0)])
-_FAMILY_GRID = np.stack(np.meshgrid(_GRID_AXIS, _GRID_AXIS, indexing="ij"), axis=-1).reshape(-1, 2)
-_FAMILY_GRID = _FAMILY_GRID[_FAMILY_GRID.sum(axis=1) > 0.0]
-#: Iteration cap of the family Newton; only rows just above s = 2, creeping
-#: toward the facet vertex, come near it.
-_FAMILY_ITERS = 200
-#: Scores whose grid is evaluated at once.
-_GRID_BLOCK = 8
-#: Most a step may shrink any probability or slack, as a fraction of its value.
-_FAMILY_SHRINK = 0.5
 
 
 def _family_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The entropy and facet quantities (..., 31) of the family points a (..., 2) at scores s (...)."""
     a0, a1 = a[..., 0], a[..., 1]
     mono = np.stack([a0, a1, a0 * a0, a0 * a1, a1 * a1], axis=-1)
-    return _Q0[: _FACETS.stop] + s[..., None] * _Q_PER_S[: _FACETS.stop] + np.einsum("...j,kj->...k", mono, _FAM_MONO)
+    return _Q0[: _FACETS.stop] + s[..., None] * _Q_PER_S[: _FACETS.stop] + mono @ _FAM_MONO.T
 
 
 def _family_derivs(q: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The gradient (n, 2) and Hessian (n, 2, 2) in a of I at family points a
     (n, 2) with quantities q (n, 31), all probabilities positive."""
-    grad_q = _FAM_L[_ENT] + 2.0 * np.einsum("kuv,nv->nku", _FAM_Q[_ENT], a)
+    grad_q = _FAM_L[_ENT] + 2.0 * (a @ _FAM_Q[_ENT].reshape(-1, 2).T).reshape(-1, 24, 2)
     d1 = _ENT_W * (np.log2(q[:, _ENT]) + _LOG2E)
-    hess = np.einsum("nk,nku,nkv->nuv", _ENT_W * _LOG2E / q[:, _ENT], grad_q, grad_q)
-    hess += 2.0 * np.einsum("nk,kuv->nuv", d1, _FAM_Q[_ENT])
-    return np.einsum("nk,nku->nu", d1, grad_q), hess
+    hess = (grad_q * (_ENT_W * _LOG2E / q[:, _ENT])[..., None]).transpose(0, 2, 1) @ grad_q
+    hess += 2.0 * (d1 @ _FAM_Q[_ENT].reshape(24, 4)).reshape(-1, 2, 2)
+    return (d1[:, None, :] @ grad_q)[:, 0], hess
 
 
-def _family_newton(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The least I of the family at scores s (n,) in (2, 2 sqrt 2), and its a (n, 2).
+def _family_min(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least I of the family at scores s (n,) in (2, 2 sqrt 2), and its a (n, 2), in closed form.
 
-    A batched damped Newton in xi = log(1 - a) (the minimizer runs into the
-    corner a = (1, 1) as s -> 2, with 1 - a0 ~ (s - 2) / 2 and 1 - a1 ~
-    sqrt(s - 2)), with the analytic gradient and Hessian of I in a.  It starts
-    at the feasible argmin of ``_FAMILY_GRID``.  Each step takes the
-    Hessian's eigenvalues by magnitude and backtracks until it decreases I
-    (Armijo) and shrinks no probability or slack below ``_FAMILY_SHRINK``
-    times its value, so every iterate is feasible: the full step of every row
-    in one call, then 39 halvings of the rows it fails in one more.  A row
-    stops at a gradient norm of 1e-12 in a, when no trial passes, or at a
-    step below the rounding of xi.  Rows without a feasible grid point keep
-    I = inf.
+    With w = sqrt(s^2 - 4) the minimizer is
+
+        a0^2 = (2 - w)(s + w) / (2 s),   a1 = 2 a0 / (s + w),   t = w^2 / (2 s),
+
+    from the corner a = (1, 1) at s = 2 (1 - a0 ~ (s - 2) / 2, 1 - a1 ~
+    sqrt(s - 2)) to a = 0 at 2 sqrt 2, on the conic a0^2 + 2 a0 a1 - a1^2 =
+    (8 - s^2) / s.  Derivation: where I is stationary over the whole
+    symmetric NS slice, its gradient in C at fixed marginals is a multiple of
+    sigma, so the log odds ratios of the four tables are equal up to the signs
+    of sigma.  On C = a a^T + t sigma the odds ratio of table xy is
+    1 + 4 t sigma_xy / D_xy, with D_xy 16 times the product of its two
+    off-diagonal probabilities; two such equalities and the score are three
+    polynomial equations in (a0, a1, t), which the point above solves, with
+    every odds ratio ((s + 2) / (s - 2))^(+-2).  That the family's minimum
+    is this point is measured, not proven: its gradient in a vanishes to
+    rounding, and no sampled family point has less I (``tests/test_curves.py``).
+    The half a0 + a1 < 0 holds its mirror -a, since I is even in a.
+
+    The formula runs in ``np.longdouble`` (extended precision where the
+    platform has it) so that a is rounded once: near s = 2.05 each ulp of a
+    moves the gradient of I in a by ~1e-12.
     """
-    a, f = np.empty((len(s), 2)), np.empty(len(s))
-    for block in np.array_split(np.arange(len(s)), -(-len(s) // _GRID_BLOCK)):  # keeps the grid's arrays small
-        q = _family_rows(s[block, None], _FAMILY_GRID)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fg = np.where((q > 0.0).all(axis=-1), _info(*_rows_probs(q)), np.inf)
-        best = fg.argmin(axis=1)
-        a[block], f[block] = _FAMILY_GRID[best], fg[np.arange(len(block)), best]
-    act = np.flatnonzero(np.isfinite(f))
-    xi, qa, fa, sa = np.log1p(-a[act]), _family_rows(s[act], a[act]), f[act], s[act]
-    for _ in range(_FAMILY_ITERS):
-        ga, ha = _family_derivs(qa, -np.expm1(xi))
-        # to xi: da/dxi = -w, d2a/dxi2 = -w with w = exp(xi)
-        w = np.exp(xi)
-        g = -w * ga
-        h = w[:, :, None] * ha * w[:, None, :] - np.einsum("nu,uv->nuv", w * ga, np.eye(2))
-        lam, vec = np.linalg.eigh(h)
-        mag = np.maximum(np.abs(lam), 1e-12 * np.abs(lam).max(axis=1, keepdims=True) + 1e-300)
-        step = -np.einsum("nuv,nv->nu", vec, np.einsum("nvu,nv->nu", vec, g) / mag)
-        slope = (g * step).sum(axis=1)
-        t = np.zeros(act.size)  # the accepted step length, 0 for none
-        trial = (ga * ga).sum(axis=1) > 1e-24
-        for lengths in (np.ones(1), np.ldexp(1.0, -np.arange(1, 40))):
-            rows = np.flatnonzero(trial)
-            if not rows.size:
-                break
-            cx = xi[rows, None] + lengths[:, None] * step[rows, None]
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                cq = _family_rows(sa[rows, None], -np.expm1(cx))
-                cf = _info(*_rows_probs(cq))
-                ok = (cq >= _FAMILY_SHRINK * qa[rows, None]).all(axis=-1)
-                ok &= cf <= fa[rows, None] + 1e-4 * lengths * slope[rows, None] + _rounding(fa[rows, None])
-            hit = ok.any(axis=1)
-            first = ok.argmax(axis=1)[hit]
-            rows = rows[hit]
-            t[rows] = lengths[first]
-            xi[rows], qa[rows], fa[rows] = cx[hit, first], cq[hit, first], cf[hit, first]
-            trial[rows] = False
-        a[act], f[act] = -np.expm1(xi), fa
-        keep = t * np.abs(step).max(axis=1) > 1e-15 * (1.0 + np.abs(xi).max(axis=1))
-        act, xi, qa, fa, sa = act[keep], xi[keep], qa[keep], fa[keep], sa[keep]
-        if not act.size:
-            break
-    return f, a
-
-
-def _family_vertex(s: np.ndarray) -> np.ndarray:
-    """The family point a (n, 2) where the two ``_VERTEX_ROWS`` facets meet, for s just above 2.
-
-    Newton on the two quadratic facets from 1 - a ~ ((s - 2) / 2, sqrt(s - 2)),
-    a fixed 12 steps (it settles within 6 on (2, 2 sqrt 2)).
-    """
-    d = s - 2.0
-    a = np.stack([1.0 - 0.5 * d, 1.0 - np.sqrt(d)], axis=-1)
-    for _ in range(12):
-        q = _family_rows(s, a)[:, _VERTEX_ROWS]
-        jac = _FAM_L[_VERTEX_ROWS] + 2.0 * np.einsum("kuv,nv->nku", _FAM_Q[_VERTEX_ROWS], a)
-        a = a - np.linalg.solve(jac, q[:, :, None])[:, :, 0]
-    return a
+    x = np.asarray(s, dtype=np.longdouble)
+    w = np.sqrt((x - 2.0) * (x + 2.0))
+    a0 = np.sqrt((2.0 - w) * (x + w) / (2.0 * x))
+    a = np.stack([a0, 2.0 * a0 / (x + w)], axis=-1).astype(float)
+    return _info(*_rows_probs(_family_rows(s, a))), a
 
 
 def _family_vectors(s) -> np.ndarray:
     """Correlator vectors (n, 8) of the family's least-I points at scores s (n,), clipped into [0, 4].
 
-    On [0, 2] the t = 0 member, a product behavior; on (2, 2 sqrt 2) the
-    better of ``_family_newton`` and ``_family_vertex`` (below s ~ 2 + 1e-5
-    the minimizer lies within the rounding of the vertex, where no Newton
-    step resolves it); from 2 sqrt 2 on, a = 0, the isotropic PR mixture.
+    On [0, 2] the t = 0 member, a product behavior; on (2, 2 sqrt 2)
+    ``_family_min``; from 2 sqrt 2 on, a = 0, the isotropic PR mixture.
     """
     s = np.clip(np.asarray(s, dtype=float), 0.0, 4.0)
     a = np.zeros((len(s), 2))
@@ -644,15 +584,35 @@ def _family_vectors(s) -> np.ndarray:
     a[low, 0] = np.sqrt(s[low])
     mid = (s > 1.0) & (s <= 2.0)
     a[mid] = np.stack([np.ones(mid.sum()), 1.0 - np.sqrt(2.0 - s[mid])], axis=-1)
-    mid = np.flatnonzero((s > 2.0) & (s < TSIRELSON))
-    if mid.size:
-        f, found = _family_newton(s[mid])
-        vertex = _family_vertex(s[mid])
-        q = _family_rows(s[mid], vertex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fv = np.where(q.min(axis=-1) >= -1e-15, _info(*_rows_probs(q)), np.inf)
-        a[mid] = np.where((fv < f)[:, None], vertex, found)
+    mid = (s > 2.0) & (s < TSIRELSON)
+    a[mid] = _family_min(s[mid])[1]
     return s[:, None] * _ANCHOR_DIR + a @ _FAMILY_LIN.T + np.einsum("juv,nu,nv->nj", _FAMILY_QUAD, a, a)
+
+
+def _isotropic_eig(s: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue (n,) of I's Hessian in a at the family's isotropic point a = 0, scores s (n,)."""
+    a = np.zeros((len(s), 2))
+    h = _family_derivs(_family_rows(s, a), a)[1]
+    return 0.5 * (h[:, 0, 0] + h[:, 1, 1]) - np.hypot(0.5 * (h[:, 0, 0] - h[:, 1, 1]), h[:, 0, 1])
+
+
+def _isotropic_eig_root() -> tuple[float, list[int]]:
+    """Where a = 0 stops being a minimum of the family: the root in s of
+    ``_isotropic_eig``, and the eigenvalue's signs at the bracket's ends 2.5 and 3.1.
+
+    The eigenvalue is c (c - 1/sqrt 2) / (ln 2 (1 - c^2)) with c = s / 4, so
+    the root is the Tsirelson bound 2 sqrt 2, found here from I alone.  Each
+    round evaluates 65 scores across the bracket and keeps the cell where the
+    sign turns, until the bracket is two adjacent floats.
+    """
+    lo, hi, signs = 2.5, 3.1, []
+    while np.nextafter(lo, hi) < hi:
+        grid = np.linspace(lo, hi, 65)
+        eig = _isotropic_eig(grid)
+        signs = signs or [int(np.sign(eig[0])), int(np.sign(eig[-1]))]
+        k = np.argmax(eig >= 0.0)
+        lo, hi = grid[k - 1], grid[k]
+    return float(hi), signs
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .runio import (
     write_table_csv,
     write_xy_csv,
 )
-from .boundary import FeasibleSet, ScanConfig, ScanMode, scan
+from .boundary import FeasibleSet, ScanConfig, ScanMode, _isotropic_eig_root, scan
 
 USAGE_EXIT = 64
 #: The largest count flag: numpy cannot size more 128-byte probability tables, and a curve
@@ -366,6 +366,7 @@ def _repro_fig6(args, outdir: Path):
     write_xy_csv(out, *profile, digits=17, header=("s", "det"))
     files.append(out)
     doc["tsirelson"] = TSIRELSON
+    doc["isotropic_eig_root"], doc["isotropic_eig_signs"] = _isotropic_eig_root()
     out = outdir / "fig6_inflection.json"
     out.write_text(_json_text(doc))
     files.append(out)

@@ -7,12 +7,12 @@ available as independent test oracles.  ``witness_vectors`` builds the
 witness correlators of a whole array of scores at once; values, witnesses,
 grids and the boundary solver's MIN and MAX starts all come from it.
 
-All curves but one are closed forms.  ``ns_min`` is a 2-D minimization: the
-least I over a two-parameter family of non-signaling behaviors (both
-marginals a = (a0, a1), C = a a^T + t sigma), solved by a batched damped
-Newton in ``boundary``.  Its points are feasible behaviors, so it is a
-proven upper bound on the NS and SYM minimum of I; that it is the minimum
-is a measured conjecture.
+All curves are closed forms.  ``ns_min`` is the least I over a
+two-parameter family of non-signaling behaviors (both marginals a = (a0, a1),
+C = a a^T + t sigma); ``boundary._family_min`` gives the minimizer in closed
+form, a stationary point that is measured to be the family's minimum.  Its
+points are feasible behaviors, so it is a proven upper bound on the NS and
+SYM minimum of I; that it is the minimum is a measured conjecture.
 """
 
 from __future__ import annotations

@@ -604,3 +604,11 @@ class TestRepro:
         assert mix_rows[0] == "s,i,qtilde_pass"
         flags = {row.split(",")[2] for row in mix_rows[1:]}
         assert flags == {"0", "1"}  # both classes appear in the mixture cloud
+
+    def test_fig6_certifies_tsirelson(self, tmp_path, capsys):
+        out = tmp_path / "f6"
+        assert dispatch(["repro", "fig6", "--seed", "1", "--points", "30", "--k", "5", "--outdir", str(out)]) == 0
+        doc = json.loads((out / "fig6_inflection.json").read_text())
+        assert json.loads(capsys.readouterr().out) == doc
+        assert abs(doc["isotropic_eig_root"] - TSIRELSON) <= 1e-15
+        assert doc["isotropic_eig_signs"] == [-1, 1]

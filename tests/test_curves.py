@@ -1,8 +1,10 @@
 import math
 import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from nonsig.behavior import CHSH_SLOT_SIGNS, INTERNAL_TOL, BehaviorError, mix, named, validate
 from nonsig.curves import (
@@ -236,7 +238,7 @@ class TestCurveTable:
 
 
 class TestNsMin:
-    """The lower-boundary family: a product up to 2, a 2-D minimization up to 2 sqrt 2, then bell_pr_min."""
+    """The lower-boundary family: a product up to 2, its closed-form minimizer up to 2 sqrt 2, then bell_pr_min."""
 
     def test_equals_closed_forms_outside_the_family_range(self):
         low = np.linspace(0.0, 2.0, 81)
@@ -256,10 +258,10 @@ class TestNsMin:
     def test_newton_reaches_a_stationary_point(self):
         # below s ~ 2.05 the minimizer's smallest probability drops under 4e-6 and
         # the rounding of a alone leaves a gradient above 1e-12
-        from nonsig.boundary import _family_derivs, _family_newton, _family_rows
+        from nonsig.boundary import _family_derivs, _family_min, _family_rows
 
         s = np.linspace(2.05, TSIRELSON - 1e-6, 100)
-        f, a = _family_newton(s)
+        f, a = _family_min(s)
         grad, _ = _family_derivs(_family_rows(s, a), a)
         assert np.max(np.linalg.norm(grad, axis=1)) <= 1e-12
         assert np.max(np.abs(f - curve_value("ns_min", s))) <= 1e-15
@@ -274,3 +276,149 @@ class TestNsMin:
         ss = 2.0 + np.logspace(-9, -1, 30)
         vals = curve_value("ns_min", ss)
         assert np.all(np.diff(vals) > 0.0) and vals[0] < 1e-8
+
+
+class TestFamilyMinimizer:
+    """Guards of the closed-form family minimizer against the 2-D problem it solves.
+
+    The minimizer lies on the conic a0^2 + 2 a0 a1 - a1^2 = (8 - s^2) / s, on an
+    arc that the facets p(--|11) and p(-+|01) cut from its branch a0 = sqrt(2 a1^2 + k) - a1.
+    """
+
+    # ns_min as the 2-D damped Newton in a (with its facet-vertex fallback just above 2) computed it
+    PINNED = [
+        (2.000000000001, 5.414106847646317e-12),
+        (2.000000001, 4.167506277141103e-09),
+        (2.000001, 2.9217829747314045e-06),
+        (2.00001, 2.5065421648623465e-05),
+        (2.001, 0.0016760824559253207),
+        (2.01, 0.012610441373165915),
+        (2.05, 0.048585016516659696),
+        (2.2, 0.14500259951516803),
+        (2.5, 0.2830828133113006),
+        (2.7, 0.3567133472368902),
+        (2.8, 0.39001345298901247),
+        (2.82842612474619, 0.3991236454187277),
+        (2.82842712474519, 0.399123963306826),
+    ]
+
+    @staticmethod
+    def arc_point(s, v):
+        """The family point on the conic branch at v = 1 - a1."""
+        k = (8.0 - s * s) / s
+        a1 = 1.0 - v
+        return np.stack([np.sqrt(2.0 * a1 * a1 + k) - a1, a1], axis=-1)
+
+    @staticmethod
+    def arc_ends(s):
+        """The arc's ends in v = 1 - a1: p(--|11) = ((1 - a1)^2 - t) / 4 vanishes at
+        v = sqrt t, and p(-+|01) = ((1 - a0)(1 + a1) - t) / 4 at the root of
+        u^4 - 4u^3 + (2 + 4/s) u^2 - t^2 (u = 1 + a1), here in v and bisected on
+        [sqrt t, (1 + sqrt(1 + e/2)) / 2], where its sign changes once."""
+        t = (s - 2.0) * (s + 2.0) / (2.0 * s)
+        c, e = 2.0 + 4.0 / s, 8.0 * (s - 2.0) / s
+        lo = np.sqrt(t)
+        a, b = lo.copy(), 0.5 * (1.0 + np.sqrt(1.0 + 0.5 * e))
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            neg = (((m - 4.0) * m + c) * m + e) * m - e - t * t < 0.0
+            a, b = np.where(neg, m, a), np.where(neg, b, m)
+        return lo, 0.5 * (a + b)
+
+    def test_matches_the_two_dimensional_solve(self):
+        s, i = np.array(self.PINNED).T
+        assert np.max(np.abs(curve_value("ns_min", s) - i)) <= 1e-14
+
+    def test_lies_on_the_conic(self):
+        from nonsig.boundary import _family_min
+
+        s = np.linspace(2.0, TSIRELSON, 202)[1:-1]
+        a = _family_min(s)[1]
+        x = witness_vectors("ns_min", s)
+        t = (s - 2.0) * (s + 2.0) / (2.0 * s)
+        assert np.max(np.abs(a[:, 0] ** 2 + 2.0 * a[:, 0] * a[:, 1] - a[:, 1] ** 2 - (8.0 - s * s) / s)) <= 1e-14
+        assert np.max(np.abs(x[:, 4:] - (a[:, [0, 0, 1, 1]] * a[:, [0, 1, 0, 1]] + np.outer(t, [1, 1, 1, -1])))) <= 1e-14
+
+    def test_arc_ends_lie_on_their_facets_and_the_minimizer_inside(self):
+        # the minimizer's distance in a1 from the p(--|11) facet shrinks like (s - 2)^2.5:
+        # 1e-14 at s = 2 + 1e-5, but 3e-17 at 2 + 1e-6, below the rounding of a1
+        from nonsig.boundary import _P16, _family_min, _family_rows
+
+        s = np.concatenate([2.0 + np.logspace(-5, -1, 30), np.linspace(2.1, TSIRELSON - 1e-9, 60)])
+        lo, hi = self.arc_ends(s)
+        q_lo, q_hi = _family_rows(s, self.arc_point(s, lo)), _family_rows(s, self.arc_point(s, hi))
+        facet_11, facet_01, facet_10 = _P16.start + 15, _P16.start + 6, _P16.start + 9
+        assert np.max(np.abs(q_lo[:, facet_11])) <= 1e-15
+        assert np.max(np.abs(q_hi[:, [facet_01, facet_10]])) <= 1e-15
+        assert np.min(q_lo) >= -1e-15 and np.min(q_hi) >= -1e-15
+        a = _family_min(s)[1]
+        q, v = _family_rows(s, a), 1.0 - a[:, 1]
+        assert np.all((lo < v) & (v < hi))
+        assert np.min(q[:, [facet_11, facet_01, facet_10]]) > 0.0
+
+    def test_no_arc_point_has_less_information(self):
+        from nonsig.boundary import _family_rows, _info, _rounding, _rows_probs
+
+        for s in np.concatenate([2.0 + np.logspace(-5, -1, 9), np.linspace(2.1, TSIRELSON - 1e-9, 20)]):
+            lo, hi = self.arc_ends(np.array(s))
+            v = np.linspace(lo, hi, 4001)[1:-1]
+            q = _family_rows(np.full(len(v), s), self.arc_point(s, v))
+            assert np.min(q) >= -1e-15  # the arc between its ends is feasible
+            f = curve_value("ns_min", s)
+            assert np.min(_info(*_rows_probs(np.clip(q, 0.0, None)))) >= f - _rounding(f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(2.0, TSIRELSON, exclude_min=True, exclude_max=True),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_no_family_point_has_less_information(self, s, seed):
+        # the 2-D oracle: feasible family points drawn uniformly and near the minimizer
+        from nonsig.boundary import _family_min, _family_rows, _info, _rounding, _rows_probs
+
+        rng = np.random.default_rng(seed)
+        best = _family_min(np.array([s]))[1][0]
+        width = (1.0 - best) * 10.0 ** rng.uniform(-12.0, 0.0, (20_000, 1))
+        a = np.concatenate([rng.uniform(-1.0, 1.0, (20_000, 2)), best + width * rng.standard_normal((20_000, 2))])
+        q = _family_rows(np.full(len(a), s), a)
+        q = q[(q >= 0.0).all(axis=1)]
+        f = curve_value("ns_min", s)
+        assert len(q) and np.min(_info(*_rows_probs(q))) >= f - _rounding(f)
+
+    def test_derivs_match_finite_differences(self):
+        from nonsig.boundary import _family_derivs, _family_rows, _info, _rows_probs
+
+        s = np.array([2.3, 2.6, 2.8, 3.0])
+        a = np.array([[0.5, 0.2], [0.3, 0.1], [0.0, 0.0], [0.05, -0.02]])
+        grad, hess = _family_derivs(_family_rows(s, a), a)
+        h = 1e-5
+        for u, step in enumerate(h * np.eye(2)):
+            up, down = _family_rows(s, a + step), _family_rows(s, a - step)
+            assert np.allclose((_info(*_rows_probs(up)) - _info(*_rows_probs(down))) / (2 * h), grad[:, u], atol=1e-8)
+            slope = (_family_derivs(up, a + step)[0] - _family_derivs(down, a - step)[0]) / (2 * h)
+            assert np.allclose(slope, hess[:, u], atol=1e-7)
+
+    def test_odds_ratios_are_equal(self):
+        # the stationarity of I in C at fixed marginals that the closed form rests on
+        s = np.linspace(2.02, 2.8, 40)
+        p = np.stack([curve_witness("ns_min", v).table for v in s])  # (n, x, y, a, b)
+        ratio = p[..., 0, 0] * p[..., 1, 1] / (p[..., 0, 1] * p[..., 1, 0])
+        expected = ((s + 2.0) / (s - 2.0))[:, None, None] ** (2.0 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+        assert np.max(np.abs(np.log(ratio / expected))) <= 1e-9
+
+
+class TestTsirelsonCertificate:
+    def test_isotropic_eigenvalue_turns_at_tsirelson(self):
+        from nonsig.boundary import _isotropic_eig_root
+
+        root, signs = _isotropic_eig_root()
+        assert abs(root - TSIRELSON) <= 1e-15
+        assert signs == [-1, 1]
+
+    def test_isotropic_eigenvalue_closed_form(self):
+        from nonsig.boundary import _isotropic_eig
+
+        s = np.linspace(2.7, 3.2, 8)
+        c = s / 4.0
+        expected = c * (c - 1.0 / math.sqrt(2.0)) / (math.log(2.0) * (1.0 - c * c))
+        assert np.max(np.abs(_isotropic_eig(s) - expected)) <= 1e-14
