@@ -17,13 +17,12 @@ from .behavior import (
     BehaviorError,
     BehaviorTag,
     ValidationError,
-    _correlators_from_tables,
     _tables_from_correlators,
     behavior_from_json_dict,
     named_correlators,
 )
 from .curves import CurveId, curve_grid
-from .functionals import TSIRELSON, _mi_tables, _s_max_ab
+from .functionals import TSIRELSON, _mi_correlators, _mi_tables, _s_max_ab
 from .geometry import (
     AnalysisError,
     check_window,
@@ -220,17 +219,17 @@ def _write_file_manifest(out: Path, seed: int | None, started: float) -> None:
 
 
 def _write_cloud(out: Path, n: int, seed: int, full: bool = False) -> None:
-    """Sample n quantum behaviors and write their (s, i), plus the correlators if ``full``,
-    one sampling chunk at a time, so memory does not grow with n."""
+    """Sample n quantum behaviors and write their (s, i), plus the sampled correlators if
+    ``full``, one sampling chunk at a time, so memory does not grow with n."""
     chunks = sample_chunks(n, seed)  # checks n and seed before the file is opened
     header = ["s", "i", "a0", "a1", "b0", "b1", "c00", "c01", "c10", "c11"] if full else ["s", "i"]
-    write_table_csv(out, header, (_cloud_rows(tables, full) for tables in chunks))
+    # map, not a generator expression: its loop variable would hold each chunk's correlators
+    # while the next chunk is drawn, pinning that chunk's freed memory in the heap (RSS).
+    write_table_csv(out, header, map(lambda chunk: _cloud_rows(*chunk, full), chunks))
 
 
-def _cloud_rows(tables: np.ndarray, full: bool) -> np.ndarray:
-    a, b, ab = _correlators_from_tables(tables)
-    s = _s_max_ab(ab)
-    i = _mi_tables(tables)
+def _cloud_rows(a: np.ndarray, b: np.ndarray, ab: np.ndarray, full: bool) -> np.ndarray:
+    s, i = _s_max_ab(ab), _mi_correlators(a, b, ab)
     return np.column_stack([s, i, a, b, ab.reshape(-1, 4)] if full else [s, i])
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import CHSH_SLOT_SIGNS, Behavior, BehaviorError, Correlators
+from .behavior import _TABLE_MAP, CHSH_SLOT_SIGNS, OUTCOME_VALUES, Behavior, BehaviorError, Correlators
 
 #: Probabilities below this are exact zeros for entropy purposes.
 ZERO_FLOOR = 1e-300
@@ -98,6 +98,22 @@ def _mi_tables(tables: np.ndarray) -> np.ndarray:
         m = np.einsum("nk,kj->nj", p16, _MARGINALS, optimize=False)
         out[start : start + _MI_BLOCK] = _info(p16, m[:, :4].reshape(-1, 2, 2), m[:, 4:].reshape(-1, 2, 2))
     return out.reshape(lead)[()]  # a scalar for a single table
+
+
+def _mi_correlators(a: np.ndarray, b: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """Mutual information in bits of n behaviors from their correlators (n, 2), (n, 2) and
+    (n, 2, 2): the 16 joint probabilities by ``_TABLE_MAP``, as in
+    ``_tables_from_correlators``, and the marginal tables read directly as
+    p(a|x) = (1 +- A_x)/2 and p(b|y) = (1 +- B_y)/2.
+
+    Everything runs on state-last arrays (..., n), so no loop runs over an axis of
+    length 2 to 16; the sampler's correlators are views of such arrays.  Unblocked, so
+    the temporaries grow with n: the quantum cloud calls it one sampling chunk at a time.
+    """
+    v = np.concatenate([a.T, b.T, ab.transpose(1, 2, 0).reshape(4, -1)])  # (8, n)
+    p16 = 0.25 + np.einsum("kj,kn->jn", _TABLE_MAP, v, optimize=False)
+    o = OUTCOME_VALUES[:, None, None]
+    return _info(p16.T, (0.5 * (1.0 + o * a.T)).T, (0.5 * (1.0 + o * b.T)).T)
 
 
 def mutual_information(p: Behavior) -> float:

@@ -36,6 +36,8 @@ class QubitMeasurement:
         object.__setattr__(self, "bloch", v)
         if v.shape != (3,):
             raise BehaviorError("bloch vector must have 3 components")
+        if not np.all(np.isfinite(v)):
+            raise BehaviorError(f"bloch vector must be finite, got {v}")
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise BehaviorError(f"bloch vector must be unit norm, got |v| = {np.linalg.norm(v)}")
 
@@ -62,6 +64,8 @@ class QuantumModel:
         object.__setattr__(self, "bob", tuple(self.bob))
         if psi.shape != (4,):
             raise BehaviorError("state must be a 4-component vector")
+        if not np.all(np.isfinite(psi)):
+            raise BehaviorError(f"state must be finite, got {psi}")
         if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
             raise BehaviorError(f"state must be normalized, got |psi| = {np.linalg.norm(psi)}")
 
@@ -86,33 +90,37 @@ def _born_tables(states: np.ndarray, alice_bloch: np.ndarray, bob_bloch: np.ndar
     return probs.real
 
 
-#: The real (32, 15) map from [Re rho, Im rho] to <s_c x 1>, <1 x s_d> and <s_c x s_d>:
-#: Re Tr(rho M) = Re rho . Re M + Im rho . Im M for Hermitian M.
-_OPS = np.array([np.kron(s, np.eye(2)) for s in PAULIS] + [np.kron(np.eye(2), s) for s in PAULIS]
-                + [np.kron(s, t) for s in PAULIS for t in PAULIS]).reshape(15, 16)
-_EXPECTATIONS = np.concatenate([_OPS.real.T, _OPS.imag.T])
-_EXPECTATIONS.flags.writeable = False
+def _bloch_dot(bloch: np.ndarray, n00: np.ndarray, n11: np.ndarray, n01: np.ndarray) -> np.ndarray:
+    """tr(N (b . sigma)^T) = b . (2 Re N01, 2 Im N01, N00 - N11) for Hermitian 2x2 N;
+    ``bloch`` is (3, ...) and broadcasts against the entries of N."""
+    return 2.0 * (bloch[0] * n01.real + bloch[1] * n01.imag) + bloch[2] * (n00 - n11)
 
 
 def _pauli_correlators(states: np.ndarray, alice_bloch: np.ndarray, bob_bloch: np.ndarray):
-    """Correlators A_x = a_x . r_A, B_y = b_y . r_B and C_xy = a_x^T T b_y from each state's
-    Bloch vectors and correlation tensor, bypassing probabilities.
+    """Correlators of batched models straight from each state's 2x2 amplitude matrix,
+    bypassing probabilities.
 
-    Every contraction runs on state-last copies (..., n), so einsum's inner loop is the
-    long axis rather than an axis of length 2 or 3.  Plain einsum, not BLAS: idle BLAS
-    threads spin between the sampler's per-chunk calls.
+    With Psi[i, j] the amplitude of |i>_A |j>_B and N_x = Psi^dag (a_x . sigma) Psi,
+    A_x = tr N_x and C_xy = <(a_x . sigma) x (b_y . sigma)> = tr(N_x (b_y . sigma)^T);
+    B_y is the same trace with Psi^dag Psi for N_x.  Every product is elementwise on
+    state-last arrays (..., n), so no contraction runs over an axis of length 2 or 3,
+    and nothing calls BLAS: idle BLAS threads spin between the sampler's per-chunk calls.
     """
-    n = states.shape[0]
-    psi = np.ascontiguousarray(states.T)
-    rho = psi[:, None] * psi.conj()[None, :]  # (4, 4, n)
-    flat = np.concatenate([rho.real.reshape(16, n), rho.imag.reshape(16, n)])
-    e = np.einsum("kc,kn->cn", _EXPECTATIONS, flat, optimize=False)
-    al = np.ascontiguousarray(alice_bloch.transpose(1, 2, 0))  # (x, c, n)
-    bo = np.ascontiguousarray(bob_bloch.transpose(1, 2, 0))    # (y, d, n)
-    a = np.einsum("xcn,cn->nx", al, e[:3], optimize=False)
-    b = np.einsum("ydn,dn->ny", bo, e[3:6], optimize=False)
-    ab = np.einsum("xcn,cdn,ydn->nxy", al, e[6:].reshape(3, 3, n), bo, optimize=False)
-    return a, b, ab
+    u0, u1, v0, v1 = states.T  # Psi = [[u0, u1], [v0, v1]]
+    ax, ay, az = np.ascontiguousarray(alice_bloch.transpose(2, 1, 0))  # each (x, n)
+    bob = np.ascontiguousarray(bob_bloch.transpose(2, 1, 0))  # (c, y, n)
+    m01 = ax - 1j * ay  # a_x . sigma = [[az, m01], [m01*, -az]]
+    r00, r01 = az * u0 + m01 * v0, az * u1 + m01 * v1  # (a_x . sigma) Psi, row 0
+    r10, r11 = m01.conj() * u0 - az * v0, m01.conj() * u1 - az * v1  # and row 1
+    cu0, cu1, cv0, cv1 = u0.conj(), u1.conj(), v0.conj(), v1.conj()
+    n00 = (cu0 * r00 + cv0 * r10).real
+    n11 = (cu1 * r01 + cv1 * r11).real
+    n01 = cu0 * r01 + cv0 * r11
+    p00 = (cu0 * u0 + cv0 * v0).real  # Psi^dag Psi
+    p11 = (cu1 * u1 + cv1 * v1).real
+    p01 = cu0 * u1 + cv0 * v1
+    ab = _bloch_dot(bob, n00[:, None], n11[:, None], n01[:, None])  # (x, y, n)
+    return (n00 + n11).T, _bloch_dot(bob, p00, p11, p01).T, ab.transpose(2, 0, 1)
 
 
 def _model_arrays(m: QuantumModel):
@@ -162,31 +170,32 @@ def _random_bloch(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / norm[..., None]
 
 
-def sample_chunks(n: int, seed: int) -> Iterator[np.ndarray]:
-    """n Born tables from Haar-random pure states and uniform Bloch measurements,
-    yielded ``_SAMPLE_CHUNK`` at a time (the last chunk may be shorter).
+def sample_chunks(n: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Correlators (a, b, ab) of n Haar-random pure states under uniform Bloch
+    measurements, yielded ``_SAMPLE_CHUNK`` rows at a time (the last chunk may be
+    shorter), shaped (m, 2), (m, 2) and (m, 2, 2).
 
     Deterministic given the seed; the RNG stream for chunk c is derived from
-    (seed, c).  ``n`` and ``seed`` are checked by the call itself, before the
-    first chunk is asked for.  The tables are built from
-    ``_pauli_correlators``; ``_born_tables`` is their test oracle.
+    (seed, c) and draws the states, then Alice's Bloch vectors, then Bob's.
+    ``n`` and ``seed`` are checked by the call itself, before the first chunk is
+    asked for.  The correlators come from ``_pauli_correlators``; the Born tables
+    of ``_born_tables`` are their test oracle.
     """
     if n < 1:
         raise BehaviorError("sample size must be >= 1")
     if seed < 0:
         raise BehaviorError(f"seed must be >= 0, got {seed}")
-    return (_chunk_tables(min(_SAMPLE_CHUNK, n - start), np.random.default_rng([seed, chunk]))
+    return (_chunk_correlators(min(_SAMPLE_CHUNK, n - start), np.random.default_rng([seed, chunk]))
             for chunk, start in enumerate(range(0, n, _SAMPLE_CHUNK)))
 
 
-def _chunk_tables(m: int, rng: np.random.Generator) -> np.ndarray:
-    a, b, ab = _pauli_correlators(_random_states(m, rng), _random_bloch(m, rng), _random_bloch(m, rng))
-    return _tables_from_correlators(a, b, ab)
+def _chunk_correlators(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _pauli_correlators(_random_states(m, rng), _random_bloch(m, rng), _random_bloch(m, rng))
 
 
 def sample_tables(n: int, seed: int) -> np.ndarray:
-    """The n tables of the ``sample_chunks(n, seed)`` generator in one (n, 2, 2, 2, 2) array."""
-    return np.concatenate(list(sample_chunks(n, seed)))
+    """The tables of the ``sample_chunks(n, seed)`` correlators in one (n, 2, 2, 2, 2) array."""
+    return np.concatenate([_tables_from_correlators(*chunk) for chunk in sample_chunks(n, seed)])
 
 
 def sample(n: int, seed: int) -> list[Behavior]:

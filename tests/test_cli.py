@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from nonsig.behavior import _correlators_from_tables, behavior_to_json_dict, named
+from nonsig.behavior import _correlators_from_tables, _tables_from_correlators, behavior_to_json_dict, named
 from nonsig.boundary import BoundaryCurve, FeasibleSet, ScanConfig, ScanMode, scan
-from nonsig.cli import _write_cloud, dispatch
-from nonsig.functionals import _mi_tables, _s_max_ab
-from nonsig.quantum import _SAMPLE_CHUNK, sample_tables
+from nonsig.cli import _cloud_rows, _write_cloud, dispatch
+from nonsig.functionals import _mi_correlators, _mi_tables, _s_max_ab
+from nonsig.quantum import _SAMPLE_CHUNK, _pauli_correlators, _random_bloch, _random_states, sample_chunks
 from nonsig.runio import (
     SCAN_HEADER,
     ParseError,
@@ -560,9 +560,12 @@ class TestCloudStream:
     @pytest.mark.parametrize("full", [False, True])
     def test_chunk_boundaries_leave_no_trace(self, tmp_path, full):
         n, seed = 2 * _SAMPLE_CHUNK + 17, 4
-        tables = sample_tables(n, seed)
-        a, b, ab = _correlators_from_tables(tables)
-        s, i = _s_max_ab(ab), _mi_tables(tables)
+        draws = []
+        for chunk, start in enumerate(range(0, n, _SAMPLE_CHUNK)):
+            m, rng = min(_SAMPLE_CHUNK, n - start), np.random.default_rng([seed, chunk])
+            draws.append((_random_states(m, rng), _random_bloch(m, rng), _random_bloch(m, rng)))
+        a, b, ab = _pauli_correlators(*(np.concatenate(d) for d in zip(*draws)))
+        s, i = _s_max_ab(ab), _mi_correlators(a, b, ab)
         ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
         if full:
             header = ["s", "i", "a0", "a1", "b0", "b1", "c00", "c01", "c10", "c11"]
@@ -571,6 +574,17 @@ class TestCloudStream:
             write_xy_csv(ref, s, i)
         _write_cloud(out, n, seed, full=full)
         assert out.read_bytes() == ref.read_bytes()
+
+    def test_scores_match_the_table_path(self):
+        """(s, i) straight from the sampled correlators against S and I read back from
+        their tables; the third chunk is the partial one (5 rows)."""
+        chunks = list(sample_chunks(2 * _SAMPLE_CHUNK + 5, 6))
+        assert [len(a) for a, _, _ in chunks] == [_SAMPLE_CHUNK, _SAMPLE_CHUNK, 5]
+        for a, b, ab in chunks:
+            tables = _tables_from_correlators(a, b, ab)
+            s, i = _cloud_rows(a, b, ab, full=False).T
+            assert np.max(np.abs(s - _s_max_ab(_correlators_from_tables(tables)[2]))) <= 1e-14
+            assert np.max(np.abs(i - _mi_tables(tables))) <= 1e-14
 
     def test_memory_does_not_grow_with_n(self, tmp_path):
         def peak(chunks):

@@ -40,6 +40,11 @@ class TestMeasurement:
         with pytest.raises(BehaviorError):
             QubitMeasurement(np.array([1.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("bloch", [[np.nan, 0.0, 0.0], [np.nan] * 3, [0.0, np.inf, 0.0]])
+    def test_non_finite_rejected(self, bloch):
+        with pytest.raises(BehaviorError, match="finite"):
+            QubitMeasurement(np.array(bloch))
+
 
 class TestModelToBehavior:
     def test_product_state_is_deterministic(self):
@@ -65,6 +70,13 @@ class TestModelToBehavior:
                 state=np.array([1, 1, 0, 0], dtype=complex),
                 alice=(z_meas(), z_meas()),
                 bob=(z_meas(), z_meas()),
+            )
+
+    @pytest.mark.parametrize("state", [[np.nan, 0, 0, 0], [1, 0, 0, complex(0, np.nan)], [np.nan] * 4])
+    def test_non_finite_state_rejected(self, state):
+        with pytest.raises(BehaviorError, match="finite"):
+            QuantumModel(
+                state=np.array(state, dtype=complex), alice=(z_meas(), z_meas()), bob=(z_meas(), z_meas())
             )
 
 
