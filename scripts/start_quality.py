@@ -5,10 +5,9 @@ Usage: PYTHONPATH=src python scripts/start_quality.py
 For each kind it solves 40 interior scores of the kind's reference range, 10
 random starts per score drawn by the solver's own start builder from
 ``default_rng([77, k])`` for the k-th score, through ``boundary._solve_grid``
-over the full penalty schedule: no witness start and no ``_refine``.  Each
-score's best row is compared with the kind's reference (``REFERENCES``):
-``ns_min`` for NS and SYM MIN, ``ns_max`` for NS and SYM MAX, the isotropic
-point s * ``_ANCHOR_DIR`` for C MIN, ``c_nonlocal_max`` on (2, 4) for
+over the full penalty schedule: no witness start.  Each score's best row is
+compared with the kind's reference (``REFERENCES``): ``ns_min`` for NS and
+SYM MIN, ``ns_max`` for NS and SYM MAX, ``c_min`` for C MIN, ``c_max`` for
 uncapped C MAX and ``qc_max`` for capped C MAX.  The gap is the distance to
 the reference on the losing side (above it for MIN, below it for MAX).
 
@@ -23,15 +22,7 @@ import os
 
 import numpy as np
 
-from nonsig.boundary import (
-    _ANCHOR_DIR,
-    FeasibleSet,
-    ScanMode,
-    _geometry,
-    _info_from_x,
-    _solve_grid,
-    _starts,
-)
+from nonsig.boundary import FeasibleSet, ScanMode, _geometry, _solve_grid, _starts
 from nonsig.curves import curve_value
 from nonsig.functionals import TSIRELSON
 
@@ -40,18 +31,14 @@ STARTS = 10
 HIT = 1e-9
 
 
-def isotropic(s: np.ndarray) -> np.ndarray:
-    return _info_from_x(s[:, None] * _ANCHOR_DIR)
-
-
 #: Per kind: set, mode, arcsin cap, reference range and reference values at scores s.
 REFERENCES = (
     ("ns_min", FeasibleSet.NS, ScanMode.MIN, False, (0.0, 4.0), lambda s: curve_value("ns_min", s)),
     ("ns_max", FeasibleSet.NS, ScanMode.MAX, False, (0.0, 4.0), lambda s: curve_value("ns_max", s)),
     ("sym_min", FeasibleSet.SYM, ScanMode.MIN, False, (0.0, 4.0), lambda s: curve_value("ns_min", s)),
     ("sym_max", FeasibleSet.SYM, ScanMode.MAX, False, (0.0, 4.0), lambda s: curve_value("ns_max", s)),
-    ("c_min", FeasibleSet.C, ScanMode.MIN, False, (0.0, 4.0), isotropic),
-    ("c_max", FeasibleSet.C, ScanMode.MAX, False, (2.0, 4.0), lambda s: curve_value("c_nonlocal_max", s)),
+    ("c_min", FeasibleSet.C, ScanMode.MIN, False, (0.0, 4.0), lambda s: curve_value("c_min", s)),
+    ("c_max", FeasibleSet.C, ScanMode.MAX, False, (0.0, 4.0), lambda s: curve_value("c_max", s)),
     ("c_max_capped", FeasibleSet.C, ScanMode.MAX, True, (2.0, TSIRELSON), lambda s: curve_value("qc_max", s)),
 )
 

@@ -22,16 +22,16 @@ cap lets a row depend on its block (``_penalty``).  Each row stops by its own
 rules: at ``_NEWTON_GTOL``, which makes it ``converged`` after the last
 stage, at a step below the rounding of z, or after ``_NEWTON_ITERS``
 iterations.  ``_finish`` alone builds each point's ``ScanPoint`` from its
-best exactly evaluated row, with that row's flag; the random results and
-``_refine`` replace these records only through ``_better``.
+best exactly evaluated row, with that row's flag.
 
-Where a kind has a known witness, each point starts there and runs only the
-Newton tail (``curves.witness_vectors``): NS and SYM MIN at the least-I
+Every kind starts each point at a known witness and runs only the Newton
+tail from it (``curves.witness_vectors``): NS and SYM MIN at the least-I
 point of a two-parameter family of behaviors (both marginals a = (a0, a1)
 and C = a a^T + t sigma, a closed form in the score, ``_family_min``; the
-curve ``ns_min``), NS and SYM MAX at ``ns_max`` and capped C MAX at
-``qc_max``.  Random restarts run the full schedule on every MAX point and
-every point without a witness; on MIN they are an audit (``_solve_points``).
+curve ``ns_min``), NS and SYM MAX at ``ns_max``, C MIN at the isotropic
+point ``c_min``, C MAX at the best slice vertex ``c_max`` and, under the
+arcsin cap, at ``qc_max`` from S = 2 on.  Random restarts run the full
+schedule on every MAX point; on MIN they are an audit (``_solve_points``).
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class ScanConfig:
     """Grid scan configuration; ``qtilde_cap`` adds the four arcsin facets.
 
     ``restarts`` is the number of random starts per point, which run next to
-    the witness start where the kind has one; for NS and SYM MIN scans they
-    run only on audited points (see ``_solve_points``).
+    the witness start; for MIN scans they run only on audited points (see
+    ``_solve_points``).
     """
 
     set: FeasibleSet
@@ -754,9 +754,9 @@ def _z_from_vector(points: _Job, vec8: np.ndarray) -> np.ndarray:
 _BLOCK_ROWS = 256
 #: Most backtracking trials (step halvings) of one row in one kernel call.
 _TRIAL_BATCH = 8
-#: The Newton tail, the two stiffest stages: all that witness starts and refinement offers run.
+#: The Newton tail, the two stiffest stages: all that witness starts run.
 _TAIL_STAGES = 2
-#: Every ``_AUDIT_EVERY``-th point of an NS or SYM MIN grid also runs its random starts.
+#: Every ``_AUDIT_EVERY``-th point of a MIN grid also runs its random starts.
 _AUDIT_EVERY = 10
 
 
@@ -799,56 +799,17 @@ def _solve_grid(points: _Job, starts: list[np.ndarray], outers: int = len(_MU_SC
     return out
 
 
-def _better(sigma: float, best: ScanPoint, new: ScanPoint) -> ScanPoint:
-    """``new`` if it is strictly better than ``best``, keeping ``best``'s
-    converged flag if that was set; otherwise ``best`` as is."""
-    if sigma * new.i < sigma * best.i:
-        return replace(new, converged=new.converged or best.converged)
-    return best
-
-
-def _refine(points: _Job, vals: list[ScanPoint]) -> list[ScanPoint]:
-    """Polish the records ``vals`` of ``points``, in place, in Jacobi rounds until no point changes.
-
-    In each round every point that changed in the previous one (every point
-    in the first) offers its argopt to its grid neighbours and, while it is
-    unconverged, to itself.  A point takes an offer when it is unconverged
-    or when the offer, repaired into its slice, beats it by more than 1e-9.
-    The Newton tail solves all offers taken in a round in one
-    ``_solve_grid`` call, rows grouped per point, and a result replaces its
-    point only if it is ``_better``.  Every change is a strict improvement,
-    so the rounds cannot cycle.
-    """
-    sigma, n = points.geo.sigma, len(vals)
-    changed = np.ones(n, dtype=bool)
-    while changed.any():
-        src = np.flatnonzero(changed)
-        to, frm = (src[:, None] + np.arange(-1, 2)).ravel(), np.repeat(src, 3)
-        conv, cur = np.array([p.converged for p in vals]), np.array([p.i for p in vals])
-        offer = (to >= 0) & (to < n) & ((to != frm) | ~conv[to.clip(0, n - 1)])
-        order = np.flatnonzero(offer)[np.argsort(to[offer], kind="stable")]  # per point, sources in grid order
-        to, frm = to[order], frm[order]
-        rows = points.take(to)
-        z = _z_from_vector(rows, np.array([vals[j].argopt.vector() for j in frm]).reshape(-1, 8))
-        take = ~conv[to] | (sigma * _info_from_x(_repair(rows, z)) < sigma * cur[to] - 1e-9)
-        ks, first = np.unique(to[take], return_index=True)
-        changed[:] = False
-        if not ks.size:
-            break
-        for k, new in zip(ks, _solve_grid(points.take(ks), np.split(z[take], first[1:]), outers=_TAIL_STAGES)):
-            best = _better(sigma, vals[k], new)
-            changed[k] = best is not vals[k]
-            vals[k] = best
-    return vals
-
-
-#: The curve whose witnesses start each kind's points; the other kinds have none.
+#: The curves whose witnesses start each kind's points, each on its own domain,
+#: a later curve taking over from an earlier one inside its domain.
 _WITNESS_CURVES = {
-    (FeasibleSet.NS, ScanMode.MIN, False): "ns_min",
-    (FeasibleSet.SYM, ScanMode.MIN, False): "ns_min",
-    (FeasibleSet.NS, ScanMode.MAX, False): "ns_max",
-    (FeasibleSet.SYM, ScanMode.MAX, False): "ns_max",
-    (FeasibleSet.C, ScanMode.MAX, True): "qc_max",
+    (FeasibleSet.NS, ScanMode.MIN, False): ("ns_min",),
+    (FeasibleSet.SYM, ScanMode.MIN, False): ("ns_min",),
+    (FeasibleSet.C, ScanMode.MIN, False): ("c_min",),
+    (FeasibleSet.C, ScanMode.MIN, True): ("c_min",),
+    (FeasibleSet.NS, ScanMode.MAX, False): ("ns_max",),
+    (FeasibleSet.SYM, ScanMode.MAX, False): ("ns_max",),
+    (FeasibleSet.C, ScanMode.MAX, False): ("c_max",),
+    (FeasibleSet.C, ScanMode.MAX, True): ("c_max", "qc_max"),
 }
 
 
@@ -856,36 +817,33 @@ def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
     """Solve every point of ``points``; point k draws its random starts from
     ``default_rng(seeds[k])``.
 
-    Each point inside the domain of its kind's witness curve
-    (``_WITNESS_CURVES``) starts at that witness, which only the Newton tail
-    solves, all such points in one ``_solve_grid`` call; the tail doubles as
-    the start's KKT check.  The ``restarts`` random starts run the full
-    schedule on every point, except on a MIN point with a witness: there
-    they are an audit, run on every ``_AUDIT_EVERY``-th grid index and where
-    the witness has a facet slack below the softening width of the last
-    stage before the tail.  A random result replaces the witness's only if
-    it is ``_better`` (on MIN, a point below the family).  All end with
-    ``_refine``.
+    Each point starts at the witness that its kind's curves give at its
+    score (``_WITNESS_CURVES``), which only the Newton tail solves, all points
+    in one ``_solve_grid`` call; the tail doubles as the start's KKT check.  The
+    ``restarts`` random starts run the full schedule on every MAX point; on
+    MIN they are an audit, run on every ``_AUDIT_EVERY``-th grid index and
+    where the witness has a facet slack below the softening width of the last
+    stage before the tail.  A random result replaces the witness's only if it
+    is strictly better (on MIN, a point below the witness curve), and keeps
+    the witness's converged flag if that was set.
     """
-    geo, n = points.geo, len(points.s)
-    vals: list = [None] * n
-    audit = np.ones(n, dtype=bool)
-    curve = _WITNESS_CURVES.get((geo.set, geo.mode, geo.qtilde_cap))
-    lo, hi = curves.CURVE_DOMAINS[curves.CurveId(curve)] if curve else (np.inf, -np.inf)
-    has = np.flatnonzero((points.s >= lo - curves._DOMAIN_SLACK) & (points.s <= hi + curves._DOMAIN_SLACK))
-    if has.size:
-        wit = points.take(has)
-        z = _z_from_vector(wit, curves.witness_vectors(curve, wit.s))
-        for k, p in zip(has, _solve_grid(wit, list(z[:, None]), outers=_TAIL_STAGES)):
-            vals[k] = p
-        if geo.mode is ScanMode.MIN:
-            slack = (wit.off[_FACETS].T + z @ geo.map[_FACETS].T).min(axis=1)
-            audit[has] = (has % _AUDIT_EVERY == 0) | (slack < _EPS_SCHEDULE[-_TAIL_STAGES - 1])
-    audited = np.flatnonzero(audit)
+    geo = points.geo
+    x = np.empty((len(points.s), 8))
+    for curve in _WITNESS_CURVES[geo.set, geo.mode, geo.qtilde_cap]:
+        lo, hi = curves.CURVE_DOMAINS[curves.CurveId(curve)]
+        mine = (points.s >= lo - curves._DOMAIN_SLACK) & (points.s <= hi + curves._DOMAIN_SLACK)
+        x[mine] = curves.witness_vectors(curve, points.s[mine])
+    z = _z_from_vector(points, x)
+    vals = _solve_grid(points, list(z[:, None]), outers=_TAIL_STAGES)
+    audited = np.arange(len(points.s))
+    if geo.mode is ScanMode.MIN:
+        slack = (points.off[_FACETS].T + z @ geo.map[_FACETS].T).min(axis=1)
+        audited = np.flatnonzero((audited % _AUDIT_EVERY == 0) | (slack < _EPS_SCHEDULE[-_TAIL_STAGES - 1]))
     starts = [_starts(points.take([k]), restarts, np.random.default_rng(seeds[k])) for k in audited]
     for k, p in zip(audited, _solve_grid(points.take(audited), starts)):
-        vals[k] = p if vals[k] is None else _better(geo.sigma, vals[k], p)
-    return _refine(points, vals)
+        if geo.sigma * p.i < geo.sigma * vals[k].i:
+            vals[k] = replace(p, converged=p.converged or vals[k].converged)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -904,10 +862,9 @@ def optimize_at_s(
     """Extremize the mutual information at CHSH score exactly s.
 
     Multi-start local search; deterministic given ``seed``.  A query is a
-    one-point grid at index 0 (see ``_solve_points``): it runs its
-    ``restarts`` random starts over the full schedule (an NS or SYM MIN
-    query is always audited) and, where its kind has a witness at s
-    (``ns_min``, ``ns_max`` or ``qc_max``), that witness over the Newton tail.
+    one-point grid at index 0 (see ``_solve_points``): it runs its kind's
+    witness at s over the Newton tail and its ``restarts`` random starts over
+    the full schedule (a MIN query is always audited).
     """
     set_ = FeasibleSet(set_) if isinstance(set_, str) else set_
     mode = ScanMode(mode) if isinstance(mode, str) else mode

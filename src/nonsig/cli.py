@@ -17,12 +17,11 @@ from .behavior import (
     BehaviorError,
     BehaviorTag,
     ValidationError,
-    _tables_from_correlators,
     behavior_from_json_dict,
     named_correlators,
 )
 from .curves import CurveId, curve_grid
-from .functionals import TSIRELSON, _mi_correlators, _mi_tables, _s_max_ab
+from .functionals import TSIRELSON, _mi_correlators, _s_max_ab
 from .geometry import (
     AnalysisError,
     check_window,
@@ -272,11 +271,8 @@ def _sample_mixtures(n: int, seed: int) -> np.ndarray:
     )
     ab = np.einsum("nk,kxy->nxy", w, base)
     zero = np.zeros((n, 2))
-    tables = _tables_from_correlators(zero, zero, ab)
-    s = _s_max_ab(ab)
-    i = _mi_tables(tables)
     ok = _arcsin_margin(ab) <= np.pi + 1e-9
-    return np.column_stack([s, i, ok.astype(float)])
+    return np.column_stack([_s_max_ab(ab), _mi_correlators(zero, zero, ab), ok.astype(float)])
 
 
 def _recipe_scan(args, set_, mode, lo, hi, n, restarts) -> ScanConfig:

@@ -13,6 +13,29 @@ C = a a^T + t sigma); ``boundary._family_min`` gives the minimizer in closed
 form, a stationary point that is measured to be the family's minimum.  Its
 points are feasible behaviors, so it is a proven upper bound on the NS and
 SYM minimum of I; that it is the minimum is a measured conjecture.
+
+On the correlation space C (zero marginals) I = sum_xy g(C_xy) with g even
+and convex, and both C curves are proven extrema.  The relabelings that keep
+the canonical expression C00 + C01 + C10 - C11 map the slice at score s onto
+itself, permute its four terms transitively and keep I.  ``c_min`` is the
+isotropic point s/4 (1, 1, 1, -1): averaging a minimizer over those
+relabelings gives the one point of the slice that they all fix, with no more
+I (Jensen).  The arcsin-capped slice is convex with the same symmetry
+(Tsirelson; Landau, PLA 123, 1, 1987) and holds that point up to 2 sqrt 2,
+so ``c_min`` is its minimum too.  ``c_max`` is the best vertex of the slice,
+where a convex function is largest (Rockafellar, Convex Analysis, section 32).
+The slice is P cut at canonical score s, where P is the polytope of C with
+|C_xy| <= 1 and the canonical expression the largest of the eight; its
+vertices are where P's edges cross that level.  P has 10 vertices: the origin
+at score 0, four unit points such as (0, 0, 0, -1) at 1, four deterministic
+points at 2 and the PR box at 4; its 30 edges join the origin to the unit and
+deterministic points, each unit point to three deterministic ones, the
+deterministic points to each other and to PR.  Up to relabeling the crossings
+are then (0, 0, 0, -s) with I = g(s) on [0, 1], (-(s - 1), s - 1, s - 1, -1)
+with I = 1/4 + 3 g(s - 1) on [1, 2], (s / 2) SC~ with I = 4 g(s / 2) on
+[0, 2], and ``c_nonlocal_max`` on [2, 4]; ``c_max`` is the largest of them.
+Below S = 2 every point of the slice is local (Fine, PRL 48, 291, 1982), so
+the arcsin cap cannot bind there and ``c_max`` is the capped maximum as well.
 """
 
 from __future__ import annotations
@@ -46,6 +69,8 @@ class CurveId(Enum):
     BELL_PR_MIN = "bell_pr_min"
     LOCAL_MIN = "local_min"
     NS_MIN = "ns_min"
+    C_MIN = "c_min"
+    C_MAX = "c_max"
 
 
 #: Domain interval of S for each curve.
@@ -58,6 +83,8 @@ CURVE_DOMAINS = {
     CurveId.BELL_PR_MIN: (TSIRELSON, 4.0),
     CurveId.LOCAL_MIN: (0.0, 2.0),
     CurveId.NS_MIN: (0.0, 4.0),
+    CurveId.C_MIN: (0.0, 4.0),
+    CurveId.C_MAX: (0.0, 4.0),
 }
 
 #: Curves that are straight mixtures from one named behavior (at the low end of
@@ -66,12 +93,14 @@ CURVE_DOMAINS = {
 #: - C_NONLOCAL_MAX, the correlation-space maximum, closed form 3 g(1) + g(3 - s);
 #: - LD_PR_MAX, the edge from the deterministic corner to the PR box;
 #: - BELL_PR_MIN, the minimum beyond Tsirelson: all four correlators at
-#:   magnitude s/4, so the curve equals 4 g(s/4).
+#:   magnitude s/4, so the curve equals 4 g(s/4);
+#: - C_MIN, the same isotropic point s * boundary._ANCHOR_DIR on all of [0, 4].
 _MIXTURES = {
     CurveId.LOCAL_MAX: (BehaviorTag.P0, BehaviorTag.SC_TILDE),
     CurveId.C_NONLOCAL_MAX: (BehaviorTag.SC, BehaviorTag.PR),
     CurveId.LD_PR_MAX: (BehaviorTag.LD_ALLONES, BehaviorTag.PR),
     CurveId.BELL_PR_MIN: (BehaviorTag.BELL, BehaviorTag.PR),
+    CurveId.C_MIN: (BehaviorTag.NOISE, BehaviorTag.PR),
 }
 
 
@@ -115,6 +144,12 @@ def _tables(x: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def _larger(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Row by row, whichever of two correlator vectors (n, 8) has the larger I; ties go to ``first``."""
+    i_first, i_second = _mi_tables(_tables(np.stack([first, second])))
+    return np.where((i_first >= i_second)[:, None], first, second)
+
+
 def witness_vectors(curve: CurveId | str, s) -> np.ndarray:
     """Correlator vectors (n, 8) of the curve's witness behaviors at scores s (n,)."""
     curve = _curve_id(curve)
@@ -123,12 +158,18 @@ def witness_vectors(curve: CurveId | str, s) -> np.ndarray:
         return _mixture(curve, s)
     if curve is CurveId.NS_MAX:
         # the local maximum up to S = 2, then the larger of the two edges into the PR box
-        low = s <= 2.0
+        low = (s <= 2.0)[:, None]
         local, edge = _mixture(CurveId.LOCAL_MAX, np.minimum(s, 2.0)), _mixture(CurveId.LD_PR_MAX, np.maximum(s, 2.0))
-        first = np.where(low[:, None], local, edge)
-        second = _mixture(CurveId.C_NONLOCAL_MAX, np.maximum(s, 2.0))
-        i_first, i_second = _mi_tables(_tables(np.stack([first, second])))
-        return np.where((low | (i_first >= i_second))[:, None], first, second)
+        first = np.where(low, local, edge)
+        return _larger(first, np.where(low, first, _mixture(CurveId.C_NONLOCAL_MAX, np.maximum(s, 2.0))))
+    if curve is CurveId.C_MAX:
+        # the best slice vertex (module docstring): up to S = 2 the larger of C = (0, 0, 0, -s),
+        # then (-(s - 1), s - 1, s - 1, -1), and (s / 2) SC~; from S = 2 on, c_nonlocal_max
+        low, above = (s <= 2.0)[:, None], _mixture(CurveId.C_NONLOCAL_MAX, np.maximum(s, 2.0))
+        t = np.clip(s - 1.0, 0.0, 1.0)
+        corner = np.column_stack([np.zeros((len(s), 4)), -t, t, t, -np.minimum(s, 1.0)])
+        tilde = 0.5 * s[:, None] * named_correlators(BehaviorTag.SC_TILDE).vector()
+        return _larger(np.where(low, corner, above), np.where(low, tilde, above))
     if curve is CurveId.QC_MAX:
         # correlators (w, w, w, 3w - s) with unbiased marginals; closed form 3 g(w) + g(3w - s)
         ws = w(s)

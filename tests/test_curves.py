@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -194,7 +195,8 @@ class TestRegistry:
 
     def test_continuity_everywhere(self):
         for curve in CurveId:
-            ss, ii = curve_grid(curve, 400)
+            # c_max's slope diverges logarithmically at S = 2: 0.025 per step on a 400-point grid
+            ss, ii = curve_grid(curve, 4000)
             assert np.max(np.abs(np.diff(ii))) < 0.02
 
 
@@ -407,6 +409,59 @@ class TestFamilyMinimizer:
         assert np.max(np.abs(np.log(ratio / expected))) <= 1e-9
 
 
+def slice_vertices(s: float) -> np.ndarray:
+    """Brute force: every vertex (k, 4) of the correlation-space slice at canonical score s.
+
+    Each 3-subset of the 15 facets (|C_xy| <= 1 and the seven other signed
+    expressions at most s) with the canonical expression = s is solved, and
+    the feasible solutions are kept.
+    """
+    signs = CHSH_SLOT_SIGNS.reshape(8, 4)
+    rows = np.vstack([np.eye(4), -np.eye(4), signs[1:]])
+    bound = np.concatenate([np.ones(8), np.full(7, s)])
+    subsets = np.array(list(itertools.combinations(range(15), 3)))
+    a = np.concatenate([rows[subsets], np.broadcast_to(signs[0], (len(subsets), 1, 4))], axis=1)
+    b = np.concatenate([bound[subsets], np.full((len(subsets), 1), s)], axis=1)
+    regular = np.abs(np.linalg.det(a)) > 1e-9
+    c = np.linalg.solve(a[regular], b[regular][:, :, None])[:, :, 0]
+    return c[np.all(c @ rows.T <= bound + 1e-12, axis=1)]
+
+
+class TestCorrelationSpace:
+    """c_min and c_max, the proven extrema of I over the correlation-space slice."""
+
+    SCORES = np.linspace(0.0, 4.0, 161)
+
+    def test_c_max_is_the_best_vertex(self):
+        best = [max(sum(g_oracle(v) for v in c) for c in slice_vertices(s)) for s in self.SCORES]
+        assert np.max(np.abs(curve_value("c_max", self.SCORES) - best)) <= 1e-14
+
+    def test_c_max_closed_forms(self):
+        low, mid, high = np.linspace(0.0, 1.0, 21), np.linspace(1.0, 2.0, 21), np.linspace(2.0, 4.0, 21)
+        ref = [max(g_oracle(s), 4 * g_oracle(s / 2)) for s in low]
+        assert np.max(np.abs(curve_value("c_max", low) - ref)) <= 1e-15
+        ref = [max(0.25 + 3 * g_oracle(s - 1), 4 * g_oracle(s / 2)) for s in mid]
+        assert np.max(np.abs(curve_value("c_max", mid) - ref)) <= 1e-15
+        assert np.array_equal(curve_value("c_max", high), curve_value("c_nonlocal_max", high))
+
+    def test_c_min_is_the_isotropic_point(self):
+        ref = [4 * g_oracle(s / 4) for s in self.SCORES]
+        assert np.max(np.abs(curve_value("c_min", self.SCORES) - ref)) <= 1e-15
+        x = witness_vectors("c_min", self.SCORES)
+        assert np.array_equal(x[:, 4:], np.outer(self.SCORES / 4, [1.0, 1.0, 1.0, -1.0]))
+        high = np.linspace(TSIRELSON, 4.0, 41)
+        assert np.max(np.abs(curve_value("c_min", high) - curve_value("bell_pr_min", high))) <= 1e-15
+
+    def test_slice_points_lie_between_c_min_and_c_max(self, rng):
+        # random convex combinations of the vertices fill the slice
+        for s in np.linspace(0.0, 4.0, 41):
+            vertices = slice_vertices(s)
+            c = rng.dirichlet(np.full(len(vertices), 0.3), 200) @ vertices
+            i = np.sum(g(np.clip(c, -1.0, 1.0)), axis=1)
+            assert np.all(i >= curve_value("c_min", s) - 1e-12)
+            assert np.all(i <= curve_value("c_max", s) + 1e-12)
+
+
 class TestTsirelsonCertificate:
     def test_isotropic_eigenvalue_turns_at_tsirelson(self):
         from nonsig.boundary import _isotropic_eig_root
@@ -414,6 +469,13 @@ class TestTsirelsonCertificate:
         root, signs = _isotropic_eig_root()
         assert abs(root - TSIRELSON) <= 1e-15
         assert signs == [-1, 1]
+
+    @pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4])
+    def test_normal_form_below_tsirelson(self, d):
+        # 4 g(s/4) - ns_min(s) = d^2 / (8 ln 2) (1 + O(d)) at s = 2 sqrt 2 - d; the O(d) term reads ~0.12 d
+        s = TSIRELSON - d
+        gap = 4 * g_oracle(s / 4) - curve_value("ns_min", s)
+        assert abs(8 * math.log(2) * gap / d**2 - 1) <= 0.2 * d
 
     def test_isotropic_eigenvalue_closed_form(self):
         from nonsig.boundary import _isotropic_eig
