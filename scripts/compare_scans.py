@@ -8,10 +8,14 @@ row count, the rows that moved (any of i, converged or the argopt differs),
 the largest increase and the largest decrease of I from A to B, and the
 converged count A -> B.  A recipe scan with a known witness curve (see
 ``WITNESSES``) also reports, for each tree, its worst gap to the witness on
-the losing side (above it for a MIN curve, below it for a MAX curve) and the
-number of rows beyond 1e-12 there.  Any other file reports ``identical`` or
-``differs`` by SHA-256.  Run manifests (``*_manifest.json``) are skipped:
-they hold wall times.  Files found in one tree only are listed too.
+the losing side (above it for a MIN curve, below it for a MAX curve), the
+number of rows beyond 1e-12 there, and its largest excursion past the
+witness on the winning side.  Past the proven ``qc_max`` such an excursion
+is a defect (a point outside the quantum set); past ``ns_min`` or ``ns_max``
+beyond rounding it would be a counterexample to their conjectures.  Any
+other file reports ``identical`` or ``differs`` by SHA-256.  Run manifests
+(``*_manifest.json``) are skipped: they hold wall times.  Files found in one
+tree only are listed too.
 
 Exits 0 only when every compared file is byte-identical and no file is
 missing from either tree, 1 otherwise.
@@ -47,13 +51,17 @@ def _files(root: Path) -> set[Path]:
 
 
 def _witness_gap(name: str, curve) -> str:
-    """The worst gap of a scan to its witness curve on the losing side and the
-    rows beyond 1e-12 there, or "" for a file without a witness."""
+    """The worst gap of a scan to its witness curve on the losing side, the
+    rows beyond 1e-12 there and the largest excursion past the witness on the
+    winning side, or "" for a file without a witness."""
     if name not in WITNESSES:
         return ""
     witness, sign = WITNESSES[name]
     gap = sign * (curve.i - curve_value(witness, curve.s))
-    return f"worst gap to {witness} {max(0.0, gap.max()):.3g} ({(gap > 1e-12).sum()} rows beyond 1e-12)"
+    return (
+        f"worst gap to {witness} {max(0.0, gap.max()):.3g} ({(gap > 1e-12).sum()} rows beyond 1e-12),"
+        f" largest excursion past it {max(0.0, -gap.min()):.3g}"
+    )
 
 
 def _scan_report(a: Path, b: Path) -> str | None:

@@ -40,9 +40,9 @@ def main() -> int:
         argv = ["repro", recipe, "--seed", str(args.seed), "--outdir", str(args.outdir / recipe)]
         if args.full_scale:
             argv.append("--full-scale")
-        t0 = time.time()
+        t0 = time.perf_counter()
         rc = dispatch(argv)
-        print(f"{recipe}: exit {rc} in {time.time() - t0:.0f}s -> {args.outdir / recipe}")
+        print(f"{recipe}: exit {rc} in {time.perf_counter() - t0:.2f}s -> {args.outdir / recipe}")
         if rc == 0:
             manifest = read_manifest(args.outdir / recipe / f"{recipe}_manifest.json")
             for name, digest in sorted(manifest.outputs.items()):

@@ -30,8 +30,8 @@ point of a two-parameter family of behaviors (both marginals a = (a0, a1)
 and C = a a^T + t sigma, a closed form in the score, ``_family_min``; the
 curve ``ns_min``), NS and SYM MAX at ``ns_max``, C MIN at the isotropic
 point ``c_min``, C MAX at the best slice vertex ``c_max`` and, under the
-arcsin cap, at ``qc_max`` from S = 2 on.  Random restarts run the full
-schedule on every MAX point; on MIN they are an audit (``_solve_points``).
+arcsin cap, at ``qc_max`` from S = 2 on.  On every kind, random restarts
+audit the witness on every ``_AUDIT_EVERY``-th grid point (``_solve_points``).
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class ScanMode(Enum):
 class ScanConfig:
     """Grid scan configuration; ``qtilde_cap`` adds the four arcsin facets.
 
-    ``restarts`` is the number of random starts per point, which run next to
-    the witness start; for MIN scans they run only on audited points (see
+    ``restarts`` is the number of random starts per audited point, which run
+    next to the witness start on every ``_AUDIT_EVERY``-th grid point (see
     ``_solve_points``).
     """
 
@@ -670,18 +670,19 @@ def _project_active(job: _Job, z: np.ndarray) -> np.ndarray:
 
 
 def _qtilde_lambda(job: _Job, z: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Shrink further until the arcsin facets hold; bisection on the scaling."""
+    """Shrink further until the arcsin facets hold, up to the rounding of an
+    arcsin sum near pi (~9 ulps of pi); bisection on the scaling."""
 
-    def margin_at(l: np.ndarray) -> np.ndarray:
+    def holds(l: np.ndarray) -> np.ndarray:
         x = _x_from_z(job, l[:, None] * z)
-        return np.pi - np.abs(_qtilde_exprs(x[:, 4:])).max(axis=-1)
+        return np.abs(_qtilde_exprs(x[:, 4:])).max(axis=-1) <= np.pi + 4e-15
 
-    ok = margin_at(lam) >= -1e-12
+    ok = holds(lam)
     lo = np.where(ok, lam, 0.0)
     hi = lam.copy()
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        good = margin_at(mid) >= -1e-12
+        good = holds(mid)
         lo = np.where(good, mid, lo)
         hi = np.where(good, hi, mid)
     return np.where(ok, lam, lo)
@@ -756,7 +757,7 @@ _BLOCK_ROWS = 256
 _TRIAL_BATCH = 8
 #: The Newton tail, the two stiffest stages: all that witness starts run.
 _TAIL_STAGES = 2
-#: Every ``_AUDIT_EVERY``-th point of a MIN grid also runs its random starts.
+#: Every ``_AUDIT_EVERY``-th point of a grid, from its first, also runs its random starts.
 _AUDIT_EVERY = 10
 
 
@@ -820,12 +821,12 @@ def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
     Each point starts at the witness that its kind's curves give at its
     score (``_WITNESS_CURVES``), which only the Newton tail solves, all points
     in one ``_solve_grid`` call; the tail doubles as the start's KKT check.  The
-    ``restarts`` random starts run the full schedule on every MAX point; on
-    MIN they are an audit, run on every ``_AUDIT_EVERY``-th grid index and
-    where the witness has a facet slack below the softening width of the last
-    stage before the tail.  A random result replaces the witness's only if it
-    is strictly better (on MIN, a point below the witness curve), and keeps
-    the witness's converged flag if that was set.
+    ``restarts`` random starts are an audit of the witness, one rule for
+    every set, mode and cap: they run the full schedule on every
+    ``_AUDIT_EVERY``-th grid index and on no other point.  A random result
+    replaces the witness's only if it is strictly better (below the witness
+    curve on MIN, above it on MAX), and keeps the witness's converged flag if
+    that was set.
     """
     geo = points.geo
     x = np.empty((len(points.s), 8))
@@ -835,10 +836,7 @@ def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
         x[mine] = curves.witness_vectors(curve, points.s[mine])
     z = _z_from_vector(points, x)
     vals = _solve_grid(points, list(z[:, None]), outers=_TAIL_STAGES)
-    audited = np.arange(len(points.s))
-    if geo.mode is ScanMode.MIN:
-        slack = (points.off[_FACETS].T + z @ geo.map[_FACETS].T).min(axis=1)
-        audited = np.flatnonzero((audited % _AUDIT_EVERY == 0) | (slack < _EPS_SCHEDULE[-_TAIL_STAGES - 1]))
+    audited = np.arange(0, len(points.s), _AUDIT_EVERY)
     starts = [_starts(points.take([k]), restarts, np.random.default_rng(seeds[k])) for k in audited]
     for k, p in zip(audited, _solve_grid(points.take(audited), starts)):
         if geo.sigma * p.i < geo.sigma * vals[k].i:
@@ -864,7 +862,7 @@ def optimize_at_s(
     Multi-start local search; deterministic given ``seed``.  A query is a
     one-point grid at index 0 (see ``_solve_points``): it runs its kind's
     witness at s over the Newton tail and its ``restarts`` random starts over
-    the full schedule (a MIN query is always audited).
+    the full schedule (a query is always audited).
     """
     set_ = FeasibleSet(set_) if isinstance(set_, str) else set_
     mode = ScanMode(mode) if isinstance(mode, str) else mode

@@ -10,10 +10,12 @@ from nonsig.behavior import (
     random_correlator_vectors,
     validate,
 )
+from nonsig import boundary
 from nonsig.boundary import (
     FeasibleSet,
     ScanConfig,
     ScanMode,
+    _rounding,
     info_gradient,
     optimize_at_s,
     scan,
@@ -318,6 +320,47 @@ class TestScanWitnessProperty:
         s = 1.9720920749269704
         r = optimize_at_s("sym", "max", s, restarts=50, seed=1429937343)
         assert abs(r.i - curve_value("ns_max", s)) <= 1e-12
+
+    def test_capped_c_max_never_above_qc_max(self):
+        # qc_max is the proven maximum; a loose arcsin margin in the repair left
+        # rows and queries up to 4.8e-13 above it, outside the quantum set
+        curve = scan(ScanConfig(FeasibleSet.C, ScanMode.MAX, 0.0, TSIRELSON, 21, 1, 0, qtilde_cap=True))
+        queries = np.linspace(2.1, 2.8, 5)
+        s = np.concatenate([curve.s[curve.s >= 2.0], queries])
+        i = np.concatenate([curve.i[curve.s >= 2.0],
+                            [optimize_at_s("c", "max", q, restarts=2, seed=0, qtilde_cap=True).i for q in queries]])
+        ref = curve_value("qc_max", s)
+        assert np.all(i - ref <= _rounding(ref))
+
+
+class TestAuditRule:
+    """Random starts are an audit on every kind: every 10th grid index and every query."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        drawn = []
+
+        def starts(point, n, rng):
+            drawn.append((float(point.s[0]), n))
+            return draw(point, n, rng)
+
+        draw = boundary._starts
+        monkeypatch.setattr(boundary, "_starts", starts)
+        return drawn
+
+    @pytest.mark.parametrize("set_, mode, cap", KINDS)
+    def test_scan_audits_every_tenth_index(self, monkeypatch, set_, mode, cap):
+        drawn = self.recorded(monkeypatch)
+        hi = TSIRELSON if cap else 4.0
+        scan(ScanConfig(FeasibleSet(set_), ScanMode(mode), 0.0, hi, 21, 2, 0, qtilde_cap=cap))
+        grid = np.linspace(0.0, hi, 21)
+        assert drawn == [(grid[k], 2) for k in (0, 10, 20)]
+
+    @pytest.mark.parametrize("set_, mode, cap", KINDS)
+    def test_query_is_audited(self, monkeypatch, set_, mode, cap):
+        drawn = self.recorded(monkeypatch)
+        optimize_at_s(set_, mode, 1.7, restarts=3, seed=4, qtilde_cap=cap)
+        assert drawn == [(1.7, 3)]
 
 
 @pytest.fixture(scope="module")
