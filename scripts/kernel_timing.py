@@ -40,7 +40,8 @@ import time
 import numpy as np
 
 from nonsig import boundary
-from nonsig.boundary import FeasibleSet, ScanMode, _family_vectors, _geometry, _penalty, _starts, _z_from_vector
+from nonsig.boundary import FeasibleSet, ScanMode, _geometry, _penalty, _starts, _z_from_vector
+from nonsig.slice import _family_vectors
 
 CASES = (
     ("ns_min", FeasibleSet.NS, ScanMode.MIN, False, 2.9),

@@ -44,11 +44,11 @@ from .boundary import (
     ScanConfig,
     ScanMode,
     ScanPoint,
-    info_gradient,
     optimize_at_s,
     scan,
     vertical_fill_check,
 )
+from .slice import info_gradient
 
 __all__ = [
     "Behavior",

@@ -25,13 +25,11 @@ iterations.  ``_finish`` alone builds each point's ``ScanPoint`` from its
 best exactly evaluated row, with that row's flag.
 
 Every kind starts each point at a known witness and runs only the Newton
-tail from it (``curves.witness_vectors``): NS and SYM MIN at the least-I
-point of a two-parameter family of behaviors (both marginals a = (a0, a1)
-and C = a a^T + t sigma, a closed form in the score, ``_family_min``; the
-curve ``ns_min``), NS and SYM MAX at ``ns_max``, C MIN at the isotropic
-point ``c_min``, C MAX at the best slice vertex ``c_max`` and, under the
-arcsin cap, at ``qc_max`` from S = 2 on.  On every kind, random restarts
+tail from it (``curves.witness_vectors``): NS and SYM MIN at ``ns_min``, NS
+and SYM MAX at ``ns_max``, C MIN at ``c_min``, C MAX at ``c_max`` and, under
+the arcsin cap, at ``qc_max`` from S = 2 on.  On every kind, random restarts
 audit the witness on every ``_AUDIT_EVERY``-th grid point (``_solve_points``).
+The quantities the solver reads are the affine map of ``slice``.
 """
 
 from __future__ import annotations
@@ -42,17 +40,9 @@ from enum import Enum
 import numpy as np
 
 from . import curves
-from .behavior import (
-    CHSH_SLOT_SIGNS,
-    BehaviorError,
-    Correlators,
-    OUTCOME_VALUES,
-    _tables_from_correlators,
-)
-from .functionals import TSIRELSON, _info, _s_max_ab
-
-#: Probability floor used inside entropy *gradients* only; values use exact 0 log 0 = 0.
-GRAD_FLOOR = 1e-12
+from .behavior import BehaviorError, Correlators
+from .functionals import TSIRELSON, _s_max_ab
+from .slice import _C4, _DOM, _ENT, _ENT_W, _FACETS, _LOG2_FLOOR, _LOG2E, _Q0, _Q_PER_S, _QX, _SLOT_W, _X, _info_from_x
 
 #: Penalty weights by stage; every stage runs ``_newton``, capped at
 #: ``_NEWTON_ITERS`` iterations and done at ``_NEWTON_GTOL``.
@@ -66,8 +56,6 @@ _DAMPING_FLOOR = 1e-12
 #: approach the exact kinked objective and the reported values are always
 #: re-evaluated exactly.
 _EPS_SCHEDULE = (1e-2, 3e-3, 1e-3, 1e-4, 1e-6, 1e-9)
-
-_LOG2E = 1.0 / np.log(2.0)
 
 
 class FeasibleSet(Enum):
@@ -167,41 +155,6 @@ def _embedding(set_: FeasibleSet) -> np.ndarray:
     return e
 
 
-_SLOT_W = np.zeros((8, 8))
-_SLOT_W[:, 4:] = CHSH_SLOT_SIGNS.reshape(8, 4)
-
-
-#: Correlator anchor per unit score: the isotropic PR mixture at CHSH score s is s * _ANCHOR_DIR.
-_ANCHOR_DIR = np.array([0.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.25, -0.25])
-
-
-#: The quantities the solver reads, one row each: p(a|x), p(b|y) and the joint
-#: probabilities (the entropy rows), the 7 dominance slacks s - (slot k
-#: expression) (with the joint probabilities, the facets kept >= 0), and the 8
-#: correlators, whose last 4 are the C_xy of the arcsin cap.
-_PA, _PB, _P16, _ENT = slice(0, 4), slice(4, 8), slice(8, 24), slice(0, 24)
-_FACETS, _DOM, _X, _C4 = slice(8, 31), slice(24, 31), slice(31, 39), slice(35, 39)
-
-
-def _quantity_rows(x: np.ndarray) -> np.ndarray:
-    """The quantities (39, r) of correlator vectors x (r, 8) at score 0; run at import only."""
-    p16 = _tables_from_correlators(x[:, :2], x[:, 2:4], x[:, 4:].reshape(-1, 2, 2)).reshape(-1, 16)
-    pa = 0.5 * (1.0 + x[:, :2, None] * OUTCOME_VALUES)   # (r, x, a)
-    pb = 0.5 * (1.0 + x[:, 2:4, None] * OUTCOME_VALUES)  # (r, y, b)
-    return np.concatenate([pa.reshape(-1, 4), pb.reshape(-1, 4), p16, -x @ _SLOT_W[1:].T, x], axis=1).T
-
-
-#: The quantities are affine in x and in the score: _Q0 + _QX @ x, plus s on the dominance slacks.
-_Q0 = _quantity_rows(np.zeros((1, 8)))[:, 0]
-_QX = _quantity_rows(np.eye(8)) - _Q0[:, None]
-_Q_PER_S = _QX @ _ANCHOR_DIR
-_Q_PER_S[_DOM] += 1.0
-#: I = _ENT_W @ (p log2 p) over the entropy rows: the one I formula read off on unit rows.
-_E24 = np.eye(24)
-_ENT_W = _info(_E24[:, _P16], _E24[:, _PA].reshape(-1, 2, 2), _E24[:, _PB].reshape(-1, 2, 2), plogp=lambda h: h)
-_LOG2_FLOOR = np.log2(GRAD_FLOOR)
-
-
 @dataclass(frozen=True)
 class _Geometry:
     """What the feasible set and mode fix at every score.
@@ -261,45 +214,6 @@ def _geometry(set_: FeasibleSet, mode: ScanMode, qtilde_cap: bool) -> _Geometry:
 
 # ---------------------------------------------------------------------------
 # objective and penalty
-
-
-def _entropy_rows(x: np.ndarray) -> np.ndarray:
-    """The entropy rows (..., 24) of batched correlator 8-vectors."""
-    return _Q0[_ENT] + x @ _QX[_ENT].T
-
-
-def _rows_probs(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 16 joint probabilities (..., 16), ordered (x, y, a, b), and the marginal
-    tables p(a|x), p(b|y), (..., 2, 2), of batched quantities q (..., >= 24)."""
-    lead = q.shape[:-1]
-    return q[..., _P16], q[..., _PA].reshape(*lead, 2, 2), q[..., _PB].reshape(*lead, 2, 2)
-
-
-def _probs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_rows_probs`` of batched correlator 8-vectors."""
-    return _rows_probs(_entropy_rows(x))
-
-
-def _info_from_x(x: np.ndarray) -> np.ndarray:
-    """Mutual information for batched correlator 8-vectors (exact value)."""
-    return _info(*_probs(x))
-
-
-def _entropy_slope(p: np.ndarray) -> np.ndarray:
-    """d(p log2 p)/dp, consistent with the clipped value: zero where p <= 0,
-    log floored at GRAD_FLOOR on the feasible side."""
-    return np.where(p > 0.0, np.log2(np.clip(p, GRAD_FLOOR, None)) + _LOG2E, 0.0)
-
-
-def info_gradient(x) -> np.ndarray:
-    """Analytic gradient of the mutual information with respect to the 8 correlators.
-
-    Matches central finite differences at interior points; probabilities are
-    floored at ``GRAD_FLOOR`` inside the logarithms.
-    """
-    x = np.asarray(x, dtype=float)
-    grad = (_ENT_W * _entropy_slope(_entropy_rows(np.atleast_2d(x)))) @ _QX[_ENT]
-    return grad[0] if x.ndim == 1 else grad
 
 
 def _qtilde_exprs(c4: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -505,117 +419,6 @@ def _solve(job: _Job, z0: np.ndarray, outers: int = len(_MU_SCHEDULE)) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# the lower-boundary family
-
-#: The family's correlators at a = (a0, a1) and score s: both marginals a and
-#: C = a a^T + t sigma with sigma = (1, 1, 1, -1) and t = (s - sigma . a a^T) / 4,
-#: so x = s * _ANCHOR_DIR + _FAMILY_LIN @ a + (a^T _FAMILY_QUAD a per correlator).
-_SIGMA = np.array([[1.0, 1.0], [1.0, -1.0]])
-_FAMILY_LIN = np.vstack([np.eye(2), np.eye(2), np.zeros((4, 2))])
-_FAMILY_QUAD = np.concatenate([np.zeros((4, 2, 2)), [
-    0.5 * (np.outer(e, f) + np.outer(f, e)) - 0.25 * sigma * _SIGMA
-    for (e, f), sigma in zip([(e, f) for e in np.eye(2) for f in np.eye(2)], _SIGMA.flat)
-]])
-#: The same for the entropy and facet quantities: q = _Q0 + s _Q_PER_S + _FAM_L a + a^T _FAM_Q a,
-#: with _FAM_MONO the coefficients of the monomials (a0, a1, a0^2, a0 a1, a1^2).
-_FAM_L = _QX[: _FACETS.stop] @ _FAMILY_LIN
-_FAM_Q = np.einsum("kj,juv->kuv", _QX[: _FACETS.stop], _FAMILY_QUAD)
-_FAM_MONO = np.column_stack([_FAM_L, _FAM_Q[:, 0, 0], 2.0 * _FAM_Q[:, 0, 1], _FAM_Q[:, 1, 1]])
-
-
-def _family_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The entropy and facet quantities (..., 31) of the family points a (..., 2) at scores s (...)."""
-    a0, a1 = a[..., 0], a[..., 1]
-    mono = np.stack([a0, a1, a0 * a0, a0 * a1, a1 * a1], axis=-1)
-    return _Q0[: _FACETS.stop] + s[..., None] * _Q_PER_S[: _FACETS.stop] + mono @ _FAM_MONO.T
-
-
-def _family_derivs(q: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The gradient (n, 2) and Hessian (n, 2, 2) in a of I at family points a
-    (n, 2) with quantities q (n, 31), all probabilities positive."""
-    grad_q = _FAM_L[_ENT] + 2.0 * (a @ _FAM_Q[_ENT].reshape(-1, 2).T).reshape(-1, 24, 2)
-    d1 = _ENT_W * (np.log2(q[:, _ENT]) + _LOG2E)
-    hess = (grad_q * (_ENT_W * _LOG2E / q[:, _ENT])[..., None]).transpose(0, 2, 1) @ grad_q
-    hess += 2.0 * (d1 @ _FAM_Q[_ENT].reshape(24, 4)).reshape(-1, 2, 2)
-    return (d1[:, None, :] @ grad_q)[:, 0], hess
-
-
-def _family_min(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The least I of the family at scores s (n,) in (2, 2 sqrt 2), and its a (n, 2), in closed form.
-
-    With w = sqrt(s^2 - 4) the minimizer is
-
-        a0^2 = (2 - w)(s + w) / (2 s),   a1 = 2 a0 / (s + w),   t = w^2 / (2 s),
-
-    from the corner a = (1, 1) at s = 2 (1 - a0 ~ (s - 2) / 2, 1 - a1 ~
-    sqrt(s - 2)) to a = 0 at 2 sqrt 2, on the conic a0^2 + 2 a0 a1 - a1^2 =
-    (8 - s^2) / s.  Derivation: where I is stationary over the whole
-    symmetric NS slice, its gradient in C at fixed marginals is a multiple of
-    sigma, so the log odds ratios of the four tables are equal up to the signs
-    of sigma.  On C = a a^T + t sigma the odds ratio of table xy is
-    1 + 4 t sigma_xy / D_xy, with D_xy 16 times the product of its two
-    off-diagonal probabilities; two such equalities and the score are three
-    polynomial equations in (a0, a1, t), which the point above solves, with
-    every odds ratio ((s + 2) / (s - 2))^(+-2).  That the family's minimum
-    is this point is measured, not proven: its gradient in a vanishes to
-    rounding, and no sampled family point has less I (``tests/test_curves.py``).
-    The half a0 + a1 < 0 holds its mirror -a, since I is even in a.
-
-    The formula runs in ``np.longdouble`` (extended precision where the
-    platform has it) so that a is rounded once: near s = 2.05 each ulp of a
-    moves the gradient of I in a by ~1e-12.
-    """
-    x = np.asarray(s, dtype=np.longdouble)
-    w = np.sqrt((x - 2.0) * (x + 2.0))
-    a0 = np.sqrt((2.0 - w) * (x + w) / (2.0 * x))
-    a = np.stack([a0, 2.0 * a0 / (x + w)], axis=-1).astype(float)
-    return _info(*_rows_probs(_family_rows(s, a))), a
-
-
-def _family_vectors(s) -> np.ndarray:
-    """Correlator vectors (n, 8) of the family's least-I points at scores s (n,), clipped into [0, 4].
-
-    On [0, 2] the t = 0 member, a product behavior; on (2, 2 sqrt 2)
-    ``_family_min``; from 2 sqrt 2 on, a = 0, the isotropic PR mixture.
-    """
-    s = np.clip(np.asarray(s, dtype=float), 0.0, 4.0)
-    a = np.zeros((len(s), 2))
-    low = s <= 1.0
-    a[low, 0] = np.sqrt(s[low])
-    mid = (s > 1.0) & (s <= 2.0)
-    a[mid] = np.stack([np.ones(mid.sum()), 1.0 - np.sqrt(2.0 - s[mid])], axis=-1)
-    mid = (s > 2.0) & (s < TSIRELSON)
-    a[mid] = _family_min(s[mid])[1]
-    return s[:, None] * _ANCHOR_DIR + a @ _FAMILY_LIN.T + np.einsum("juv,nu,nv->nj", _FAMILY_QUAD, a, a)
-
-
-def _isotropic_eig(s: np.ndarray) -> np.ndarray:
-    """The smallest eigenvalue (n,) of I's Hessian in a at the family's isotropic point a = 0, scores s (n,)."""
-    a = np.zeros((len(s), 2))
-    h = _family_derivs(_family_rows(s, a), a)[1]
-    return 0.5 * (h[:, 0, 0] + h[:, 1, 1]) - np.hypot(0.5 * (h[:, 0, 0] - h[:, 1, 1]), h[:, 0, 1])
-
-
-def _isotropic_eig_root() -> tuple[float, list[int]]:
-    """Where a = 0 stops being a minimum of the family: the root in s of
-    ``_isotropic_eig``, and the eigenvalue's signs at the bracket's ends 2.5 and 3.1.
-
-    The eigenvalue is c (c - 1/sqrt 2) / (ln 2 (1 - c^2)) with c = s / 4, so
-    the root is the Tsirelson bound 2 sqrt 2, found here from I alone.  Each
-    round evaluates 65 scores across the bracket and keeps the cell where the
-    sign turns, until the bracket is two adjacent floats.
-    """
-    lo, hi, signs = 2.5, 3.1, []
-    while np.nextafter(lo, hi) < hi:
-        grid = np.linspace(lo, hi, 65)
-        eig = _isotropic_eig(grid)
-        signs = signs or [int(np.sign(eig[0])), int(np.sign(eig[-1]))]
-        k = np.argmax(eig >= 0.0)
-        lo, hi = grid[k - 1], grid[k]
-    return float(hi), signs
-
-
-# ---------------------------------------------------------------------------
 # feasibility: starts and repair
 
 
@@ -642,8 +445,7 @@ def _shrink_lambda(job: _Job, z: np.ndarray) -> np.ndarray:
     short[:, dom] &= (off + slack_move)[:, dom] < -_SCORE_ROUNDING
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam_j = np.where(short, off / (-slack_move), np.inf)
-    lam = np.minimum(1.0, lam_j.min(axis=-1))
-    return np.clip(lam, 0.0, 1.0)
+    return np.clip(lam_j.min(axis=-1), 0.0, 1.0)
 
 
 def _project_active(job: _Job, z: np.ndarray) -> np.ndarray:
@@ -671,21 +473,27 @@ def _project_active(job: _Job, z: np.ndarray) -> np.ndarray:
 
 def _qtilde_lambda(job: _Job, z: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Shrink further until the arcsin facets hold, up to the rounding of an
-    arcsin sum near pi (~9 ulps of pi); bisection on the scaling."""
+    arcsin sum near pi (~9 ulps of pi); bisection on the scaling of the rows
+    that fail at ``lam``, a lone one of several run as two, as BLAS rounds
+    gemv unlike gemm (``_penalty``).  A one-row job broadcasts over all of z."""
 
-    def holds(l: np.ndarray) -> np.ndarray:
+    def holds(job: _Job, z: np.ndarray, l: np.ndarray) -> np.ndarray:
         x = _x_from_z(job, l[:, None] * z)
         return np.abs(_qtilde_exprs(x[:, 4:])).max(axis=-1) <= np.pi + 4e-15
 
-    ok = holds(lam)
-    lo = np.where(ok, lam, 0.0)
-    hi = lam.copy()
+    rows = np.flatnonzero(~holds(job, z, lam))
+    if not rows.size:
+        return lam
+    rows = np.repeat(rows, 2) if rows.size == 1 < len(z) else rows
+    job, z = (job.take(rows) if len(job.s) > 1 else job), z[rows]
+    lo, hi = np.zeros(rows.size), lam[rows]
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        good = holds(mid)
-        lo = np.where(good, mid, lo)
-        hi = np.where(good, hi, mid)
-    return np.where(ok, lam, lo)
+        good = holds(job, z, mid)
+        lo, hi = np.where(good, mid, lo), np.where(good, hi, mid)
+    lam = lam.copy()
+    lam[rows] = lo
+    return lam
 
 
 def _feasible_z(job: _Job, z: np.ndarray) -> np.ndarray:
@@ -726,8 +534,7 @@ def _starts(point: _Job, n: int, rng: np.random.Generator) -> np.ndarray:
     beta = rng.uniform(0.2, 0.95, size=n)
     z0 = (beta * t_max)[:, None] * u
     if point.geo.qtilde_cap:
-        lam = _qtilde_lambda(point, z0, np.ones(n))
-        z0 *= lam[:, None]
+        z0 *= _qtilde_lambda(point, z0, np.ones(n))[:, None]
     return z0
 
 

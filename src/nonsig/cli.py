@@ -39,7 +39,8 @@ from .runio import (
     write_table_csv,
     write_xy_csv,
 )
-from .boundary import FeasibleSet, ScanConfig, ScanMode, _isotropic_eig_root, scan
+from .boundary import FeasibleSet, ScanConfig, ScanMode, scan
+from .slice import _isotropic_eig_root
 
 USAGE_EXIT = 64
 #: The largest count flag: numpy cannot size more 128-byte probability tables, and a curve

@@ -9,7 +9,7 @@ grids and the boundary solver's MIN and MAX starts all come from it.
 
 All curves are closed forms.  ``ns_min`` is the least I over a
 two-parameter family of non-signaling behaviors (both marginals a = (a0, a1),
-C = a a^T + t sigma); ``boundary._family_min`` gives the minimizer in closed
+C = a a^T + t sigma); ``slice._family_min`` gives the minimizer in closed
 form, a stationary point that is measured to be the family's minimum.  Its
 points are feasible behaviors, so it is a proven upper bound on the NS and
 SYM minimum of I; that it is the minimum is a measured conjecture.
@@ -45,7 +45,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import boundary
 from .behavior import (
     INTERNAL_TOL,
     Behavior,
@@ -56,6 +55,7 @@ from .behavior import (
     validate,
 )
 from .functionals import TSIRELSON, _mi_tables
+from .slice import _family_vectors
 
 _DOMAIN_SLACK = 1e-9
 
@@ -94,7 +94,7 @@ CURVE_DOMAINS = {
 #: - LD_PR_MAX, the edge from the deterministic corner to the PR box;
 #: - BELL_PR_MIN, the minimum beyond Tsirelson: all four correlators at
 #:   magnitude s/4, so the curve equals 4 g(s/4);
-#: - C_MIN, the same isotropic point s * boundary._ANCHOR_DIR on all of [0, 4].
+#: - C_MIN, the same isotropic point s * slice._ANCHOR_DIR on all of [0, 4].
 _MIXTURES = {
     CurveId.LOCAL_MAX: (BehaviorTag.P0, BehaviorTag.SC_TILDE),
     CurveId.C_NONLOCAL_MAX: (BehaviorTag.SC, BehaviorTag.PR),
@@ -176,7 +176,7 @@ def witness_vectors(curve: CurveId | str, s) -> np.ndarray:
         return np.column_stack([np.zeros((len(s), 4)), ws, ws, ws, 3.0 * ws - s])
     if curve is CurveId.NS_MIN:
         # the family's least-I point: a product up to S = 2, the isotropic PR mixture from 2 sqrt 2
-        return boundary._family_vectors(s)
+        return _family_vectors(s)
     # LOCAL_MIN: a product behavior attaining S = s, so I is identically zero
     half, zero, one = s / 2.0, np.zeros(len(s)), np.ones(len(s))
     return np.column_stack([one, one, half, zero, half, zero, half, zero])

@@ -61,8 +61,8 @@ def read_curve_csv(path) -> BoundaryCurve:
 
     The file stores no scan configuration; the curve's feasible set is
     inferred as SYM when every row is device-symmetric, NS otherwise.  Bytes
-    that are not UTF-8, CSV syntax errors and non-finite fields raise
-    ``ParseError`` with the line number.
+    that are not UTF-8, CSV syntax errors, non-finite fields and a
+    ``converged`` other than 0 or 1 raise ``ParseError`` with the line number.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -88,14 +88,16 @@ def read_curve_csv(path) -> BoundaryCurve:
             try:
                 s = float(row[0])
                 i = float(row[1])
-                conv = bool(int(row[2]))
+                conv = int(row[2])
                 vec = [float(v) for v in row[3:]]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if conv not in (0, 1):
+                raise ParseError(f"{path}:{lineno}: converged must be 0 or 1, got {row[2]!r}")
             for name, v in zip(SCAN_HEADER[:2] + SCAN_HEADER[3:], [s, i, *vec]):
                 if not math.isfinite(v):
                     raise ParseError(f"{path}:{lineno}: non-finite {name}")
-            points.append(ScanPoint(s=s, i=i, argopt=Correlators.from_vector(vec), converged=conv))
+            points.append(ScanPoint(s=s, i=i, argopt=Correlators.from_vector(vec), converged=bool(conv)))
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     if not points:

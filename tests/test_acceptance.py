@@ -22,8 +22,6 @@ from nonsig.boundary import (
     FeasibleSet,
     ScanConfig,
     ScanMode,
-    _info_from_x,
-    info_gradient,
     scan,
 )
 from nonsig.cli import dispatch
@@ -31,6 +29,7 @@ from nonsig.curves import curve_value
 from nonsig.functionals import _mi_tables, _s_max_ab, mutual_information, s_max
 from nonsig.membership import _arcsin_margin, normalized_covariance
 from nonsig.quantum import _born_tables, _random_bloch, sample_tables
+from nonsig.slice import _info_from_x, info_gradient
 
 SEED = 1719
 TSIRELSON = 2 * np.sqrt(2)

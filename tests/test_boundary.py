@@ -16,12 +16,12 @@ from nonsig.boundary import (
     ScanConfig,
     ScanMode,
     _rounding,
-    info_gradient,
     optimize_at_s,
     scan,
     vertical_fill_check,
 )
 from nonsig.curves import curve_value
+from nonsig.slice import info_gradient
 from nonsig.functionals import mutual_information, s_max
 
 TSIRELSON = 2 * np.sqrt(2)
@@ -36,7 +36,7 @@ class TestInfoGradient:
     def test_matches_central_differences(self):
         vs = interior_vectors(100, seed=77)
         step = 1e-6
-        from nonsig.boundary import _info_from_x
+        from nonsig.slice import _info_from_x
 
         for v in vs:
             grad = info_gradient(v)
@@ -135,7 +135,8 @@ class TestOptimizeAtS:
     def test_raw_start_does_not_beat_its_converged_descendant_on_rounding(self):
         # the tail from this argopt converges, and its raw start is only
         # rounding-level better after repair; the converged row is kept
-        from nonsig.boundary import _geometry, _info_from_x, _repair, _rounding, _solve_grid, _z_from_vector
+        from nonsig.boundary import _geometry, _repair, _rounding, _solve_grid, _z_from_vector
+        from nonsig.slice import _info_from_x
 
         s = 2.5
         point = _geometry(FeasibleSet.NS, ScanMode.MIN, False).at([s])
@@ -504,7 +505,8 @@ class TestKernel:
         """At mu = 0 and a vanishing softening width the penalty kernel is the
         exact mutual information, with the exact gradient, on interior rows."""
         from nonsig.behavior import _tables_from_correlators
-        from nonsig.boundary import _X, _geometry, _info_from_x, _penalty, _probs, _starts, _x_from_z
+        from nonsig.boundary import _geometry, _penalty, _starts, _x_from_z
+        from nonsig.slice import _X, _entropy_rows, _info_from_x, _rows_probs
         from nonsig.functionals import _mi_tables
 
         for set_ in FeasibleSet:
@@ -514,7 +516,7 @@ class TestKernel:
                 z = _starts(point, 20, np.random.default_rng([7]))
                 job = point.take(np.zeros(len(z), dtype=int))
                 x = _x_from_z(job, z)
-                assert _probs(x)[0].min() > 1e-3
+                assert _rows_probs(_entropy_rows(x))[0].min() > 1e-3
                 f, grad = _penalty(geo, job.off, z, mu=0.0, eps=1e-9)
                 exact = _info_from_x(x)
                 assert np.max(np.abs(f - geo.sigma * exact)) <= 1e-14
@@ -526,7 +528,8 @@ class TestKernel:
 
 def term_by_term_penalty(set_, mode, qtilde_cap, s, z, mu, eps):
     """The solver's penalized objective written out term by term in correlator space."""
-    from nonsig.boundary import _ANCHOR_DIR, _SLOT_W, _embedding, _null_basis_rows
+    from nonsig.boundary import _embedding, _null_basis_rows
+    from nonsig.slice import _ANCHOR_DIR, _SLOT_W
 
     emb = _embedding(set_)
     null = _null_basis_rows((emb.T @ _SLOT_W[0])[None, :])
@@ -621,7 +624,8 @@ class TestPenaltyKernel:
         the cap penalty's Gauss-Newton term plus the arcsin curvature weighted
         by the cap's multipliers, together its exact Hessian, so those rows are
         held to the same relative tolerance, 1e-6, as all others."""
-        from nonsig.boundary import _C4, _FACETS, _penalty, _qtilde_exprs
+        from nonsig.boundary import _penalty, _qtilde_exprs
+        from nonsig.slice import _C4, _FACETS
 
         geo, off, _, z = kernel_rows(set_, mode, qtilde_cap, scores, seed=44)
         y = geo.map @ z.T + off
@@ -693,6 +697,62 @@ class TestBlockIndependence:
             (alone,) = _solve_grid(points.take([k]), [starts[k]])
             assert point.i == pytest.approx(alone.i, abs=1e-6)
             assert point.converged == alone.converged
+
+
+def full_bisection(job, z, lam):
+    """The arcsin scalings with all 50 bisection steps run on every row, failing or not."""
+    from nonsig.boundary import _qtilde_exprs, _x_from_z
+
+    def holds(l):
+        x = _x_from_z(job, l[:, None] * z)
+        return np.abs(_qtilde_exprs(x[:, 4:])).max(axis=-1) <= np.pi + 4e-15
+
+    ok = holds(lam)
+    lo, hi = np.where(ok, lam, 0.0), lam.copy()
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        good = holds(mid)
+        lo, hi = np.where(good, mid, lo), np.where(good, hi, mid)
+    return np.where(ok, lam, lo)
+
+
+class TestQtildeLambda:
+    """``_qtilde_lambda`` bisects only the rows that fail the arcsin facets."""
+
+    @staticmethod
+    def rows(scores, n, scale, seed):
+        geo = boundary._geometry(FeasibleSet.C, ScanMode.MAX, True)
+        job = geo.at(scores)
+        z = scale * np.random.default_rng([seed]).standard_normal((n, geo.map.shape[1]))
+        return job, z, boundary._shrink_lambda(job, z)
+
+    def test_one_evaluation_when_every_row_holds(self, monkeypatch):
+        job, z, lam = self.rows(np.linspace(2.0, 2.8, 40), 40, 1e-3, seed=3)
+        calls = []
+
+        def counted(job, z):
+            calls.append(len(z))
+            return x_from_z(job, z)
+
+        x_from_z = boundary._x_from_z
+        monkeypatch.setattr(boundary, "_x_from_z", counted)
+        assert np.array_equal(boundary._qtilde_lambda(job, z, lam), lam)
+        assert calls == [40]
+
+    @pytest.mark.parametrize(
+        "scores, n, scale, seed, failing",
+        [
+            # a lone failing row, whose gemv rounding would move its scaling
+            (np.linspace(2.0, 2.8, 40), 40, 0.1, 77, 1),
+            (np.linspace(2.0, 2.8, 40), 40, 1.0, 3, 22),
+            (np.array([2.7]), 30, 0.3, 3, 19),  # one point's starts, as ``_starts`` repairs them
+        ],
+    )
+    def test_matches_full_bisection(self, scores, n, scale, seed, failing):
+        job, z, lam = self.rows(scores, n, scale, seed)
+        expected = full_bisection(job, z, lam)
+        assert (expected != lam).sum() == failing
+        assert np.array_equal(boundary._qtilde_lambda(job, z, lam), expected)
 
 
 class TestVerticalFill:

@@ -150,6 +150,20 @@ class TestCurveCsv:
         with pytest.raises(ParseError, match=f":3: non-finite {column}$"):
             read_curve_csv(path)
 
+    @pytest.mark.parametrize("value", ["2", "-1", "10"])
+    def test_converged_other_than_0_or_1_carries_line_number(self, tmp_path, small_curve, capsys, value):
+        path = tmp_path / "conv.csv"
+        write_curve_csv(path, small_curve)
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        row[SCAN_HEADER.index("converged")] = value
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f":3: converged must be 0 or 1, got '{value}'$"):
+            read_curve_csv(path)
+        assert dispatch(["inflect", "--in", str(path)]) == 1
+        assert "converged must be 0 or 1" in capsys.readouterr().err
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("a,b,c\n1,2,3\n")

@@ -260,7 +260,7 @@ class TestNsMin:
     def test_newton_reaches_a_stationary_point(self):
         # below s ~ 2.05 the minimizer's smallest probability drops under 4e-6 and
         # the rounding of a alone leaves a gradient above 1e-12
-        from nonsig.boundary import _family_derivs, _family_min, _family_rows
+        from nonsig.slice import _family_derivs, _family_min, _family_rows
 
         s = np.linspace(2.05, TSIRELSON - 1e-6, 100)
         f, a = _family_min(s)
@@ -332,7 +332,7 @@ class TestFamilyMinimizer:
         assert np.max(np.abs(curve_value("ns_min", s) - i)) <= 1e-14
 
     def test_lies_on_the_conic(self):
-        from nonsig.boundary import _family_min
+        from nonsig.slice import _family_min
 
         s = np.linspace(2.0, TSIRELSON, 202)[1:-1]
         a = _family_min(s)[1]
@@ -344,7 +344,7 @@ class TestFamilyMinimizer:
     def test_arc_ends_lie_on_their_facets_and_the_minimizer_inside(self):
         # the minimizer's distance in a1 from the p(--|11) facet shrinks like (s - 2)^2.5:
         # 1e-14 at s = 2 + 1e-5, but 3e-17 at 2 + 1e-6, below the rounding of a1
-        from nonsig.boundary import _P16, _family_min, _family_rows
+        from nonsig.slice import _P16, _family_min, _family_rows
 
         s = np.concatenate([2.0 + np.logspace(-5, -1, 30), np.linspace(2.1, TSIRELSON - 1e-9, 60)])
         lo, hi = self.arc_ends(s)
@@ -359,7 +359,9 @@ class TestFamilyMinimizer:
         assert np.min(q[:, [facet_11, facet_01, facet_10]]) > 0.0
 
     def test_no_arc_point_has_less_information(self):
-        from nonsig.boundary import _family_rows, _info, _rounding, _rows_probs
+        from nonsig.boundary import _rounding
+        from nonsig.functionals import _info
+        from nonsig.slice import _family_rows, _rows_probs
 
         for s in np.concatenate([2.0 + np.logspace(-5, -1, 9), np.linspace(2.1, TSIRELSON - 1e-9, 20)]):
             lo, hi = self.arc_ends(np.array(s))
@@ -376,7 +378,9 @@ class TestFamilyMinimizer:
     )
     def test_no_family_point_has_less_information(self, s, seed):
         # the 2-D oracle: feasible family points drawn uniformly and near the minimizer
-        from nonsig.boundary import _family_min, _family_rows, _info, _rounding, _rows_probs
+        from nonsig.boundary import _rounding
+        from nonsig.functionals import _info
+        from nonsig.slice import _family_min, _family_rows, _rows_probs
 
         rng = np.random.default_rng(seed)
         best = _family_min(np.array([s]))[1][0]
@@ -388,7 +392,8 @@ class TestFamilyMinimizer:
         assert len(q) and np.min(_info(*_rows_probs(q))) >= f - _rounding(f)
 
     def test_derivs_match_finite_differences(self):
-        from nonsig.boundary import _family_derivs, _family_rows, _info, _rows_probs
+        from nonsig.functionals import _info
+        from nonsig.slice import _family_derivs, _family_rows, _rows_probs
 
         s = np.array([2.3, 2.6, 2.8, 3.0])
         a = np.array([[0.5, 0.2], [0.3, 0.1], [0.0, 0.0], [0.05, -0.02]])
@@ -464,7 +469,7 @@ class TestCorrelationSpace:
 
 class TestTsirelsonCertificate:
     def test_isotropic_eigenvalue_turns_at_tsirelson(self):
-        from nonsig.boundary import _isotropic_eig_root
+        from nonsig.slice import _isotropic_eig_root
 
         root, signs = _isotropic_eig_root()
         assert abs(root - TSIRELSON) <= 1e-15
@@ -478,7 +483,7 @@ class TestTsirelsonCertificate:
         assert abs(8 * math.log(2) * gap / d**2 - 1) <= 0.2 * d
 
     def test_isotropic_eigenvalue_closed_form(self):
-        from nonsig.boundary import _isotropic_eig
+        from nonsig.slice import _isotropic_eig
 
         s = np.linspace(2.7, 3.2, 8)
         c = s / 4.0
