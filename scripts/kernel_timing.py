@@ -10,18 +10,22 @@ the penalty stage is mu = 1e3, eps = 1e-3.
 
 Then times ``_newton`` on each of the six stages (mu = 10 to 1e6), each
 started where the stage before it leaves the rows, as ``_solve`` runs them,
-from random starts on two blocks: the 50 rows of one NS MAX point at s = 3.3
-(one ``optimize_at_s`` at 50 restarts) and 256 NS MIN rows, 32 points on
-[2.5, 3.1] at 8 starts each (one fig6 block); and on the two tail stages
-only, started at the lower-boundary family's points of the 100 scores of the
-benchmark's fig6 grid on [2.5, 3.1], one row each, as NS MIN scans start
-them.  Per stage it prints the iterations until every row has finished, the
-microseconds per iteration, and per iteration the value-only kernel calls
-and the value+gradient+Hessian calls.  Every iteration is one batched linear
-solve; the last three columns are the rows it solves on average, the Armijo
-trials (step lengths tried) per row and iteration, and the share of solved
-rows whose step no trial could take because it was no descent direction
-(non-descent steps per row and iteration).
+from random starts on three blocks: the 50 rows of one NS MAX point at
+s = 3.3 (one ``optimize_at_s`` at 50 restarts), the 50 audit rows of the
+capped C MAX query at s = 2.224552993103895, seed 563703103, most of which
+stick at the cube face, and 256 NS MIN rows, 32 points on [2.5, 3.1] at 8
+starts each (one fig6 block); and on the two tail stages only, started at
+the lower-boundary family's points of the 100 scores of the benchmark's fig6
+grid on [2.5, 3.1], one row each, as NS MIN scans start them.  Per stage it
+prints the iterations until every row has finished, the microseconds per
+iteration, and per iteration the value-only kernel calls and the
+value+gradient+Hessian calls.  Every iteration is one batched linear solve;
+the next three columns are the rows it solves on average, the Armijo trials
+(step lengths tried) per row and iteration, and the share of solved rows
+whose step no trial could take because it was no descent direction
+(non-descent steps per row and iteration).  The last column is the share of
+the stage's rows that cannot progress: they end without moving after a
+search at the damping ceiling (``_DAMPING_CEILING``).
 
 Last it times the family points themselves (``_family_vectors``, the
 closed-form minimizer in a) in microseconds per score, at 1 score (s =
@@ -48,9 +52,11 @@ CASES = (
     ("c_max_capped", FeasibleSet.C, ScanMode.MAX, True, 2.5),
 )
 ROWS = (1, 10, 100, 256, 1000)
+#: Each block's points, random starts per point and each point's start seed.
 BLOCK_CASES = (
-    ("ns_max point", FeasibleSet.NS, ScanMode.MAX, np.array([3.3]), 50),
-    ("ns_min block", FeasibleSet.NS, ScanMode.MIN, np.linspace(2.5, 3.1, 32), 8),
+    ("ns_max point", FeasibleSet.NS, ScanMode.MAX, False, np.array([3.3]), 50, [[0, 0]]),
+    ("c_max audit", FeasibleSet.C, ScanMode.MAX, True, np.array([2.224552993103895]), 50, [[563703103]]),
+    ("ns_min block", FeasibleSet.NS, ScanMode.MIN, False, np.linspace(2.5, 3.1, 32), 8, [[0, j] for j in range(32)]),
 )
 FIG6_GRID = np.linspace(2.5, 3.1, 100)
 FAMILY_SCORES = (np.array([2.0 + 1e-9]), np.array([2.001]), np.array([2.6]), np.linspace(2.01, 2.82, 100))
@@ -68,10 +74,10 @@ def per_call_us(geo, off, z, grad: bool) -> float:
     return statistics.median(samples)
 
 
-def random_start(set_, mode, grid, restarts):
-    """The block's job and its random starts, drawn as scans draw them."""
-    points = _geometry(set_, mode, False).at(grid)
-    starts = [_starts(points.take([j]), restarts, np.random.default_rng([0, j])) for j in range(len(grid))]
+def random_start(set_, mode, cap, grid, restarts, seeds):
+    """The block's job and its random starts, drawn as scans and queries draw them."""
+    points = _geometry(set_, mode, cap).at(grid)
+    starts = [_starts(points.take([j]), restarts, np.random.default_rng(seed)) for j, seed in enumerate(seeds)]
     owner = np.repeat(np.arange(len(starts)), [len(z) for z in starts])
     return points.take(owner), np.concatenate(starts)
 
@@ -91,16 +97,22 @@ def stages(job, z, outers):
     return out
 
 
-def newton_counts(job, z, mu, eps) -> tuple[int, int, int, int, int, int]:
+def newton_counts(job, z, mu, eps) -> tuple[int, int, int, int, int, int, int]:
     """Iterations (batched solves, one per iteration), value-only calls,
-    value+grad+Hessian calls, rows solved, step lengths tried and non-descent
-    steps in one stage.
+    value+grad+Hessian calls, rows solved, step lengths tried, non-descent
+    steps and rows that cannot progress in one stage.
 
     An iteration's first value-only call, if any, directly follows its solve
     and tries the full step of each row whose step is a descent direction,
-    one row each; the other rows that iteration solved are non-descent steps."""
+    one row each; the other rows that iteration solved are non-descent steps.
+    A row cannot progress when it ends, short of ``_NEWTON_GTOL``, at the z
+    its last iteration started from, with that iteration's damping at the
+    ceiling; ``_retire`` sees each row's state at the start of every
+    iteration, and the damping is the one ``_newton`` derives from it."""
     events = []  # (call, rows): "solve", "value" or "hess"
-    solve = np.linalg.solve
+    last = {}  # row -> its z, damping and Hessian scale at the start of its latest iteration
+    stuck = []  # the rows that cannot progress
+    solve, retire = np.linalg.solve, boundary._retire
 
     def counted(geo, off, zz, mu, eps, grad=True, hess=False):
         events.append(("hess" if hess else "grad" if grad else "value", len(zz)))
@@ -110,11 +122,25 @@ def newton_counts(job, z, mu, eps) -> tuple[int, int, int, int, int, int]:
         events.append(("solve", len(a)))
         return solve(a, b)
 
-    boundary._penalty, np.linalg.solve = counted, counted_solve
+    def watched_retire(keep, act, full, part, off):
+        if len(part) > len(full):  # the start of an iteration, not the final write-back
+            za, ga, _, ha, lam, live = part
+            ended = ~live & ((ga * ga).sum(axis=1) > boundary._NEWTON_GTOL**2)
+            for i in np.flatnonzero(ended):
+                z0, damping, scale = last[act[i]]
+                if np.array_equal(z0, za[i]) and damping >= boundary._DAMPING_CEILING * scale:
+                    stuck.append(act[i])
+            scale = np.abs(np.diagonal(ha, axis1=1, axis2=2)).max(axis=1)
+            damping = np.maximum(lam, boundary._DAMPING_FLOOR * (1.0 + scale))
+            for i in np.flatnonzero(keep):
+                last[act[i]] = za[i].copy(), damping[i], scale[i]
+        return retire(keep, act, full, part, off)
+
+    boundary._penalty, np.linalg.solve, boundary._retire = counted, counted_solve, watched_retire
     try:
         boundary._newton(job, z.copy(), mu, eps)
     finally:
-        boundary._penalty, np.linalg.solve = _penalty, solve
+        boundary._penalty, np.linalg.solve, boundary._retire = _penalty, solve, retire
 
     def calls(kind):
         return sum(k == kind for k, _ in events)
@@ -124,7 +150,7 @@ def newton_counts(job, z, mu, eps) -> tuple[int, int, int, int, int, int]:
 
     following = events[1:] + [("end", 0)]
     nondescent = sum(r - (nr if nk == "value" else 0) for (k, r), (nk, nr) in zip(events, following) if k == "solve")
-    return calls("solve"), calls("value"), calls("hess"), rows("solve"), rows("value"), nondescent
+    return calls("solve"), calls("value"), calls("hess"), rows("solve"), rows("value"), nondescent, len(stuck)
 
 
 def per_stage_us(job, z, mu, eps) -> float:
@@ -161,21 +187,21 @@ def main() -> None:
     print("\nNewton stages, per iteration")
     print(
         f"{'case':<14}{'rows':>6}{'mu':>7}{'iters':>7}{'us/iter':>10}{'value/iter':>12}"
-        f"{'hess/iter':>11}{'rows/solve':>12}{'trials/row':>12}{'nondescent/row':>16}"
+        f"{'hess/iter':>11}{'rows/solve':>12}{'trials/row':>12}{'nondescent/row':>16}{'stuck/row':>11}"
     )
     blocks = [
-        (name, *random_start(set_, mode, grid, restarts), len(boundary._MU_SCHEDULE))
-        for name, set_, mode, grid, restarts in BLOCK_CASES
+        (name, *random_start(set_, mode, cap, grid, restarts, seeds), len(boundary._MU_SCHEDULE))
+        for name, set_, mode, cap, grid, restarts, seeds in BLOCK_CASES
     ]
     blocks.append(("ns_min family", *family_start(FIG6_GRID), boundary._TAIL_STAGES))
     for name, job, z0, outers in blocks:
         for mu, eps, z in stages(job, z0, outers):
-            iterations, value, hess, solved, trials, nondescent = newton_counts(job, z, mu, eps)
+            iterations, value, hess, solved, trials, nondescent, stuck = newton_counts(job, z, mu, eps)
             us = per_stage_us(job, z, mu, eps) / iterations
             print(
                 f"{name:<14}{len(z):>6}{mu:>7.0e}{iterations:>7}{us:>10.1f}{value / iterations:>12.2f}"
                 f"{hess / iterations:>11.2f}{solved / iterations:>12.1f}{trials / solved:>12.2f}"
-                f"{nondescent / solved:>16.3f}"
+                f"{nondescent / solved:>16.3f}{stuck / len(z):>11.3f}"
             )
 
     print("\nfamily points (_family_vectors), us per score")

@@ -20,9 +20,12 @@ and the backtracking trials of all rows that need them share kernel calls,
 each capped at ``_BLOCK_ROWS`` rows like the blocks themselves; only that
 cap lets a row depend on its block (``_penalty``).  Each row stops by its own
 rules: at ``_NEWTON_GTOL``, which makes it ``converged`` after the last
-stage, at a step below the rounding of z, or after ``_NEWTON_ITERS``
-iterations.  ``_finish`` alone builds each point's ``ScanPoint`` from its
-best exactly evaluated row, with that row's flag.
+stage, at a step below the rounding of z, when it cannot progress (its line
+search fails with the damping at ``_DAMPING_CEILING`` times the Hessian's
+scale; after each failed search the damping jumps to at least that scale),
+or after ``_NEWTON_ITERS`` iterations.  ``_finish`` alone builds each
+point's ``ScanPoint`` from its best exactly evaluated row, with that row's
+flag.
 
 Every kind starts each point at a known witness and runs only the Newton
 tail from it (``curves.witness_vectors``): NS and SYM MIN at ``ns_min``, NS
@@ -51,6 +54,9 @@ _NEWTON_ITERS = 30
 _NEWTON_GTOL = 1e-9
 #: Least Levenberg-Marquardt damping of a Newton step, relative to the Hessian's scale.
 _DAMPING_FLOOR = 1e-12
+#: Damping, relative to the Hessian's scale, at which a row whose search fails
+#: stops; ceilings of 1 and 1e2 cost converged flags on point queries.
+_DAMPING_CEILING = 1e4
 #: Softening width of the entropy kink at p = 0, by stage.  The subproblems
 #: stay smooth while iterates slide along positivity facets; the final stages
 #: approach the exact kinked objective and the reported values are always
@@ -343,14 +349,20 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray
     grad . step >= 0 has curvature below -lam along it, as step . (H + lam I)
     step = -grad . step; the row is near a saddle and takes the reversed step,
     a descent direction of negative curvature (More and Sorensen 1979).  The
-    damping lam eases tenfold after a full step and tightens tenfold after a
-    failed search; after a reversed step it also jumps past twice that
-    curvature.  Its floor is ``_DAMPING_FLOOR`` times one plus the row's
-    largest Hessian diagonal.
+    damping lam eases tenfold after a full step.  After a failed search it
+    tightens tenfold and to at least the row's scale, its largest Hessian
+    diagonal, so that the trust region shrinks relative to the model's own
+    scale (More 1978) instead of creeping up from the floor; after a reversed
+    step it also jumps past twice that curvature.  Its floor is
+    ``_DAMPING_FLOOR`` times one plus the scale.
 
     A row is done when its gradient norm is at most ``_NEWTON_GTOL``
-    (converged) or when it can no longer progress: its step is below the
-    rounding of z.  Returns the iterates, those of ``z`` updated in place, and
+    (converged), when its step is below the rounding of z, or when it cannot
+    progress: its search fails with lam at ``_DAMPING_CEILING`` times the
+    scale or more, about five failures after the first.  Such rows sit where
+    no step gains, as capped C MAX rows at the face of the cube, where the
+    clipped arcsin makes the cap penalty flat outside and infinitely steep
+    just inside.  Returns the iterates, those of ``z`` updated in place, and
     the converged flags.
     """
     geo = job.geo
@@ -367,22 +379,24 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray
         act, (za, ga, fa, ha, lam, live), offa = _retire(keep, act, full, (za, ga, fa, ha, lam, live), offa)
         if not act.size:
             break
-        lam = np.maximum(lam, _DAMPING_FLOOR * (1.0 + np.abs(np.diagonal(ha, axis1=1, axis2=2)).max(axis=1)))
+        scale = np.abs(np.diagonal(ha, axis1=1, axis2=2)).max(axis=1)
+        lam = np.maximum(lam, _DAMPING_FLOOR * (1.0 + scale))
         step = np.linalg.solve(ha + lam[:, None, None] * eye, -ga[:, :, None])[:, :, 0]
         slope = (ga * step).sum(axis=1)
         uphill = slope >= 0.0
-        step[uphill] *= -1.0
-        slope[uphill] *= -1.0
+        if uphill.any():
+            step[uphill] *= -1.0
+            slope[uphill] *= -1.0
         slack = _rounding(fa)
         t = np.zeros(act.size)  # the accepted step length, 0 for none
         trial = slope < 0.0
-        for lengths in (np.ones(1), np.ldexp(1.0, -1 - np.arange(_TRIAL_BATCH))):
+        for lengths in _TRIAL_LENGTHS:
             rows = np.flatnonzero(trial)
             if not rows.size:
                 break
             lengths = lengths[: max(1, _BLOCK_ROWS // rows.size)]
             cand = za[rows, None] + lengths[:, None] * step[rows, None]
-            off = np.repeat(offa[:, rows], len(lengths), axis=1)
+            off = offa[:, rows] if len(lengths) == 1 else np.repeat(offa[:, rows], len(lengths), axis=1)
             fc = _penalty(geo, off, cand.reshape(-1, d), mu, eps, grad=False).reshape(len(rows), -1)
             ok = fc <= fa[rows, None] + 1e-4 * lengths * slope[rows, None] + slack[rows, None]
             hit = ok.any(axis=1)
@@ -391,12 +405,14 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray
             t[rows], fa[rows] = lengths[first], fc[hit, first]
             trial[rows] = False
         moved = t > 0.0
-        # a step below the rounding of z, taken or proposed, ends the row
+        # a step below the rounding of z, taken or proposed, ends the row, and so
+        # does a failed search at the damping ceiling
         size = np.abs(step).max(axis=1) * np.where(moved, t, 1.0)
-        live = size > 1e-15 * (1.0 + np.abs(za).max(axis=1))
-        curv = np.einsum("ri,rij,rj->r", step, ha, step) / np.maximum((step * step).sum(axis=1), 1e-300)
-        lam = np.where(t == 1.0, 0.1 * lam, np.where(moved, lam, 10.0 * lam))
-        lam = np.where(uphill, np.maximum(lam, -2.0 * curv), lam)
+        live = (size > 1e-15 * (1.0 + np.abs(za).max(axis=1))) & (moved | (lam < _DAMPING_CEILING * scale))
+        lam = np.where(t == 1.0, 0.1 * lam, np.where(moved, lam, np.maximum(10.0 * lam, scale)))
+        if uphill.any():
+            curv = np.einsum("ri,rij,rj->r", step, ha, step) / np.maximum((step * step).sum(axis=1), 1e-300)
+            lam = np.where(uphill, np.maximum(lam, -2.0 * curv), lam)
         if moved.any():
             za = za + t[:, None] * step
             rows = np.flatnonzero(moved)
@@ -562,6 +578,8 @@ def _z_from_vector(points: _Job, vec8: np.ndarray) -> np.ndarray:
 _BLOCK_ROWS = 256
 #: Most backtracking trials (step halvings) of one row in one kernel call.
 _TRIAL_BATCH = 8
+#: The step lengths of a line search: the full step, then its halvings.
+_TRIAL_LENGTHS = (np.ones(1), np.ldexp(1.0, -1 - np.arange(_TRIAL_BATCH)))
 #: The Newton tail, the two stiffest stages: all that witness starts run.
 _TAIL_STAGES = 2
 #: Every ``_AUDIT_EVERY``-th point of a grid, from its first, also runs its random starts.

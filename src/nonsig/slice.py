@@ -117,6 +117,48 @@ def _family_derivs(q: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (d1[:, None, :] @ grad_q)[:, 0], hess
 
 
+def _two_sum(a, b):
+    """a + b as an unevaluated sum hi + lo of two floats, exactly (Knuth); hi is a + b rounded."""
+    hi = a + b
+    v = hi - a
+    return hi, (a - (hi - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    """a b as hi + lo exactly, by Dekker's split of each factor into 26-bit halves."""
+    hi = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+# Double-double arithmetic on pairs (hi, lo) whose sum carries ~106 bits.  Each
+# result is renormalized by ``_two_sum``, so its hi is the result rounded once.
+
+
+def _dd_add(x, y):
+    hi, lo = _two_sum(x[0], y[0])
+    return _two_sum(hi, lo + (x[1] + y[1]))
+
+
+def _dd_mul(x, y):
+    hi, lo = _two_prod(x[0], y[0])
+    return _two_sum(hi, lo + (x[0] * y[1] + x[1] * y[0]))
+
+
+def _dd_div(x, y):
+    q = x[0] / y[0]
+    hi, lo = _two_prod(q, y[0])
+    return _two_sum(q, ((x[0] - hi) - lo + x[1] - q * y[1]) / y[0])
+
+
+def _dd_sqrt(x):
+    r = np.sqrt(x[0])
+    hi, lo = _two_prod(r, r)
+    return _two_sum(r, ((x[0] - hi) - lo + x[1]) / (2.0 * r))
+
+
 def _family_min(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The least I of the family at scores s (n,) in (2, 2 sqrt 2), and its a (n, 2), in closed form.
 
@@ -138,14 +180,19 @@ def _family_min(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rounding, and no sampled family point has less I (``tests/test_curves.py``).
     The half a0 + a1 < 0 holds its mirror -a, since I is even in a.
 
-    The formula runs in ``np.longdouble`` (extended precision where the
-    platform has it) so that a is rounded once: near s = 2.05 each ulp of a
-    moves the gradient of I in a by ~1e-12.
+    The formula runs in double-double arithmetic, so that a is rounded once
+    on every platform: near s = 2.05 each ulp of a moves the gradient of I in
+    a by ~1e-12.  s^2 - 4 and 8 - s^2 are exact there, and 2 - w is taken as
+    (8 - s^2) / (2 + w), which does not cancel near 2 sqrt 2.
     """
-    x = np.asarray(s, dtype=np.longdouble)
-    w = np.sqrt((x - 2.0) * (x + 2.0))
-    a0 = np.sqrt((2.0 - w) * (x + w) / (2.0 * x))
-    a = np.stack([a0, 2.0 * a0 / (x + w)], axis=-1).astype(float)
+    s = np.asarray(s, dtype=float)
+    sq, sq_lo = _two_prod(s, s)
+    w = _dd_sqrt(_two_sum(sq - 4.0, sq_lo))
+    s_w = _dd_add((s, 0.0), w)
+    two_w = _dd_div(_two_sum(8.0 - sq, -sq_lo), _dd_add((2.0, 0.0), w))  # 2 - w
+    a0 = _dd_sqrt(_dd_div(_dd_mul(two_w, s_w), (2.0 * s, 0.0)))
+    a1 = _dd_div((2.0 * a0[0], 2.0 * a0[1]), s_w)
+    a = np.stack([a0[0], a1[0]], axis=-1)
     return _info(*_rows_probs(_family_rows(s, a))), a
 
 

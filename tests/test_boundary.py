@@ -776,23 +776,29 @@ class TestNewtonOracle:
     rounding depends on which rows share its call.
 
     Each block runs the whole penalty schedule as ``_solve`` does, from a few
-    random starts per point, and across its stages it has rows that stop at
-    ``_NEWTON_GTOL``, rows that stop at a step below the rounding of z and
-    rows that run all ``_NEWTON_ITERS`` iterations.
+    random starts per point.  Across the cases and their stages every stop
+    reason occurs: rows that stop at ``_NEWTON_GTOL``, rows that stop at a step
+    below the rounding of z, rows that cannot progress (a failed search at the
+    damping ceiling: the same row run without the ceiling takes more
+    iterations) and rows that run all ``_NEWTON_ITERS`` iterations.  Each case
+    states the reasons its rows show.
     """
 
-    @pytest.mark.parametrize(
-        "set_, mode, qtilde_cap, grid, seed",
-        [
-            ("ns", "min", False, np.linspace(1.6, 2.4, 5), 0),
-            ("ns", "max", False, np.linspace(0.0, 4.0, 5), 0),
-            ("c", "max", True, np.linspace(2.0, 2.8, 4), 4),
-        ],
-        ids=["ns_min", "ns_max", "c_max_capped"],
-    )
-    def test_block_matches_rows_alone(self, monkeypatch, set_, mode, qtilde_cap, grid, seed):
+    REASONS = ("gtol", "rounding step", "cannot progress", "iteration cap")
+    CASES = {
+        "ns_min": (("ns", "min", False, np.linspace(1.6, 2.4, 5), 0), {"gtol", "rounding step", "iteration cap"}),
+        "ns_max": (("ns", "max", False, np.linspace(0.0, 4.0, 5), 0), {"gtol", "rounding step"}),
+        "c_max_capped": (("c", "max", True, np.linspace(2.0, 2.8, 4), 4), {"gtol", "rounding step", "cannot progress"}),
+    }
+
+    def test_cases_cover_every_stop_reason(self):
+        assert set().union(*(reasons for _, reasons in self.CASES.values())) == set(self.REASONS)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_block_matches_rows_alone(self, monkeypatch, case):
         from nonsig import boundary
 
+        (set_, mode, qtilde_cap, grid, seed), reasons = self.CASES[case]
         kernel, solve = boundary._penalty, np.linalg.solve
         iterations = [0]  # of the last one-row run: one batched solve per iteration
 
@@ -804,25 +810,36 @@ class TestNewtonOracle:
             iterations[0] += 1
             return solve(a, b)
 
+        def alone(r, mu, eps, ceiling=boundary._DAMPING_CEILING):
+            iterations[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "solve", counted_solve)
+                m.setattr(boundary, "_DAMPING_CEILING", ceiling)
+                out = boundary._newton(job.take([r]), z[r : r + 1].copy(), mu, eps)
+            return out, iterations[0]
+
         monkeypatch.setattr(boundary, "_penalty", one_row_at_a_time)
         points = boundary._geometry(FeasibleSet(set_), ScanMode(mode), qtilde_cap).at(grid)
         starts = [boundary._starts(points.take([j]), 3, np.random.default_rng([seed, j])) for j in range(len(grid))]
         job = points.take(np.repeat(np.arange(len(grid)), 3))
         z = np.concatenate(starts)
-        seen = np.zeros(3, dtype=int)  # rows at gtol, at a rounding-size step, at the iteration cap
+        seen = dict.fromkeys(self.REASONS, 0)
         for k, (mu, eps) in enumerate(zip(boundary._MU_SCHEDULE, boundary._EPS_SCHEDULE)):
             block, met = boundary._newton(job, z.copy(), mu, eps)
             for r in range(len(z)):
-                iterations[0] = 0
-                with monkeypatch.context() as m:
-                    m.setattr(np.linalg, "solve", counted_solve)
-                    alone, met_alone = boundary._newton(job.take([r]), z[r : r + 1].copy(), mu, eps)
-                assert np.array_equal(alone[0], block[r]), f"stage {k}, row {r}"
+                (row, met_alone), n = alone(r, mu, eps)
+                assert np.array_equal(row[0], block[r]), f"stage {k}, row {r}"
                 assert met_alone[0] == met[r], f"stage {k}, row {r}"
-                capped = iterations[0] == boundary._NEWTON_ITERS
-                seen += [met[r], not met[r] and not capped, not met[r] and capped]
+                if met[r]:
+                    seen["gtol"] += 1
+                elif n == boundary._NEWTON_ITERS:
+                    seen["iteration cap"] += 1
+                elif alone(r, mu, eps, ceiling=np.inf)[1] > n:
+                    seen["cannot progress"] += 1
+                else:
+                    seen["rounding step"] += 1
             z = block
-        assert np.all(seen > 0), seen
+        assert {reason for reason, count in seen.items() if count} == reasons, seen
 
 
 class TestNewtonSaddle:
@@ -845,3 +862,37 @@ class TestNewtonSaddle:
             after.append((f[0], np.linalg.norm(g)))
         for (f, gnorm), (f_next, _) in zip(after, after[1:]):
             assert gnorm <= boundary._NEWTON_GTOL or f_next < f
+
+
+class TestNewtonStuckRow:
+    def test_row_at_the_cube_face_stops_early(self, monkeypatch):
+        """A capped C MAX row stuck at the cube face ends long before the iteration cap.
+
+        One of the 50 random starts of the query s = 2.224552993103895, seed
+        563703103, as the first two stages leave it: its correlators are
+        (1.0749, 1.0749, -1 - 5.7e-10, -1.0749), where the clipped arcsin makes
+        the cap penalty flat outside the cube and infinitely steep just inside
+        it.  At mu = 1e3 its |grad| stays 15.59 and every line search fails;
+        while the damping rose only tenfold per failure the row ran all 30
+        iterations, with moves of rounding size at the end."""
+        from nonsig import boundary
+
+        solve = np.linalg.solve
+        iterations = [0]
+
+        def counted_solve(a, b):
+            iterations[0] += 1
+            return solve(a, b)
+
+        point = boundary._geometry(FeasibleSet.C, ScanMode.MAX, True).at([2.224552993103895])
+        z0 = np.array([[0.3458084997427767, -1.7290424987138648, -0.3458084997427567]])
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "solve", counted_solve)
+            boundary._newton(point, z0.copy(), 1e3, 1e-3)
+        assert iterations[0] <= boundary._NEWTON_ITERS // 3
+        f = []
+        for k in range(iterations[0] + 1):
+            monkeypatch.setattr(boundary, "_NEWTON_ITERS", k)
+            z, _ = boundary._newton(point, z0.copy(), 1e3, 1e-3)
+            f.append(boundary._penalty(point.geo, point.off, z, 1e3, 1e-3, grad=False)[0])
+        assert np.all(np.diff(f) <= 0.0), f

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -181,6 +184,15 @@ class TestCurveCsv:
 
 
 class TestCliCommands:
+    def test_runs_as_a_module_without_an_install(self):
+        import nonsig
+
+        src = str(Path(nonsig.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-m", "nonsig", "--version"], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == f"nonsig {nonsig.__version__}"
+
     def test_curve_endpoints(self, capsys):
         assert dispatch(["curve", "--id", "ns_max", "--grid", "5"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import warnings
@@ -330,6 +331,32 @@ class TestFamilyMinimizer:
     def test_matches_the_two_dimensional_solve(self):
         s, i = np.array(self.PINNED).T
         assert np.max(np.abs(curve_value("ns_min", s) - i)) <= 1e-14
+
+    def test_rounds_a_once(self):
+        # a, from double-double arithmetic, is the 40-digit value rounded once, at
+        # the 100 scores of test_newton_reaches_a_stationary_point and the pinned
+        # ones; where numpy's longdouble is wider than float64, the plain formula
+        # evaluated in it agrees or is farther from that value
+        from nonsig.slice import _family_min
+
+        s = np.concatenate([np.linspace(2.05, TSIRELSON - 1e-6, 100), np.array(self.PINNED)[:, 0]])
+        a = _family_min(s)[1]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            exact = []
+            for v in map(decimal.Decimal, s):
+                w = (v * v - 4).sqrt()
+                a0 = ((2 - w) * (v + w) / (2 * v)).sqrt()
+                exact.append([a0, 2 * a0 / (v + w)])
+            assert np.array_equal(a, np.array(exact, dtype=float))
+            if np.finfo(np.longdouble).nmant > np.finfo(float).nmant:
+                x = s.astype(np.longdouble)
+                w = np.sqrt((x - 2.0) * (x + 2.0))
+                a0 = np.sqrt((2.0 - w) * (x + w) / (2.0 * x))
+                wide = np.stack([a0, 2.0 * a0 / (x + w)], axis=-1).astype(float)
+                for row, wide_row, exact_row in zip(a, wide, exact):
+                    for new, old, e in zip(row, wide_row, exact_row):
+                        assert new == old or abs(decimal.Decimal(new) - e) < abs(decimal.Decimal(old) - e)
 
     def test_lies_on_the_conic(self):
         from nonsig.slice import _family_min
