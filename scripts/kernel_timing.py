@@ -8,15 +8,17 @@ value with gradient, for NS MIN at s = 2.9 and for the arcsin-capped C MAX at
 s = 2.5.  The rows are starts drawn by the solver's own start builder, and
 the penalty stage is mu = 1e3, eps = 1e-3.
 
-Then times ``_newton`` on each of the six stages (mu = 10 to 1e6), each
-started where the stage before it leaves the rows, as ``_solve`` runs them,
-from random starts on three blocks: the 50 rows of one NS MAX point at
-s = 3.3 (one ``optimize_at_s`` at 50 restarts), the 50 audit rows of the
+Then times ``_newton`` on each stage of the penalty schedule (mu = 10 to
+1e6) with the rows that have started by then, each row started where the
+stage before it leaves it, as ``_solve`` runs them, on four blocks: the
+query block of NS MAX at s = 3.3 (one ``optimize_at_s`` at 50 restarts: 50
+random audit rows from mu = 10 on, and the ``ns_max`` witness row that joins
+them on the two tail stages, mu = 1e5 and 1e6); the 50 audit rows of the
 capped C MAX query at s = 2.224552993103895, seed 563703103, most of which
-stick at the cube face, and 256 NS MIN rows, 32 points on [2.5, 3.1] at 8
-starts each (one fig6 block); and on the two tail stages only, started at
-the lower-boundary family's points of the 100 scores of the benchmark's fig6
-grid on [2.5, 3.1], one row each, as NS MIN scans start them.  Per stage it
+stick at the cube face; 256 random NS MIN rows, 32 points on [2.5, 3.1] at 8
+starts each (one fig6 block); and the lower-boundary family's points of the
+100 scores of the benchmark's fig6 grid on [2.5, 3.1], one row each on the
+two tail stages only, as NS MIN scans start them.  Per stage it
 prints the iterations until every row has finished, the microseconds per
 iteration, and per iteration the value-only kernel calls and the
 value+gradient+Hessian calls.  Every iteration is one batched linear solve;
@@ -43,7 +45,7 @@ import time
 
 import numpy as np
 
-from nonsig import boundary
+from nonsig import boundary, curves
 from nonsig.boundary import FeasibleSet, ScanMode, _geometry, _penalty, _starts, _z_from_vector
 from nonsig.slice import _family_vectors
 
@@ -52,13 +54,16 @@ CASES = (
     ("c_max_capped", FeasibleSet.C, ScanMode.MAX, True, 2.5),
 )
 ROWS = (1, 10, 100, 256, 1000)
-#: Each block's points, random starts per point and each point's start seed.
+#: Each random block's points, random starts per point and each point's start seed.
 BLOCK_CASES = (
-    ("ns_max point", FeasibleSet.NS, ScanMode.MAX, False, np.array([3.3]), 50, [[0, 0]]),
     ("c_max audit", FeasibleSet.C, ScanMode.MAX, True, np.array([2.224552993103895]), 50, [[563703103]]),
     ("ns_min block", FeasibleSet.NS, ScanMode.MIN, False, np.linspace(2.5, 3.1, 32), 8, [[0, j] for j in range(32)]),
 )
+#: The query block's NS MAX score, random starts and start seed.
+QUERY = (3.3, 50, [0, 0])
 FIG6_GRID = np.linspace(2.5, 3.1, 100)
+#: The first stage of a witness row: the Newton tail.
+TAIL = len(boundary._MU_SCHEDULE) - boundary._TAIL_STAGES
 FAMILY_SCORES = (np.array([2.0 + 1e-9]), np.array([2.001]), np.array([2.6]), np.linspace(2.01, 2.82, 100))
 REPEATS = 7
 
@@ -75,25 +80,41 @@ def per_call_us(geo, off, z, grad: bool) -> float:
 
 
 def random_start(set_, mode, cap, grid, restarts, seeds):
-    """The block's job and its random starts, drawn as scans and queries draw them."""
+    """The block's job, its random starts, drawn as scans and queries draw
+    them, and their first stage, the schedule's first."""
     points = _geometry(set_, mode, cap).at(grid)
     starts = [_starts(points.take([j]), restarts, np.random.default_rng(seed)) for j, seed in enumerate(seeds)]
     owner = np.repeat(np.arange(len(starts)), [len(z) for z in starts])
-    return points.take(owner), np.concatenate(starts)
+    return points.take(owner), np.concatenate(starts), np.zeros(len(owner), dtype=int)
+
+
+def query_block(s, restarts, seed):
+    """One NS MAX query's rows, as ``_solve_points`` stacks them: its random
+    starts from the first stage on, then its witness from the Newton tail on."""
+    point = _geometry(FeasibleSet.NS, ScanMode.MAX, False).at([s])
+    z = _starts(point, restarts, np.random.default_rng(seed))
+    witness = _z_from_vector(point, curves.witness_vectors("ns_max", np.array([s])))
+    first = np.append(np.zeros(restarts, dtype=int), TAIL)
+    return point.take(np.zeros(restarts + 1, dtype=int)), np.concatenate([z, witness]), first
 
 
 def family_start(grid):
-    """The job of an NS MIN grid and its family starts, one row per point."""
+    """The job of an NS MIN grid and its family starts, one row per point from the Newton tail on."""
     points = _geometry(FeasibleSet.NS, ScanMode.MIN, False).at(grid)
-    return points, _z_from_vector(points, _family_vectors(grid))
+    return points, _z_from_vector(points, _family_vectors(grid)), np.full(len(grid), TAIL)
 
 
-def stages(job, z, outers):
-    """Each of the last ``outers`` stages' (mu, eps, start rows), run in turn as ``_solve`` runs them."""
+def stages(job, z, first):
+    """Each stage's (mu, eps, job, start rows) of the rows that have started
+    on it (row k on stage ``first[k]``), run in turn as ``_solve`` runs them."""
     out = []
-    for mu, eps in zip(boundary._MU_SCHEDULE[-outers:], boundary._EPS_SCHEDULE[-outers:]):
-        out.append((mu, eps, z.copy()))
-        z, _ = boundary._newton(job, z, mu, eps)
+    z = z.copy()
+    for stage, (mu, eps) in enumerate(zip(boundary._MU_SCHEDULE, boundary._EPS_SCHEDULE)):
+        rows = np.flatnonzero(first <= stage)
+        if rows.size:
+            part = job.take(rows)
+            out.append((mu, eps, part, z[rows]))
+            z[rows], _ = boundary._newton(part, z[rows], mu, eps)
     return out
 
 
@@ -189,15 +210,16 @@ def main() -> None:
         f"{'case':<14}{'rows':>6}{'mu':>7}{'iters':>7}{'us/iter':>10}{'value/iter':>12}"
         f"{'hess/iter':>11}{'rows/solve':>12}{'trials/row':>12}{'nondescent/row':>16}{'stuck/row':>11}"
     )
-    blocks = [
-        (name, *random_start(set_, mode, cap, grid, restarts, seeds), len(boundary._MU_SCHEDULE))
+    blocks = [("query block", *query_block(*QUERY))]
+    blocks += [
+        (name, *random_start(set_, mode, cap, grid, restarts, seeds))
         for name, set_, mode, cap, grid, restarts, seeds in BLOCK_CASES
     ]
-    blocks.append(("ns_min family", *family_start(FIG6_GRID), boundary._TAIL_STAGES))
-    for name, job, z0, outers in blocks:
-        for mu, eps, z in stages(job, z0, outers):
-            iterations, value, hess, solved, trials, nondescent, stuck = newton_counts(job, z, mu, eps)
-            us = per_stage_us(job, z, mu, eps) / iterations
+    blocks.append(("ns_min family", *family_start(FIG6_GRID)))
+    for name, job, z0, first in blocks:
+        for mu, eps, part, z in stages(job, z0, first):
+            iterations, value, hess, solved, trials, nondescent, stuck = newton_counts(part, z, mu, eps)
+            us = per_stage_us(part, z, mu, eps) / iterations
             print(
                 f"{name:<14}{len(z):>6}{mu:>7.0e}{iterations:>7}{us:>10.1f}{value / iterations:>12.2f}"
                 f"{hess / iterations:>11.2f}{solved / iterations:>12.1f}{trials / solved:>12.2f}"

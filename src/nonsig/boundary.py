@@ -16,9 +16,11 @@ Levenberg-Marquardt-damped Newton with Armijo backtracking, its Hessian one
 product of per-row weights with the constant outer products of the kernel's
 rows.  A row whose damped step is no descent direction steps the other
 way, along negative curvature.  It keeps the rows still working compacted,
-and the backtracking trials of all rows that need them share kernel calls,
-each capped at ``_BLOCK_ROWS`` rows like the blocks themselves; only that
-cap lets a row depend on its block (``_penalty``).  Each row stops by its own
+and the backtracking trials of all rows that need them share kernel calls
+of at most ``_BLOCK_ROWS`` candidates, like the blocks themselves; each row
+tries its step lengths in order until one passes, so its search does not
+depend on its block; only the kernel's rounding in calls of more than about
+192 rows still can (``_penalty``).  Each row stops by its own
 rules: at ``_NEWTON_GTOL``, which makes it ``converged`` after the last
 stage, at a step below the rounding of z, when it cannot progress (its line
 search fails with the damping at ``_DAMPING_CEILING`` times the Hessian's
@@ -31,8 +33,10 @@ Every kind starts each point at a known witness and runs only the Newton
 tail from it (``curves.witness_vectors``): NS and SYM MIN at ``ns_min``, NS
 and SYM MAX at ``ns_max``, C MIN at ``c_min``, C MAX at ``c_max`` and, under
 the arcsin cap, at ``qc_max`` from S = 2 on.  On every kind, random restarts
-audit the witness on every ``_AUDIT_EVERY``-th grid point (``_solve_points``).
-The quantities the solver reads are the affine map of ``slice``.
+audit the witness on every ``_AUDIT_EVERY``-th grid point (``_solve_points``);
+such a point's witness row joins its random rows' block from the Newton
+tail on, so a point query is one ``_solve``, which starts each row on its
+own stage.  The quantities the solver reads are the affine map of ``slice``.
 """
 
 from __future__ import annotations
@@ -253,6 +257,9 @@ def _penalty(
 
     A row rounds alike whichever rows share its call: the sums over quantity
     rows are einsums, and a lone row runs as two, as BLAS rounds gemv unlike gemm.
+    The exception is a call of more than about 192 rows: there OpenBLAS 0.3.31
+    (Haswell kernels) rounds the last (rows mod 8) rows of ``m @ z.T``
+    unlike the rest.
     """
     n = len(z)
     if n == 1:
@@ -342,8 +349,11 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray
     batched over rows.
 
     Each iteration solves (H + lam I) step = -grad for every active row in one
-    batched call, then tries the full step of every row in one kernel call and
-    up to ``_TRIAL_BATCH`` halvings of the rows that fail it in one more.  The
+    batched call, then tries the full step of every row in one kernel call,
+    with no row gathers when every row tries it.  The rows that fail it try the
+    halvings of ``_TRIAL_LENGTHS`` in order, as many per call as fit in
+    ``_BLOCK_ROWS`` candidates, until one passes or none is left, so that a
+    row's search does not depend on how many rows share it.  The
     line search forgives increases within the value's rounding, so the last
     steps, whose gains f cannot resolve, still go through.  A step with
     grad . step >= 0 has curvature below -lam along it, as step . (H + lam I)
@@ -389,21 +399,21 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray
             slope[uphill] *= -1.0
         slack = _rounding(fa)
         t = np.zeros(act.size)  # the accepted step length, 0 for none
-        trial = slope < 0.0
-        for lengths in _TRIAL_LENGTHS:
-            rows = np.flatnonzero(trial)
-            if not rows.size:
-                break
-            lengths = lengths[: max(1, _BLOCK_ROWS // rows.size)]
-            cand = za[rows, None] + lengths[:, None] * step[rows, None]
-            off = offa[:, rows] if len(lengths) == 1 else np.repeat(offa[:, rows], len(lengths), axis=1)
-            fc = _penalty(geo, off, cand.reshape(-1, d), mu, eps, grad=False).reshape(len(rows), -1)
-            ok = fc <= fa[rows, None] + 1e-4 * lengths * slope[rows, None] + slack[rows, None]
+        rows = np.flatnonzero(slope < 0.0)  # the rows still searching
+        tried = 0  # the lengths of ``_TRIAL_LENGTHS`` they have tried
+        while rows.size and tried < len(_TRIAL_LENGTHS):
+            # the full step alone, then as many of the halvings as fit in one call
+            lengths = _TRIAL_LENGTHS[tried : tried + (max(1, _BLOCK_ROWS // rows.size) if tried else 1)]
+            sel = slice(None) if rows.size == act.size else rows  # every row: no gathers
+            cand = za[sel, None] + lengths[:, None] * step[sel, None]
+            off = offa[:, sel] if len(lengths) == 1 else np.repeat(offa[:, sel], len(lengths), axis=1)
+            fc = _penalty(geo, off, cand.reshape(-1, d), mu, eps, grad=False).reshape(rows.size, -1)
+            ok = fc <= fa[sel, None] + 1e-4 * lengths * slope[sel, None] + slack[sel, None]
             hit = ok.any(axis=1)
             first = ok.argmax(axis=1)[hit]
-            rows = rows[hit]
-            t[rows], fa[rows] = lengths[first], fc[hit, first]
-            trial[rows] = False
+            t[rows[hit]], fa[rows[hit]] = lengths[first], fc[hit, first]
+            rows = rows[~hit]
+            tried += len(lengths)
         moved = t > 0.0
         # a step below the rounding of z, taken or proposed, ends the row, and so
         # does a failed search at the damping ceiling
@@ -424,13 +434,19 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray
     return z, (g * g).sum(axis=1) <= _NEWTON_GTOL**2
 
 
-def _solve(job: _Job, z0: np.ndarray, outers: int = len(_MU_SCHEDULE)) -> tuple[np.ndarray, np.ndarray]:
-    """Run the last ``outers`` stages of the penalty schedule through ``_newton``
-    from stacked starts: row k starts at ``z0[k]`` and solves at score
-    ``job.s[k]``.  Returns the solved iterates and their last stage's flags."""
+def _solve(job: _Job, z0: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run the penalty schedule through ``_newton`` from stacked starts: row k
+    starts at ``z0[k]`` on stage ``first[k]`` and solves at score ``job.s[k]``.
+    Each stage runs the rows that have started, with no gather when that is
+    every row.  Returns the solved iterates and their last stage's flags."""
     z = np.array(z0, dtype=float)
-    for mu, eps in zip(_MU_SCHEDULE[-outers:], _EPS_SCHEDULE[-outers:]):
-        z, met = _newton(job, z, mu, eps)
+    met = np.zeros(len(z), dtype=bool)
+    for stage, (mu, eps) in enumerate(zip(_MU_SCHEDULE, _EPS_SCHEDULE)):
+        rows = np.flatnonzero(first <= stage)
+        if rows.size == len(z):
+            z, met = _newton(job, z, mu, eps)
+        elif rows.size:
+            z[rows], met[rows] = _newton(job.take(rows), z[rows], mu, eps)
     return z, met
 
 
@@ -576,10 +592,8 @@ def _z_from_vector(points: _Job, vec8: np.ndarray) -> np.ndarray:
 #: minor page faults per call were observed to jump from about 384 rows on,
 #: and fig6_scan ran 8-9% slower in the median at 384 than at 256.
 _BLOCK_ROWS = 256
-#: Most backtracking trials (step halvings) of one row in one kernel call.
-_TRIAL_BATCH = 8
-#: The step lengths of a line search: the full step, then its halvings.
-_TRIAL_LENGTHS = (np.ones(1), np.ldexp(1.0, -1 - np.arange(_TRIAL_BATCH)))
+#: The step lengths of a line search: the full step, then eight halvings.
+_TRIAL_LENGTHS = np.ldexp(1.0, -np.arange(9))
 #: The Newton tail, the two stiffest stages: all that witness starts run.
 _TAIL_STAGES = 2
 #: Every ``_AUDIT_EVERY``-th point of a grid, from its first, also runs its random starts.
@@ -612,16 +626,31 @@ def _finish(
 
 
 def _solve_grid(points: _Job, starts: list[np.ndarray], outers: int = len(_MU_SCHEDULE)) -> list[ScanPoint]:
-    """Solve each point from its own starts over the last ``outers`` stages,
-    consecutive points in blocks of about ``_BLOCK_ROWS`` rows: a block takes
-    the points whose first row falls in its stretch of rows."""
-    block = np.cumsum([0] + [len(z) for z in starts[:-1]]) // _BLOCK_ROWS  # of each point's first row
-    out = []
-    for ks in np.split(np.arange(len(starts)), np.flatnonzero(np.diff(block)) + 1):
-        owner = np.repeat(np.arange(len(ks)), [len(starts[k]) for k in ks])
-        z0 = np.concatenate([starts[k] for k in ks])
-        z, met = _solve(points.take(ks[owner]), z0, outers=outers)
-        out += _finish(points.take(ks), owner, z0, z, met)
+    """Solve each point from its own starts over the last ``outers`` stages (``_solve_groups``)."""
+    (out,) = _solve_groups(points, [starts], [len(_MU_SCHEDULE) - outers])
+    return out
+
+
+def _solve_groups(points: _Job, groups: list[list[np.ndarray]], firsts: list[int]) -> list[list[ScanPoint]]:
+    """Solve each point from its starts in every group, group g's from stage
+    ``firsts[g]`` of the schedule on, consecutive points in blocks of about
+    ``_BLOCK_ROWS`` rows: a block takes the points whose first row falls in
+    its stretch of rows, and one ``_solve`` runs all of its rows.  Each group's
+    rows are finished on their own, so each group returns one ``ScanPoint``
+    per point."""
+    sizes = np.sum([[len(z) for z in starts] for starts in groups], axis=0)
+    block = (np.cumsum(sizes) - sizes) // _BLOCK_ROWS  # of each point's first row
+    out = [[] for _ in groups]
+    # with no points, np.split still yields one empty block; it is dropped
+    for ks in filter(len, np.split(np.arange(len(sizes)), np.flatnonzero(np.diff(block)) + 1)):
+        owners = [np.repeat(np.arange(len(ks)), [len(starts[k]) for k in ks]) for starts in groups]
+        z0 = [np.concatenate([starts[k] for k in ks]) for starts in groups]
+        first = np.repeat(firsts, list(map(len, z0)))
+        z, met = _solve(points.take(ks[np.concatenate(owners)]), np.concatenate(z0), first)
+        at = 0
+        for done, owner, rows in zip(out, owners, z0):
+            done += _finish(points.take(ks), owner, rows, z[at : at + len(rows)], met[at : at + len(rows)])
+            at += len(rows)
     return out
 
 
@@ -644,11 +673,13 @@ def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
     ``default_rng(seeds[k])``.
 
     Each point starts at the witness that its kind's curves give at its
-    score (``_WITNESS_CURVES``), which only the Newton tail solves, all points
-    in one ``_solve_grid`` call; the tail doubles as the start's KKT check.  The
-    ``restarts`` random starts are an audit of the witness, one rule for
-    every set, mode and cap: they run the full schedule on every
-    ``_AUDIT_EVERY``-th grid index and on no other point.  A random result
+    score (``_WITNESS_CURVES``), which only the Newton tail solves; the tail
+    doubles as the start's KKT check.  The ``restarts`` random starts are an
+    audit of the witness, one rule for every set, mode and cap: they run the
+    full schedule on every ``_AUDIT_EVERY``-th grid index and on no other
+    point.  An audited point's witness row shares its block with its random
+    rows and runs in their last two stages, so a query is one ``_solve``; the
+    other points' witness rows run in blocks of their own.  A random result
     replaces the witness's only if it is strictly better (below the witness
     curve on MIN, above it on MAX), and keeps the witness's converged flag if
     that was set.
@@ -660,13 +691,15 @@ def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
         mine = (points.s >= lo - curves._DOMAIN_SLACK) & (points.s <= hi + curves._DOMAIN_SLACK)
         x[mine] = curves.witness_vectors(curve, points.s[mine])
     z = _z_from_vector(points, x)
-    vals = _solve_grid(points, list(z[:, None]), outers=_TAIL_STAGES)
     audited = np.arange(0, len(points.s), _AUDIT_EVERY)
+    rest = np.flatnonzero(np.arange(len(points.s)) % _AUDIT_EVERY)
+    vals = dict(zip(rest, _solve_grid(points.take(rest), list(z[rest, None]), outers=_TAIL_STAGES)))
     starts = [_starts(points.take([k]), restarts, np.random.default_rng(seeds[k])) for k in audited]
-    for k, p in zip(audited, _solve_grid(points.take(audited), starts)):
-        if geo.sigma * p.i < geo.sigma * vals[k].i:
-            vals[k] = replace(p, converged=p.converged or vals[k].converged)
-    return vals
+    tail = len(_MU_SCHEDULE) - _TAIL_STAGES
+    witness, audit = _solve_groups(points.take(audited), [list(z[audited, None]), starts], [tail, 0])
+    for k, w, p in zip(audited, witness, audit):
+        vals[k] = replace(p, converged=p.converged or w.converged) if geo.sigma * p.i < geo.sigma * w.i else w
+    return [vals[k] for k in range(len(points.s))]
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +720,7 @@ def optimize_at_s(
     Multi-start local search; deterministic given ``seed``.  A query is a
     one-point grid at index 0 (see ``_solve_points``): it runs its kind's
     witness at s over the Newton tail and its ``restarts`` random starts over
-    the full schedule (a query is always audited).
+    the full schedule, all in one ``_solve`` (a query is always audited).
     """
     set_ = FeasibleSet(set_) if isinstance(set_, str) else set_
     mode = ScanMode(mode) if isinstance(mode, str) else mode

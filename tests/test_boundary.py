@@ -695,8 +695,65 @@ class TestBlockIndependence:
         blocked = _solve_grid(points, starts)
         for k, point in enumerate(blocked):
             (alone,) = _solve_grid(points.take([k]), [starts[k]])
-            assert point.i == pytest.approx(alone.i, abs=1e-6)
+            assert abs(point.i - alone.i) <= 4.4e-16
             assert point.converged == alone.converged
+
+
+class TestStagedRows:
+    """``_solve`` starts each row on its own stage, so a query's witness row
+    rides in the block of its random rows from the Newton tail on."""
+
+    @pytest.mark.parametrize(
+        "set_, mode, cap, s, seed",
+        [("ns", "min", False, 1.9, 3), ("c", "max", True, 2.3994778222729702, 740899032)],
+    )
+    def test_rows_match_their_stage_groups_alone(self, set_, mode, cap, s, seed):
+        """Bit for bit.  The merged stages have more rows failing their full
+        step than each group alone, so this holds only while every row tries
+        every halving, however many rows search beside it."""
+        point = boundary._geometry(FeasibleSet(set_), ScanMode(mode), cap).at([s])
+        z0 = boundary._starts(point, 120, np.random.default_rng([seed]))
+        job = point.take(np.zeros(120, dtype=int))
+        first = np.arange(120) % 4 + np.arange(120) % 2 * 2  # stages 0, 3, 2 and 5
+        z, met = boundary._solve(job, z0, first)
+        for stage in np.unique(first):
+            rows = np.flatnonzero(first == stage)
+            alone, met_alone = boundary._solve(job.take(rows), z0[rows], np.full(rows.size, stage))
+            assert np.array_equal(z[rows], alone), stage
+            assert np.array_equal(met[rows], met_alone), stage
+
+    @pytest.mark.parametrize(
+        "set_, mode, cap, s, seed",
+        [  # queries of ``scripts/query_dump.py 1``, one of each kind
+            ("ns", "min", False, 3.1537148137136173, 708093469),
+            ("ns", "max", False, 1.21277931716658, 267191831),
+            ("sym", "min", False, 2.198374750692238, 184123697),
+            ("sym", "max", False, 2.8991597630941346, 2065143098),
+            # with halvings capped by the rows searching beside it, its witness loses its flag here
+            ("c", "max", True, 2.3994778222729702, 740899032),
+        ],
+    )
+    def test_query_is_one_solve_and_its_witness_solves_as_alone(self, monkeypatch, set_, mode, cap, s, seed):
+        solves, groups = [], []
+        solve, solve_groups = boundary._solve, boundary._solve_groups
+
+        def counted(job, z0, first):
+            solves.append(len(z0))
+            return solve(job, z0, first)
+
+        def recorded(points, starts, firsts):
+            out = solve_groups(points, starts, firsts)
+            groups.append((points, starts, out))
+            return out
+
+        monkeypatch.setattr(boundary, "_solve", counted)
+        monkeypatch.setattr(boundary, "_solve_groups", recorded)
+        optimize_at_s(set_, mode, s, restarts=50, seed=seed, qtilde_cap=cap)
+        assert solves == [51]
+        ((points, (witness, _), (merged, _)),) = [call for call in groups if len(call[1]) == 2]
+        (alone,) = boundary._solve_grid(points, witness, outers=boundary._TAIL_STAGES)
+        assert (merged[0].i, merged[0].converged) == (alone.i, alone.converged)
+        assert np.array_equal(merged[0].argopt.vector(), alone.argopt.vector())
 
 
 def full_bisection(job, z, lam):
