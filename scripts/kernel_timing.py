@@ -19,8 +19,9 @@ stick at the cube face; 256 random NS MIN rows, 32 points on [2.5, 3.1] at 8
 starts each (one fig6 block); and the lower-boundary family's points of the
 100 scores of the benchmark's fig6 grid on [2.5, 3.1], one row each on the
 two tail stages only, as NS MIN scans start them.  Per stage it
-prints the iterations until every row has finished, the microseconds per
-iteration, and per iteration the value-only kernel calls and the
+prints the stage's iteration cap (``boundary._stage_iters``: 10 before the
+Newton tail, 30 on it), the iterations until every row has finished, the
+microseconds per iteration, and per iteration the value-only kernel calls and the
 value+gradient+Hessian calls.  Every iteration is one batched linear solve;
 the next three columns are the rows it solves on average, the Armijo trials
 (step lengths tried) per row and iteration, and the share of solved rows
@@ -105,20 +106,21 @@ def family_start(grid):
 
 
 def stages(job, z, first):
-    """Each stage's (mu, eps, job, start rows) of the rows that have started
-    on it (row k on stage ``first[k]``), run in turn as ``_solve`` runs them."""
+    """Each stage's (mu, eps, iteration cap, job, start rows) of the rows that
+    have started on it (row k on stage ``first[k]``), run in turn as ``_solve``
+    runs them."""
     out = []
     z = z.copy()
     for stage, (mu, eps) in enumerate(zip(boundary._MU_SCHEDULE, boundary._EPS_SCHEDULE)):
         rows = np.flatnonzero(first <= stage)
         if rows.size:
-            part = job.take(rows)
-            out.append((mu, eps, part, z[rows]))
-            z[rows], _ = boundary._newton(part, z[rows], mu, eps)
+            part, cap = job.take(rows), boundary._stage_iters(stage)
+            out.append((mu, eps, cap, part, z[rows]))
+            z[rows], _ = boundary._newton(part, z[rows], mu, eps, cap)
     return out
 
 
-def newton_counts(job, z, mu, eps) -> tuple[int, int, int, int, int, int, int]:
+def newton_counts(job, z, mu, eps, cap) -> tuple[int, int, int, int, int, int, int]:
     """Iterations (batched solves, one per iteration), value-only calls,
     value+grad+Hessian calls, rows solved, step lengths tried, non-descent
     steps and rows that cannot progress in one stage.
@@ -159,7 +161,7 @@ def newton_counts(job, z, mu, eps) -> tuple[int, int, int, int, int, int, int]:
 
     boundary._penalty, np.linalg.solve, boundary._retire = counted, counted_solve, watched_retire
     try:
-        boundary._newton(job, z.copy(), mu, eps)
+        boundary._newton(job, z.copy(), mu, eps, cap)
     finally:
         boundary._penalty, np.linalg.solve, boundary._retire = _penalty, solve, retire
 
@@ -174,12 +176,12 @@ def newton_counts(job, z, mu, eps) -> tuple[int, int, int, int, int, int, int]:
     return calls("solve"), calls("value"), calls("hess"), rows("solve"), rows("value"), nondescent, len(stuck)
 
 
-def per_stage_us(job, z, mu, eps) -> float:
+def per_stage_us(job, z, mu, eps, cap) -> float:
     samples = []
     for _ in range(REPEATS):
         zz = z.copy()
         t0 = time.perf_counter()
-        boundary._newton(job, zz, mu, eps)
+        boundary._newton(job, zz, mu, eps, cap)
         samples.append((time.perf_counter() - t0) * 1e6)
     return statistics.median(samples)
 
@@ -207,7 +209,7 @@ def main() -> None:
 
     print("\nNewton stages, per iteration")
     print(
-        f"{'case':<14}{'rows':>6}{'mu':>7}{'iters':>7}{'us/iter':>10}{'value/iter':>12}"
+        f"{'case':<14}{'rows':>6}{'mu':>7}{'cap':>5}{'iters':>7}{'us/iter':>10}{'value/iter':>12}"
         f"{'hess/iter':>11}{'rows/solve':>12}{'trials/row':>12}{'nondescent/row':>16}{'stuck/row':>11}"
     )
     blocks = [("query block", *query_block(*QUERY))]
@@ -217,11 +219,11 @@ def main() -> None:
     ]
     blocks.append(("ns_min family", *family_start(FIG6_GRID)))
     for name, job, z0, first in blocks:
-        for mu, eps, part, z in stages(job, z0, first):
-            iterations, value, hess, solved, trials, nondescent, stuck = newton_counts(part, z, mu, eps)
-            us = per_stage_us(part, z, mu, eps) / iterations
+        for mu, eps, cap, part, z in stages(job, z0, first):
+            iterations, value, hess, solved, trials, nondescent, stuck = newton_counts(part, z, mu, eps, cap)
+            us = per_stage_us(part, z, mu, eps, cap) / iterations
             print(
-                f"{name:<14}{len(z):>6}{mu:>7.0e}{iterations:>7}{us:>10.1f}{value / iterations:>12.2f}"
+                f"{name:<14}{len(z):>6}{mu:>7.0e}{cap:>5}{iterations:>7}{us:>10.1f}{value / iterations:>12.2f}"
                 f"{hess / iterations:>11.2f}{solved / iterations:>12.1f}{trials / solved:>12.2f}"
                 f"{nondescent / solved:>16.3f}{stuck / len(z):>11.3f}"
             )

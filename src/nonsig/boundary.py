@@ -25,9 +25,10 @@ rules: at ``_NEWTON_GTOL``, which makes it ``converged`` after the last
 stage, at a step below the rounding of z, when it cannot progress (its line
 search fails with the damping at ``_DAMPING_CEILING`` times the Hessian's
 scale; after each failed search the damping jumps to at least that scale),
-or after ``_NEWTON_ITERS`` iterations.  ``_finish`` alone builds each
-point's ``ScanPoint`` from its best exactly evaluated row, with that row's
-flag.
+or at its stage's iteration cap: ``_CONTINUATION_ITERS`` on the stages before
+the Newton tail, which only warm-start the next, and ``_NEWTON_ITERS`` on the
+tail.  ``_finish`` alone builds each point's ``ScanPoint`` from its best
+exactly evaluated row, with that row's flag.
 
 Every kind starts each point at a known witness and runs only the Newton
 tail from it (``curves.witness_vectors``): NS and SYM MIN at ``ns_min``, NS
@@ -51,10 +52,20 @@ from .behavior import BehaviorError, Correlators
 from .functionals import TSIRELSON, _s_max_ab
 from .slice import _C4, _DOM, _ENT, _ENT_W, _FACETS, _LOG2_FLOOR, _LOG2E, _Q0, _Q_PER_S, _QX, _SLOT_W, _X, _info_from_x
 
-#: Penalty weights by stage; every stage runs ``_newton``, capped at
-#: ``_NEWTON_ITERS`` iterations and done at ``_NEWTON_GTOL``.
+#: Penalty weights by stage; every stage runs ``_newton``, done at
+#: ``_NEWTON_GTOL``, and capped at ``_NEWTON_ITERS`` iterations on the Newton
+#: tail (``_TAIL_STAGES``) and at ``_CONTINUATION_ITERS`` before it.
 _MU_SCHEDULE = (10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
 _NEWTON_ITERS = 30
+#: A stage before the tail only warm-starts the next, so it is solved inexactly
+#: (Nocedal and Wright, Framework 17.1).  At 100-point fig6 scans, caps of
+#: 5/8/10/12/15 took 22/26/29/31/33 ms of CPU per scan against 42 ms uncapped.
+#: Caps of 5 and 8 left random NS MAX starts worst gaps of 9.8e-2 and 2.6e-2
+#: to the ``ns_max`` curve (1.2e-2 uncapped, 2.4e-6 at 10), and at 5 the MAX
+#: tail stages of point queries did the skipped work (NS MAX 501 -> 660 ms on
+#: ``scripts/query_dump.py`` 1 and 2); a cap of 12 lost one converged flag of
+#: ``scripts/query_dump.py 1``, 10 and 15 none.
+_CONTINUATION_ITERS = 10
 _NEWTON_GTOL = 1e-9
 #: Least Levenberg-Marquardt damping of a Newton step, relative to the Hessian's scale.
 _DAMPING_FLOOR = 1e-12
@@ -344,7 +355,9 @@ def _rounding(f: np.ndarray) -> np.ndarray:
     return 4e-15 * (1.0 + np.abs(f))
 
 
-def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _newton(
+    job: _Job, z: np.ndarray, mu: float, eps: float, iters: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Levenberg-Marquardt-damped Newton with Armijo backtracking on the penalty,
     batched over rows.
 
@@ -372,7 +385,8 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray
     scale or more, about five failures after the first.  Such rows sit where
     no step gains, as capped C MAX rows at the face of the cube, where the
     clipped arcsin makes the cap penalty flat outside and infinitely steep
-    just inside.  Returns the iterates, those of ``z`` updated in place, and
+    just inside.  Every row stops after ``iters`` iterations
+    (``_NEWTON_ITERS`` when None).  Returns the iterates, those of ``z`` updated in place, and
     the converged flags.
     """
     geo = job.geo
@@ -384,7 +398,7 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float) -> tuple[np.ndarray
     lam = np.zeros(z.shape[0])
     live = np.ones(z.shape[0], dtype=bool)
     eye = np.eye(d)
-    for _ in range(_NEWTON_ITERS):
+    for _ in range(_NEWTON_ITERS if iters is None else iters):
         keep = live & ((ga * ga).sum(axis=1) > _NEWTON_GTOL**2)
         act, (za, ga, fa, ha, lam, live), offa = _retire(keep, act, full, (za, ga, fa, ha, lam, live), offa)
         if not act.size:
@@ -438,16 +452,22 @@ def _solve(job: _Job, z0: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np
     """Run the penalty schedule through ``_newton`` from stacked starts: row k
     starts at ``z0[k]`` on stage ``first[k]`` and solves at score ``job.s[k]``.
     Each stage runs the rows that have started, with no gather when that is
-    every row.  Returns the solved iterates and their last stage's flags."""
+    every row, for at most ``_stage_iters`` iterations.  Returns the solved
+    iterates and their last stage's flags."""
     z = np.array(z0, dtype=float)
     met = np.zeros(len(z), dtype=bool)
     for stage, (mu, eps) in enumerate(zip(_MU_SCHEDULE, _EPS_SCHEDULE)):
         rows = np.flatnonzero(first <= stage)
         if rows.size == len(z):
-            z, met = _newton(job, z, mu, eps)
+            z, met = _newton(job, z, mu, eps, _stage_iters(stage))
         elif rows.size:
-            z[rows], met[rows] = _newton(job.take(rows), z[rows], mu, eps)
+            z[rows], met[rows] = _newton(job.take(rows), z[rows], mu, eps, _stage_iters(stage))
     return z, met
+
+
+def _stage_iters(stage: int) -> int:
+    """The iteration cap of a stage: ``_CONTINUATION_ITERS`` before the Newton tail, ``_NEWTON_ITERS`` on it."""
+    return _CONTINUATION_ITERS if stage < len(_MU_SCHEDULE) - _TAIL_STAGES else _NEWTON_ITERS
 
 
 # ---------------------------------------------------------------------------

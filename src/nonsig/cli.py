@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -63,7 +64,9 @@ def count(text: str) -> int:
     return n
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="nonsig", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nonsig {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)

@@ -9,6 +9,8 @@ finds from I alone where a = 0 stops being a minimum: the Tsirelson bound.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .behavior import CHSH_SLOT_SIGNS, OUTCOME_VALUES, _tables_from_correlators
@@ -218,20 +220,22 @@ def _isotropic_eig(s: np.ndarray) -> np.ndarray:
     return 0.5 * (h[:, 0, 0] + h[:, 1, 1]) - np.hypot(0.5 * (h[:, 0, 0] - h[:, 1, 1]), h[:, 0, 1])
 
 
-def _isotropic_eig_root() -> tuple[float, list[int]]:
+@functools.cache
+def _isotropic_eig_root() -> tuple[float, tuple[int, int]]:
     """Where a = 0 stops being a minimum of the family: the root in s of
     ``_isotropic_eig``, and the eigenvalue's signs at the bracket's ends 2.5 and 3.1.
 
     The eigenvalue is c (c - 1/sqrt 2) / (ln 2 (1 - c^2)) with c = s / 4, so
     the root is the Tsirelson bound 2 sqrt 2, found here from I alone.  Each
     round evaluates 65 scores across the bracket and keeps the cell where the
-    sign turns, until the bracket is two adjacent floats.
+    sign turns, until the bracket is two adjacent floats.  It runs once per
+    process.
     """
-    lo, hi, signs = 2.5, 3.1, []
+    lo, hi, signs = 2.5, 3.1, ()
     while np.nextafter(lo, hi) < hi:
         grid = np.linspace(lo, hi, 65)
         eig = _isotropic_eig(grid)
-        signs = signs or [int(np.sign(eig[0])), int(np.sign(eig[-1]))]
+        signs = signs or (int(np.sign(eig[0])), int(np.sign(eig[-1])))
         k = np.argmax(eig >= 0.0)
         lo, hi = grid[k - 1], grid[k]
     return float(hi), signs

@@ -832,20 +832,20 @@ class TestNewtonOracle:
     alone, bit for bit, with the kernel run one row at a time so that no row's
     rounding depends on which rows share its call.
 
-    Each block runs the whole penalty schedule as ``_solve`` does, from a few
-    random starts per point.  Across the cases and their stages every stop
-    reason occurs: rows that stop at ``_NEWTON_GTOL``, rows that stop at a step
-    below the rounding of z, rows that cannot progress (a failed search at the
-    damping ceiling: the same row run without the ceiling takes more
-    iterations) and rows that run all ``_NEWTON_ITERS`` iterations.  Each case
-    states the reasons its rows show.
+    Each block runs the whole penalty schedule as ``_solve`` does, each stage
+    at its own iteration cap (``_stage_iters``), from a few random starts per
+    point.  Across the cases and their stages every stop reason occurs: rows
+    that stop at ``_NEWTON_GTOL``, rows that stop at a step below the rounding
+    of z, rows that cannot progress (a failed search at the damping ceiling:
+    the same row run without the ceiling takes more iterations) and rows that
+    run to their stage's cap.  Each case states the reasons its rows show.
     """
 
     REASONS = ("gtol", "rounding step", "cannot progress", "iteration cap")
     CASES = {
         "ns_min": (("ns", "min", False, np.linspace(1.6, 2.4, 5), 0), {"gtol", "rounding step", "iteration cap"}),
-        "ns_max": (("ns", "max", False, np.linspace(0.0, 4.0, 5), 0), {"gtol", "rounding step"}),
-        "c_max_capped": (("c", "max", True, np.linspace(2.0, 2.8, 4), 4), {"gtol", "rounding step", "cannot progress"}),
+        "ns_max": (("ns", "max", False, np.linspace(0.0, 4.0, 5), 0), {"gtol", "rounding step", "iteration cap"}),
+        "c_max_capped": (("c", "max", True, np.linspace(2.0, 2.8, 4), 4), {"gtol", "rounding step", "cannot progress", "iteration cap"}),
     }
 
     def test_cases_cover_every_stop_reason(self):
@@ -867,12 +867,12 @@ class TestNewtonOracle:
             iterations[0] += 1
             return solve(a, b)
 
-        def alone(r, mu, eps, ceiling=boundary._DAMPING_CEILING):
+        def alone(r, mu, eps, cap, ceiling=boundary._DAMPING_CEILING):
             iterations[0] = 0
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "solve", counted_solve)
                 m.setattr(boundary, "_DAMPING_CEILING", ceiling)
-                out = boundary._newton(job.take([r]), z[r : r + 1].copy(), mu, eps)
+                out = boundary._newton(job.take([r]), z[r : r + 1].copy(), mu, eps, cap)
             return out, iterations[0]
 
         monkeypatch.setattr(boundary, "_penalty", one_row_at_a_time)
@@ -882,16 +882,17 @@ class TestNewtonOracle:
         z = np.concatenate(starts)
         seen = dict.fromkeys(self.REASONS, 0)
         for k, (mu, eps) in enumerate(zip(boundary._MU_SCHEDULE, boundary._EPS_SCHEDULE)):
-            block, met = boundary._newton(job, z.copy(), mu, eps)
+            cap = boundary._stage_iters(k)
+            block, met = boundary._newton(job, z.copy(), mu, eps, cap)
             for r in range(len(z)):
-                (row, met_alone), n = alone(r, mu, eps)
+                (row, met_alone), n = alone(r, mu, eps, cap)
                 assert np.array_equal(row[0], block[r]), f"stage {k}, row {r}"
                 assert met_alone[0] == met[r], f"stage {k}, row {r}"
                 if met[r]:
                     seen["gtol"] += 1
-                elif n == boundary._NEWTON_ITERS:
+                elif n == cap:
                     seen["iteration cap"] += 1
-                elif alone(r, mu, eps, ceiling=np.inf)[1] > n:
+                elif alone(r, mu, eps, cap, ceiling=np.inf)[1] > n:
                     seen["cannot progress"] += 1
                 else:
                     seen["rounding step"] += 1
@@ -953,3 +954,38 @@ class TestNewtonStuckRow:
             z, _ = boundary._newton(point, z0.copy(), 1e3, 1e-3)
             f.append(boundary._penalty(point.geo, point.off, z, 1e3, 1e-3, grad=False)[0])
         assert np.all(np.diff(f) <= 0.0), f
+
+
+class TestStageCaps:
+    def test_query_stages_keep_their_caps(self, monkeypatch):
+        """On an audited query each stage before the Newton tail makes at most
+        ``_CONTINUATION_ITERS`` batched solves, one per iteration, and each tail
+        stage at most ``_NEWTON_ITERS``.
+
+        The query is the one of ``TestNewtonSaddle``: its first random row
+        leaves a saddle of the first stage for about 15 iterations, so the
+        first stage meets its cap."""
+        solve, newton = np.linalg.solve, boundary._newton
+        stages = []  # (mu, batched solves) of each ``_newton`` call
+
+        def counted_newton(job, z, mu, eps, iters=None):
+            calls = [0]
+
+            def counted_solve(a, b):
+                calls[0] += 1
+                return solve(a, b)
+
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "solve", counted_solve)
+                out = newton(job, z, mu, eps, iters)
+            stages.append((mu, calls[0]))
+            return out
+
+        monkeypatch.setattr(boundary, "_newton", counted_newton)
+        optimize_at_s("ns", "min", 2.047286498801027, restarts=50, seed=1621709875)
+        tail = len(boundary._MU_SCHEDULE) - boundary._TAIL_STAGES
+        assert [mu for mu, _ in stages] == list(boundary._MU_SCHEDULE)
+        early, late = [n for _, n in stages[:tail]], [n for _, n in stages[tail:]]
+        assert max(early) <= boundary._CONTINUATION_ITERS, stages
+        assert max(late) <= boundary._NEWTON_ITERS, stages
+        assert early[0] == boundary._CONTINUATION_ITERS, stages

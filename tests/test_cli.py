@@ -193,6 +193,28 @@ class TestCliCommands:
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == f"nonsig {nonsig.__version__}"
 
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path):
+        """The parser is built once per process; later calls of other
+        subcommands, or of the same one with its defaults, write what they
+        write in a fresh process."""
+        import nonsig
+
+        env = {**os.environ, "PYTHONPATH": str(Path(nonsig.__file__).resolve().parents[1])}
+        calls = (
+            ["curve", "--id", "ns_min", "--grid", "7"],
+            ["sample", "--n", "20", "--seed", "4"],
+            ["curve", "--id", "ns_max"],
+        )
+        for k, argv in enumerate(calls):
+            assert dispatch([*argv, "--out", str(tmp_path / f"one{k}.csv")]) == 0
+        for k, argv in enumerate(calls):
+            fresh = tmp_path / f"fresh{k}.csv"
+            run = subprocess.run(
+                [sys.executable, "-m", "nonsig", *argv, "--out", str(fresh)], capture_output=True, text=True, env=env
+            )
+            assert run.returncode == 0, run.stderr
+            assert (tmp_path / f"one{k}.csv").read_bytes() == fresh.read_bytes(), argv
+
     def test_curve_endpoints(self, capsys):
         assert dispatch(["curve", "--id", "ns_max", "--grid", "5"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()

@@ -500,7 +500,7 @@ class TestTsirelsonCertificate:
 
         root, signs = _isotropic_eig_root()
         assert abs(root - TSIRELSON) <= 1e-15
-        assert signs == [-1, 1]
+        assert signs == (-1, 1)
 
     @pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4])
     def test_normal_form_below_tsirelson(self, d):
