@@ -10,25 +10,27 @@ the penalty stage is mu = 1e3, eps = 1e-3.
 
 Then times ``_newton`` on each stage of the penalty schedule (mu = 10 to
 1e6) with the rows that have started by then, each row started where the
-stage before it leaves it, as ``_solve`` runs them, on four blocks: the
-query block of NS MAX at s = 3.3 (one ``optimize_at_s`` at 50 restarts: 50
-random audit rows from mu = 10 on, and the ``ns_max`` witness row that joins
-them on the two tail stages, mu = 1e5 and 1e6); the 50 audit rows of the
-capped C MAX query at s = 2.224552993103895, seed 563703103, most of which
-stick at the cube face; 256 random NS MIN rows, 32 points on [2.5, 3.1] at 8
-starts each (one fig6 block); and the lower-boundary family's points of the
-100 scores of the benchmark's fig6 grid on [2.5, 3.1], one row each on the
-two tail stages only, as NS MIN scans start them.  Per stage it
-prints the stage's iteration cap (``boundary._stage_iters``: 10 before the
-Newton tail, 30 on it), the iterations until every row has finished, the
-microseconds per iteration, and per iteration the value-only kernel calls and the
-value+gradient+Hessian calls.  Every iteration is one batched linear solve;
-the next three columns are the rows it solves on average, the Armijo trials
-(step lengths tried) per row and iteration, and the share of solved rows
-whose step no trial could take because it was no descent direction
-(non-descent steps per row and iteration).  The last column is the share of
-the stage's rows that cannot progress: they end without moving after a
-search at the damping ceiling (``_DAMPING_CEILING``).
+stage before it leaves it, as ``_solve`` runs them, on five blocks, all of
+rows that scans and queries run: the query blocks of NS MAX at s = 3.3 and of
+SYM MAX at s = 2.8991597630941346, seed 2065143098 (each one
+``optimize_at_s`` at 50 restarts: 50 random audit rows from mu = 10 on, and
+the ``ns_max`` witness row that joins them on the two tail stages, mu = 1e5
+and 1e6); 256 random NS MIN rows, 32 points on [2.5, 3.1] at 8 starts each
+(one fig6 block); the witness rows of the 100 scores of the benchmark's fig6
+grid on [2.5, 3.1], the lower-boundary family's points, as NS MIN scans
+start them; and the witness rows of 100 capped C MAX scores on [2, 2 sqrt 2],
+as every capped C MAX scan and query runs them.  Witness rows run on the two
+tail stages only.  Per stage it prints the stage's iteration cap
+(``boundary._stage_iters``: 10 before the Newton tail, 30 on it), the
+iterations until every row has finished, the microseconds per iteration, and
+per iteration the value-only kernel calls and the value+gradient+Hessian
+calls.  Every iteration is one batched linear solve; the next three columns
+are the rows it solves on average, the Armijo trials (step lengths tried)
+per row and iteration, and the share of solved steps that were no descent
+direction, which the row reverses to leave a saddle (reversed steps per row
+and iteration).  The last column is the share of the stage's rows that
+cannot progress: they end without moving after a search at the damping
+ceiling (``_DAMPING_CEILING``).
 
 Last it times the family points themselves (``_family_vectors``, the
 closed-form minimizer in a) in microseconds per score, at 1 score (s =
@@ -46,8 +48,9 @@ import time
 
 import numpy as np
 
-from nonsig import boundary, curves
-from nonsig.boundary import FeasibleSet, ScanMode, _geometry, _penalty, _starts, _z_from_vector
+from nonsig import boundary
+from nonsig.boundary import FeasibleSet, ScanMode, _geometry, _penalty, _starts, _witness_z
+from nonsig.functionals import TSIRELSON
 from nonsig.slice import _family_vectors
 
 CASES = (
@@ -55,14 +58,20 @@ CASES = (
     ("c_max_capped", FeasibleSet.C, ScanMode.MAX, True, 2.5),
 )
 ROWS = (1, 10, 100, 256, 1000)
+#: Each query block's kind, score, random starts and start seed.
+QUERY_CASES = (
+    ("ns_max query", FeasibleSet.NS, ScanMode.MAX, 3.3, 50, [0, 0]),
+    ("sym_max query", FeasibleSet.SYM, ScanMode.MAX, 2.8991597630941346, 50, [2065143098]),
+)
 #: Each random block's points, random starts per point and each point's start seed.
 BLOCK_CASES = (
-    ("c_max audit", FeasibleSet.C, ScanMode.MAX, True, np.array([2.224552993103895]), 50, [[563703103]]),
     ("ns_min block", FeasibleSet.NS, ScanMode.MIN, False, np.linspace(2.5, 3.1, 32), 8, [[0, j] for j in range(32)]),
 )
-#: The query block's NS MAX score, random starts and start seed.
-QUERY = (3.3, 50, [0, 0])
-FIG6_GRID = np.linspace(2.5, 3.1, 100)
+#: Each witness block's kind and scores.
+WITNESS_CASES = (
+    ("ns_min family", FeasibleSet.NS, ScanMode.MIN, False, np.linspace(2.5, 3.1, 100)),
+    ("c_max witness", FeasibleSet.C, ScanMode.MAX, True, np.linspace(2.0, TSIRELSON, 100)),
+)
 #: The first stage of a witness row: the Newton tail.
 TAIL = len(boundary._MU_SCHEDULE) - boundary._TAIL_STAGES
 FAMILY_SCORES = (np.array([2.0 + 1e-9]), np.array([2.001]), np.array([2.6]), np.linspace(2.01, 2.82, 100))
@@ -89,20 +98,19 @@ def random_start(set_, mode, cap, grid, restarts, seeds):
     return points.take(owner), np.concatenate(starts), np.zeros(len(owner), dtype=int)
 
 
-def query_block(s, restarts, seed):
-    """One NS MAX query's rows, as ``_solve_points`` stacks them: its random
+def query_block(set_, mode, s, restarts, seed):
+    """One audited query's rows, as ``_solve_points`` stacks them: its random
     starts from the first stage on, then its witness from the Newton tail on."""
-    point = _geometry(FeasibleSet.NS, ScanMode.MAX, False).at([s])
+    point = _geometry(set_, mode, False).at([s])
     z = _starts(point, restarts, np.random.default_rng(seed))
-    witness = _z_from_vector(point, curves.witness_vectors("ns_max", np.array([s])))
     first = np.append(np.zeros(restarts, dtype=int), TAIL)
-    return point.take(np.zeros(restarts + 1, dtype=int)), np.concatenate([z, witness]), first
+    return point.take(np.zeros(restarts + 1, dtype=int)), np.concatenate([z, _witness_z(point)]), first
 
 
-def family_start(grid):
-    """The job of an NS MIN grid and its family starts, one row per point from the Newton tail on."""
-    points = _geometry(FeasibleSet.NS, ScanMode.MIN, False).at(grid)
-    return points, _z_from_vector(points, _family_vectors(grid)), np.full(len(grid), TAIL)
+def witness_start(set_, mode, cap, grid):
+    """The job of a grid and its witness starts, one row per point from the Newton tail on."""
+    points = _geometry(set_, mode, cap).at(grid)
+    return points, _witness_z(points), np.full(len(grid), TAIL)
 
 
 def stages(job, z, first):
@@ -122,17 +130,17 @@ def stages(job, z, first):
 
 def newton_counts(job, z, mu, eps, cap) -> tuple[int, int, int, int, int, int, int]:
     """Iterations (batched solves, one per iteration), value-only calls,
-    value+grad+Hessian calls, rows solved, step lengths tried, non-descent
+    value+grad+Hessian calls, rows solved, step lengths tried, reversed
     steps and rows that cannot progress in one stage.
 
-    An iteration's first value-only call, if any, directly follows its solve
-    and tries the full step of each row whose step is a descent direction,
-    one row each; the other rows that iteration solved are non-descent steps.
+    A solved step (H + lam I) step = -grad is reversed when grad . step >= 0,
+    which the solve's right-hand side and solution show.
     A row cannot progress when it ends, short of ``_NEWTON_GTOL``, at the z
     its last iteration started from, with that iteration's damping at the
     ceiling; ``_retire`` sees each row's state at the start of every
     iteration, and the damping is the one ``_newton`` derives from it."""
     events = []  # (call, rows): "solve", "value" or "hess"
+    reversed_steps = [0]
     last = {}  # row -> its z, damping and Hessian scale at the start of its latest iteration
     stuck = []  # the rows that cannot progress
     solve, retire = np.linalg.solve, boundary._retire
@@ -143,7 +151,9 @@ def newton_counts(job, z, mu, eps, cap) -> tuple[int, int, int, int, int, int, i
 
     def counted_solve(a, b):
         events.append(("solve", len(a)))
-        return solve(a, b)
+        step = solve(a, b)
+        reversed_steps[0] += int(((b * step).sum(axis=(1, 2)) <= 0.0).sum())  # -grad . step <= 0
+        return step
 
     def watched_retire(keep, act, full, part, off):
         if len(part) > len(full):  # the start of an iteration, not the final write-back
@@ -171,9 +181,7 @@ def newton_counts(job, z, mu, eps, cap) -> tuple[int, int, int, int, int, int, i
     def rows(kind):
         return sum(r for k, r in events if k == kind)
 
-    following = events[1:] + [("end", 0)]
-    nondescent = sum(r - (nr if nk == "value" else 0) for (k, r), (nk, nr) in zip(events, following) if k == "solve")
-    return calls("solve"), calls("value"), calls("hess"), rows("solve"), rows("value"), nondescent, len(stuck)
+    return calls("solve"), calls("value"), calls("hess"), rows("solve"), rows("value"), reversed_steps[0], len(stuck)
 
 
 def per_stage_us(job, z, mu, eps, cap) -> float:
@@ -210,22 +218,19 @@ def main() -> None:
     print("\nNewton stages, per iteration")
     print(
         f"{'case':<14}{'rows':>6}{'mu':>7}{'cap':>5}{'iters':>7}{'us/iter':>10}{'value/iter':>12}"
-        f"{'hess/iter':>11}{'rows/solve':>12}{'trials/row':>12}{'nondescent/row':>16}{'stuck/row':>11}"
+        f"{'hess/iter':>11}{'rows/solve':>12}{'trials/row':>12}{'reversed/row':>14}{'stuck/row':>11}"
     )
-    blocks = [("query block", *query_block(*QUERY))]
-    blocks += [
-        (name, *random_start(set_, mode, cap, grid, restarts, seeds))
-        for name, set_, mode, cap, grid, restarts, seeds in BLOCK_CASES
-    ]
-    blocks.append(("ns_min family", *family_start(FIG6_GRID)))
+    blocks = [(name, *query_block(*case)) for name, *case in QUERY_CASES]
+    blocks += [(name, *random_start(*case)) for name, *case in BLOCK_CASES]
+    blocks += [(name, *witness_start(*case)) for name, *case in WITNESS_CASES]
     for name, job, z0, first in blocks:
         for mu, eps, cap, part, z in stages(job, z0, first):
-            iterations, value, hess, solved, trials, nondescent, stuck = newton_counts(part, z, mu, eps, cap)
+            iterations, value, hess, solved, trials, reversed_steps, stuck = newton_counts(part, z, mu, eps, cap)
             us = per_stage_us(part, z, mu, eps, cap) / iterations
             print(
                 f"{name:<14}{len(z):>6}{mu:>7.0e}{cap:>5}{iterations:>7}{us:>10.1f}{value / iterations:>12.2f}"
                 f"{hess / iterations:>11.2f}{solved / iterations:>12.1f}{trials / solved:>12.2f}"
-                f"{nondescent / solved:>16.3f}{stuck / len(z):>11.3f}"
+                f"{reversed_steps / solved:>14.3f}{stuck / len(z):>11.3f}"
             )
 
     print("\nfamily points (_family_vectors), us per score")

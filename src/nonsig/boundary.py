@@ -33,11 +33,13 @@ exactly evaluated row, with that row's flag.
 Every kind starts each point at a known witness and runs only the Newton
 tail from it (``curves.witness_vectors``): NS and SYM MIN at ``ns_min``, NS
 and SYM MAX at ``ns_max``, C MIN at ``c_min``, C MAX at ``c_max`` and, under
-the arcsin cap, at ``qc_max`` from S = 2 on.  On every kind, random restarts
-audit the witness on every ``_AUDIT_EVERY``-th grid point (``_solve_points``);
-such a point's witness row joins its random rows' block from the Newton
-tail on, so a point query is one ``_solve``, which starts each row on its
-own stage.  The quantities the solver reads are the affine map of ``slice``.
+the arcsin cap, at ``qc_max`` from S = 2 on.  On NS and SYM kinds random
+restarts audit the witness on every ``_AUDIT_EVERY``-th grid point
+(``_solve_points``); such a point's witness row joins its random rows' block
+from the Newton tail on, so a point query is one ``_solve``, which starts
+each row on its own stage.  The C witnesses are proven extrema (``curves``),
+so C kinds run no random starts and ignore ``restarts``.  The quantities the
+solver reads are the affine map of ``slice``.
 """
 
 from __future__ import annotations
@@ -95,8 +97,9 @@ class ScanConfig:
     """Grid scan configuration; ``qtilde_cap`` adds the four arcsin facets.
 
     ``restarts`` is the number of random starts per audited point, which run
-    next to the witness start on every ``_AUDIT_EVERY``-th grid point (see
-    ``_solve_points``).
+    next to the witness start on every ``_AUDIT_EVERY``-th grid point of an
+    NS or SYM scan; C scans start from proven witnesses alone, so ``restarts``
+    and ``seed`` do not change them (see ``_solve_points``).
     """
 
     set: FeasibleSet
@@ -371,23 +374,28 @@ def _newton(
     steps, whose gains f cannot resolve, still go through.  A step with
     grad . step >= 0 has curvature below -lam along it, as step . (H + lam I)
     step = -grad . step; the row is near a saddle and takes the reversed step,
-    a descent direction of negative curvature (More and Sorensen 1979).  The
-    damping lam eases tenfold after a full step.  After a failed search it
-    tightens tenfold and to at least the row's scale, its largest Hessian
-    diagonal, so that the trust region shrinks relative to the model's own
-    scale (More 1978) instead of creeping up from the floor; after a reversed
-    step it also jumps past twice that curvature.  Its floor is
-    ``_DAMPING_FLOOR`` times one plus the scale.
+    a descent direction of negative curvature (More and Sorensen 1979).
+    Random rows and the witness rows of every kind that steps at all (all but
+    C MIN, whose witnesses start converged) take such steps
+    (``scripts/kernel_timing.py``, reversed/row).  The damping lam eases
+    tenfold after a full step.  After a failed search it tightens tenfold and
+    to at least the row's scale, its largest Hessian diagonal, so that the
+    trust region shrinks relative to the model's own scale (More 1978)
+    instead of creeping up from the floor; after a reversed step it also
+    jumps past twice that curvature.  Its floor is ``_DAMPING_FLOOR`` times
+    one plus the scale.
 
     A row is done when its gradient norm is at most ``_NEWTON_GTOL``
     (converged), when its step is below the rounding of z, or when it cannot
     progress: its search fails with lam at ``_DAMPING_CEILING`` times the
     scale or more, about five failures after the first.  Such rows sit where
-    no step gains, as capped C MAX rows at the face of the cube, where the
-    clipped arcsin makes the cap penalty flat outside and infinitely steep
-    just inside.  Every row stops after ``iters`` iterations
-    (``_NEWTON_ITERS`` when None).  Returns the iterates, those of ``z`` updated in place, and
-    the converged flags.
+    no step gains, as random capped C MAX rows at the face of the cube, where
+    the clipped arcsin makes the cap penalty flat outside and infinitely
+    steep just inside.  Scans and queries run no such rows, as C kinds draw
+    no random starts, but ``scripts/start_quality.py`` does; no witness row
+    and no NS or SYM random row was seen to reach the ceiling.  Every row
+    stops after ``iters`` iterations (``_NEWTON_ITERS`` when None).  Returns
+    the iterates, those of ``z`` updated in place, and the converged flags.
     """
     geo = job.geo
     d = z.shape[1]
@@ -652,7 +660,7 @@ def _solve_grid(points: _Job, starts: list[np.ndarray], outers: int = len(_MU_SC
 
 
 def _solve_groups(points: _Job, groups: list[list[np.ndarray]], firsts: list[int]) -> list[list[ScanPoint]]:
-    """Solve each point from its starts in every group, group g's from stage
+    """Solve each of one or more points from its starts in every group, group g's from stage
     ``firsts[g]`` of the schedule on, consecutive points in blocks of about
     ``_BLOCK_ROWS`` rows: a block takes the points whose first row falls in
     its stretch of rows, and one ``_solve`` runs all of its rows.  Each group's
@@ -661,8 +669,7 @@ def _solve_groups(points: _Job, groups: list[list[np.ndarray]], firsts: list[int
     sizes = np.sum([[len(z) for z in starts] for starts in groups], axis=0)
     block = (np.cumsum(sizes) - sizes) // _BLOCK_ROWS  # of each point's first row
     out = [[] for _ in groups]
-    # with no points, np.split still yields one empty block; it is dropped
-    for ks in filter(len, np.split(np.arange(len(sizes)), np.flatnonzero(np.diff(block)) + 1)):
+    for ks in np.split(np.arange(len(sizes)), np.flatnonzero(np.diff(block)) + 1):
         owners = [np.repeat(np.arange(len(ks)), [len(starts[k]) for k in ks]) for starts in groups]
         z0 = [np.concatenate([starts[k] for k in ks]) for starts in groups]
         first = np.repeat(firsts, list(map(len, z0)))
@@ -675,7 +682,10 @@ def _solve_groups(points: _Job, groups: list[list[np.ndarray]], firsts: list[int
 
 
 #: The curves whose witnesses start each kind's points, each on its own domain,
-#: a later curve taking over from an earlier one inside its domain.
+#: a later curve taking over from an earlier one inside its domain.  On the
+#: correlation space C all of them are proven extrema (``curves``: Jensen for
+#: ``c_min``, the best slice vertex for ``c_max``, Tsirelson and Landau for
+#: ``qc_max``), so C kinds run no audit (``_solve_points``).
 _WITNESS_CURVES = {
     (FeasibleSet.NS, ScanMode.MIN, False): ("ns_min",),
     (FeasibleSet.SYM, ScanMode.MIN, False): ("ns_min",),
@@ -688,37 +698,47 @@ _WITNESS_CURVES = {
 }
 
 
-def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
-    """Solve every point of ``points``; point k draws its random starts from
-    ``default_rng(seeds[k])``.
-
-    Each point starts at the witness that its kind's curves give at its
-    score (``_WITNESS_CURVES``), which only the Newton tail solves; the tail
-    doubles as the start's KKT check.  The ``restarts`` random starts are an
-    audit of the witness, one rule for every set, mode and cap: they run the
-    full schedule on every ``_AUDIT_EVERY``-th grid index and on no other
-    point.  An audited point's witness row shares its block with its random
-    rows and runs in their last two stages, so a query is one ``_solve``; the
-    other points' witness rows run in blocks of their own.  A random result
-    replaces the witness's only if it is strictly better (below the witness
-    curve on MIN, above it on MAX), and keeps the witness's converged flag if
-    that was set.
-    """
+def _witness_z(points: _Job) -> np.ndarray:
+    """Each point's witness start: its kind's curves at its score (``_WITNESS_CURVES``), as feasible z."""
     geo = points.geo
     x = np.empty((len(points.s), 8))
     for curve in _WITNESS_CURVES[geo.set, geo.mode, geo.qtilde_cap]:
         lo, hi = curves.CURVE_DOMAINS[curves.CurveId(curve)]
         mine = (points.s >= lo - curves._DOMAIN_SLACK) & (points.s <= hi + curves._DOMAIN_SLACK)
         x[mine] = curves.witness_vectors(curve, points.s[mine])
-    z = _z_from_vector(points, x)
-    audited = np.arange(0, len(points.s), _AUDIT_EVERY)
-    rest = np.flatnonzero(np.arange(len(points.s)) % _AUDIT_EVERY)
-    vals = dict(zip(rest, _solve_grid(points.take(rest), list(z[rest, None]), outers=_TAIL_STAGES)))
-    starts = [_starts(points.take([k]), restarts, np.random.default_rng(seeds[k])) for k in audited]
-    tail = len(_MU_SCHEDULE) - _TAIL_STAGES
-    witness, audit = _solve_groups(points.take(audited), [list(z[audited, None]), starts], [tail, 0])
-    for k, w, p in zip(audited, witness, audit):
-        vals[k] = replace(p, converged=p.converged or w.converged) if geo.sigma * p.i < geo.sigma * w.i else w
+    return _z_from_vector(points, x)
+
+
+def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
+    """Solve every point of ``points``; point k draws its random starts from
+    ``default_rng(seeds[k])``.
+
+    Each point starts at the witness that its kind's curves give at its
+    score (``_WITNESS_CURVES``), which only the Newton tail solves; the tail
+    doubles as the start's KKT check.  On NS and SYM kinds the ``restarts``
+    random starts are an audit of the witness: they run the full schedule on
+    every ``_AUDIT_EVERY``-th grid index and on no other point.  C kinds,
+    whose witnesses are proven extrema (``curves``), run no audit, so
+    ``restarts`` and ``seeds`` do not change their results.  An audited
+    point's witness row shares its block with its random rows and runs in
+    their last two stages, so a query is one ``_solve``; the other points'
+    witness rows run in blocks of their own.  A random result replaces the
+    witness's only if it is strictly better (below the witness curve on MIN,
+    above it on MAX), and keeps the witness's converged flag if that was set.
+    """
+    geo = points.geo
+    z = _witness_z(points)
+    audits = (np.arange(len(points.s)) % _AUDIT_EVERY == 0) & (geo.set is not FeasibleSet.C)
+    audited, rest = np.flatnonzero(audits), np.flatnonzero(~audits)
+    vals = {}
+    if rest.size:
+        vals.update(zip(rest, _solve_grid(points.take(rest), list(z[rest, None]), outers=_TAIL_STAGES)))
+    if audited.size:
+        starts = [_starts(points.take([k]), restarts, np.random.default_rng(seeds[k])) for k in audited]
+        tail = len(_MU_SCHEDULE) - _TAIL_STAGES
+        witness, audit = _solve_groups(points.take(audited), [list(z[audited, None]), starts], [tail, 0])
+        for k, w, p in zip(audited, witness, audit):
+            vals[k] = replace(p, converged=p.converged or w.converged) if geo.sigma * p.i < geo.sigma * w.i else w
     return [vals[k] for k in range(len(points.s))]
 
 
@@ -739,8 +759,11 @@ def optimize_at_s(
 
     Multi-start local search; deterministic given ``seed``.  A query is a
     one-point grid at index 0 (see ``_solve_points``): it runs its kind's
-    witness at s over the Newton tail and its ``restarts`` random starts over
-    the full schedule, all in one ``_solve`` (a query is always audited).
+    witness at s over the Newton tail and, on NS and SYM kinds, its
+    ``restarts`` random starts over the full schedule, all in one ``_solve``
+    (such a query is always audited).  On C kinds the witness is a proven
+    extremum, so the query is its Newton tail alone and ``restarts`` and
+    ``seed`` do not change the result.
     """
     set_ = FeasibleSet(set_) if isinstance(set_, str) else set_
     mode = ScanMode(mode) if isinstance(mode, str) else mode
@@ -752,12 +775,14 @@ def optimize_at_s(
 def scan(config: ScanConfig) -> BoundaryCurve:
     """Solve every point of the evenly spaced grid (see ``_solve_points``).
 
-    Each grid point draws its random starts from its own grid-index-seeded
-    RNG stream; whole points are then stacked into blocks of at most
-    ``_BLOCK_ROWS`` rows and solved together.  Rows never interact and each
-    stops by its own rules, so a point's result does not depend on its block
-    beyond rounding in shared matrix products.  Per-point failures are
-    reported through ``converged=False``, never by aborting the scan.
+    Each audited grid point of an NS or SYM scan draws its random starts from
+    its own grid-index-seeded RNG stream (C scans draw none, so ``restarts``
+    and ``seed`` do not change them); whole points are then stacked into
+    blocks of at most ``_BLOCK_ROWS`` rows and solved together.  Rows never
+    interact and each stops by its own rules, so a point's result does not
+    depend on its block beyond rounding in shared matrix products.  Per-point
+    failures are reported through ``converged=False``, never by aborting the
+    scan.
     """
     grid = np.linspace(config.s_lo, config.s_hi, config.grid_points)
     points = _geometry(config.set, config.mode, config.qtilde_cap).at(grid)

@@ -70,6 +70,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="nonsig", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nonsig {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    restarts_help = "random starts per audited NS or SYM point (every 10th); C kinds ignore it (proven witnesses)"
 
     p = sub.add_parser("curve", help="evaluate an analytic boundary curve on a grid")
     p.add_argument("--id", required=True, choices=[c.value for c in CurveId])
@@ -82,7 +83,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--n", type=count, required=True)
-    p.add_argument("--restarts", type=count, default=50)
+    p.add_argument("--restarts", type=count, default=50, help=restarts_help)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--qtilde", action="store_true", help="add the arcsin quantum cap (correlation space only)")
     p.add_argument("--out", type=Path, required=True)
@@ -112,7 +113,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--full-scale", action="store_true", help="large reference grids instead of desk-size")
     p.add_argument("--points", type=count, default=None, help="override the grid size")
     p.add_argument("--n", type=count, default=None, help="override the sample count")
-    p.add_argument("--restarts", type=count, default=None)
+    p.add_argument("--restarts", type=count, default=None, help=restarts_help)
     p.add_argument("--k", type=int, default=None, help="override the triple spacing")
     return parser
 

@@ -167,7 +167,8 @@ class TestOptimizeAtS:
         assert "nan" not in out.read_text()
 
     def test_polish_reaches_capped_c_max(self):
-        # without the polish the best of 2 starts stays 4.0e-11 below the closed form
+        # the query is its qc_max witness's Newton tail alone; when random starts
+        # ran, the best of 2 stayed 4.0e-11 below the closed form without the polish
         s = 2.3154406173881354
         r = optimize_at_s("c", "max", s, restarts=2, seed=1845865537, qtilde_cap=True)
         assert r.i >= curve_value("qc_max", s) - 1e-12
@@ -335,7 +336,11 @@ class TestScanWitnessProperty:
 
 
 class TestAuditRule:
-    """Random starts are an audit on every kind: every 10th grid index and every query."""
+    """Random starts audit NS and SYM kinds on every 10th grid index and on
+    every query; C kinds, whose witnesses are proven extrema, draw none.
+
+    The test names keep the audited kinds' rule; on a C kind each asserts
+    that no start is drawn, in scans and in queries."""
 
     @staticmethod
     def recorded(monkeypatch):
@@ -355,13 +360,44 @@ class TestAuditRule:
         hi = TSIRELSON if cap else 4.0
         scan(ScanConfig(FeasibleSet(set_), ScanMode(mode), 0.0, hi, 21, 2, 0, qtilde_cap=cap))
         grid = np.linspace(0.0, hi, 21)
-        assert drawn == [(grid[k], 2) for k in (0, 10, 20)]
+        assert drawn == ([] if set_ == "c" else [(grid[k], 2) for k in (0, 10, 20)])
 
     @pytest.mark.parametrize("set_, mode, cap", KINDS)
     def test_query_is_audited(self, monkeypatch, set_, mode, cap):
         drawn = self.recorded(monkeypatch)
         optimize_at_s(set_, mode, 1.7, restarts=3, seed=4, qtilde_cap=cap)
-        assert drawn == [(1.7, 3)]
+        assert drawn == ([] if set_ == "c" else [(1.7, 3)])
+
+
+#: The C kinds: mode and arcsin cap.
+C_KINDS = [(mode, cap) for set_, mode, cap in KINDS if set_ == "c"]
+
+
+class TestProvenKinds:
+    """A C kind answers from its witness's Newton tail alone, so ``restarts``
+    and ``seed`` do not change its results, bit for bit."""
+
+    @pytest.mark.parametrize("mode, cap", C_KINDS)
+    def test_query_ignores_restarts_and_seed(self, mode, cap):
+        for s in (0.0, 0.37, 1.0, 2.0, 2.6, TSIRELSON, 3.5, 4.0):
+            if cap and s > TSIRELSON:
+                continue
+            one = optimize_at_s("c", mode, s, restarts=1, seed=0, qtilde_cap=cap)
+            many = optimize_at_s("c", mode, s, restarts=50, seed=9, qtilde_cap=cap)
+            assert (one.i, one.converged) == (many.i, many.converged), s
+            assert np.array_equal(one.argopt.vector(), many.argopt.vector()), s
+            assert abs(witness_gap("c", mode, cap, s, one.i)) <= 1e-12, s
+
+    @pytest.mark.parametrize("mode, cap", C_KINDS)
+    def test_scan_ignores_restarts_and_seed(self, mode, cap):
+        hi = TSIRELSON if cap else 4.0
+        a, b = (
+            scan(ScanConfig(FeasibleSet.C, ScanMode(mode), 0.0, hi, 12, restarts, seed, qtilde_cap=cap))
+            for restarts, seed in ((1, 0), (7, 3))
+        )
+        assert np.array_equal(a.i, b.i)
+        assert np.array_equal(a.argopt_vectors(), b.argopt_vectors())
+        assert [p.converged for p in a.points] == [p.converged for p in b.points]
 
 
 @pytest.fixture(scope="module")
@@ -729,11 +765,13 @@ class TestStagedRows:
             ("ns", "max", False, 1.21277931716658, 267191831),
             ("sym", "min", False, 2.198374750692238, 184123697),
             ("sym", "max", False, 2.8991597630941346, 2065143098),
-            # with halvings capped by the rows searching beside it, its witness loses its flag here
+            # a proven kind: its one solve is the witness row alone
             ("c", "max", True, 2.3994778222729702, 740899032),
         ],
     )
     def test_query_is_one_solve_and_its_witness_solves_as_alone(self, monkeypatch, set_, mode, cap, s, seed):
+        """An audited query's witness row rides in its random rows' block and
+        ends as it does alone; a C kind's query solves its witness row alone."""
         solves, groups = [], []
         solve, solve_groups = boundary._solve, boundary._solve_groups
 
@@ -749,8 +787,10 @@ class TestStagedRows:
         monkeypatch.setattr(boundary, "_solve", counted)
         monkeypatch.setattr(boundary, "_solve_groups", recorded)
         optimize_at_s(set_, mode, s, restarts=50, seed=seed, qtilde_cap=cap)
-        assert solves == [51]
-        ((points, (witness, _), (merged, _)),) = [call for call in groups if len(call[1]) == 2]
+        audited = set_ != "c"
+        assert solves == [51 if audited else 1]
+        ((points, (witness, *others), (merged, *_)),) = groups
+        assert len(others) == audited
         (alone,) = boundary._solve_grid(points, witness, outers=boundary._TAIL_STAGES)
         assert (merged[0].i, merged[0].converged) == (alone.i, alone.converged)
         assert np.array_equal(merged[0].argopt.vector(), alone.argopt.vector())
@@ -926,8 +966,9 @@ class TestNewtonStuckRow:
     def test_row_at_the_cube_face_stops_early(self, monkeypatch):
         """A capped C MAX row stuck at the cube face ends long before the iteration cap.
 
-        One of the 50 random starts of the query s = 2.224552993103895, seed
-        563703103, as the first two stages leave it: its correlators are
+        One of the 50 random starts that the query s = 2.224552993103895, seed
+        563703103, drew while C kinds still ran random starts, as the first two
+        stages leave it: its correlators are
         (1.0749, 1.0749, -1 - 5.7e-10, -1.0749), where the clipped arcsin makes
         the cap penalty flat outside the cube and infinitely steep just inside
         it.  At mu = 1e3 its |grad| stays 15.59 and every line search fails;
