@@ -99,12 +99,12 @@ def random_start(set_, mode, cap, grid, restarts, seeds):
 
 
 def query_block(set_, mode, s, restarts, seed):
-    """One audited query's rows, as ``_solve_points`` stacks them: its random
-    starts from the first stage on, then its witness from the Newton tail on."""
+    """One audited query's rows, as ``_solve_points`` stacks them: its witness
+    from the Newton tail on, then its random starts from the first stage on."""
     point = _geometry(set_, mode, False).at([s])
     z = _starts(point, restarts, np.random.default_rng(seed))
-    first = np.append(np.zeros(restarts, dtype=int), TAIL)
-    return point.take(np.zeros(restarts + 1, dtype=int)), np.concatenate([z, _witness_z(point)]), first
+    first = np.append(TAIL, np.zeros(restarts, dtype=int))
+    return point.take(np.zeros(restarts + 1, dtype=int)), np.concatenate([_witness_z(point), z]), first
 
 
 def witness_start(set_, mode, cap, grid):

@@ -4,7 +4,7 @@ Usage: PYTHONPATH=src python scripts/start_quality.py
 
 For each kind it solves 40 interior scores of the kind's reference range, 10
 random starts per score drawn by the solver's own start builder from
-``default_rng([77, k])`` for the k-th score, through ``boundary._solve_grid``
+``default_rng([77, k])`` for the k-th score, through ``boundary._solve_blocks``
 over the full penalty schedule: no witness start.  Each score's best row is
 compared with the kind's reference (``REFERENCES``): ``ns_min`` for NS and
 SYM MIN, ``ns_max`` for NS and SYM MAX, ``c_min`` for C MIN, ``c_max`` for
@@ -22,7 +22,7 @@ import os
 
 import numpy as np
 
-from nonsig.boundary import FeasibleSet, ScanMode, _geometry, _solve_grid, _starts
+from nonsig.boundary import FeasibleSet, ScanMode, _geometry, _solve_blocks, _starts
 from nonsig.curves import curve_value
 from nonsig.functionals import TSIRELSON
 
@@ -50,7 +50,7 @@ def main() -> None:
         s = np.linspace(lo, hi, SCORES + 2)[1:-1]
         points = _geometry(set_, mode, cap).at(s)
         starts = [_starts(points.take([k]), STARTS, np.random.default_rng([77, k])) for k in range(SCORES)]
-        found = _solve_grid(points, starts)
+        found = _solve_blocks(points, starts, [np.zeros(STARTS, dtype=int)] * SCORES)
         sigma = 1.0 if mode is ScanMode.MIN else -1.0
         gap = sigma * (np.array([p.i for p in found]) - reference(s))
         converged = sum(p.converged for p in found)

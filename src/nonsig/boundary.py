@@ -34,17 +34,18 @@ Every kind starts each point at a known witness and runs only the Newton
 tail from it (``curves.witness_vectors``): NS and SYM MIN at ``ns_min``, NS
 and SYM MAX at ``ns_max``, C MIN at ``c_min``, C MAX at ``c_max`` and, under
 the arcsin cap, at ``qc_max`` from S = 2 on.  On NS and SYM kinds random
-restarts audit the witness on every ``_AUDIT_EVERY``-th grid point
-(``_solve_points``); such a point's witness row joins its random rows' block
-from the Newton tail on, so a point query is one ``_solve``, which starts
-each row on its own stage.  The C witnesses are proven extrema (``curves``),
-so C kinds run no random starts and ignore ``restarts``.  The quantities the
-solver reads are the affine map of ``slice``.
+restarts over the full schedule audit the witness on every
+``_AUDIT_EVERY``-th grid point.  ``_solve_points`` lists each point's rows
+once, its witness row first, and sends all of them through one blocked pass
+(``_solve_blocks``), whose ``_solve`` starts each row on its own stage, so a
+point query is one ``_solve``.  The C witnesses are proven extrema
+(``curves``), so C kinds run no random starts and ignore ``restarts``.  The
+quantities the solver reads are the affine map of ``slice``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -96,10 +97,11 @@ class ScanMode(Enum):
 class ScanConfig:
     """Grid scan configuration; ``qtilde_cap`` adds the four arcsin facets.
 
-    ``restarts`` is the number of random starts per audited point, which run
-    next to the witness start on every ``_AUDIT_EVERY``-th grid point of an
-    NS or SYM scan; C scans start from proven witnesses alone, so ``restarts``
-    and ``seed`` do not change them (see ``_solve_points``).
+    ``restarts`` is the number of random starts of each audited point, every
+    ``_AUDIT_EVERY``-th grid point of an NS or SYM scan, where they compete
+    with the witness start on equal terms; C scans start from proven
+    witnesses alone, so ``restarts`` and ``seed`` do not change them (see
+    ``_solve_points``).
     """
 
     set: FeasibleSet
@@ -358,9 +360,7 @@ def _rounding(f: np.ndarray) -> np.ndarray:
     return 4e-15 * (1.0 + np.abs(f))
 
 
-def _newton(
-    job: _Job, z: np.ndarray, mu: float, eps: float, iters: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _newton(job: _Job, z: np.ndarray, mu: float, eps: float, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Levenberg-Marquardt-damped Newton with Armijo backtracking on the penalty,
     batched over rows.
 
@@ -394,8 +394,8 @@ def _newton(
     steep just inside.  Scans and queries run no such rows, as C kinds draw
     no random starts, but ``scripts/start_quality.py`` does; no witness row
     and no NS or SYM random row was seen to reach the ceiling.  Every row
-    stops after ``iters`` iterations (``_NEWTON_ITERS`` when None).  Returns
-    the iterates, those of ``z`` updated in place, and the converged flags.
+    stops after ``iters`` iterations (``_stage_iters``).  Returns the
+    iterates, those of ``z`` updated in place, and the converged flags.
     """
     geo = job.geo
     d = z.shape[1]
@@ -406,7 +406,7 @@ def _newton(
     lam = np.zeros(z.shape[0])
     live = np.ones(z.shape[0], dtype=bool)
     eye = np.eye(d)
-    for _ in range(_NEWTON_ITERS if iters is None else iters):
+    for _ in range(iters):
         keep = live & ((ga * ga).sum(axis=1) > _NEWTON_GTOL**2)
         act, (za, ga, fa, ha, lam, live), offa = _retire(keep, act, full, (za, ga, fa, ha, lam, live), offa)
         if not act.size:
@@ -633,11 +633,12 @@ def _finish(
 ) -> list[ScanPoint]:
     """Repair all rows, evaluate exactly, return each point's best row as its ``ScanPoint``.
 
-    A point's untouched starts compete with its solved rows (a start can beat
-    its own descendant when the softened early stages walk off an exact
-    corner optimum), but a raw start wins only by more than the value's
-    rounding, so it never displaces a converged descendant on rounding
-    alone, and it never counts as converged.  Ties go to the earlier row.
+    All of a point's rows compete, its witness row and its random rows alike,
+    and so do its untouched starts (a start can beat its own descendant when
+    the softened early stages walk off an exact corner optimum), but a raw
+    start wins only by more than the value's rounding, so it never displaces
+    a converged row on rounding alone, and it never counts as converged.
+    Ties go to the earlier row, the witness row before random rows.
     """
     row_point = np.concatenate([owner, owner])
     x = _repair(points.take(row_point), np.concatenate([z, z0]))
@@ -653,31 +654,20 @@ def _finish(
     ]
 
 
-def _solve_grid(points: _Job, starts: list[np.ndarray], outers: int = len(_MU_SCHEDULE)) -> list[ScanPoint]:
-    """Solve each point from its own starts over the last ``outers`` stages (``_solve_groups``)."""
-    (out,) = _solve_groups(points, [starts], [len(_MU_SCHEDULE) - outers])
-    return out
-
-
-def _solve_groups(points: _Job, groups: list[list[np.ndarray]], firsts: list[int]) -> list[list[ScanPoint]]:
-    """Solve each of one or more points from its starts in every group, group g's from stage
-    ``firsts[g]`` of the schedule on, consecutive points in blocks of about
-    ``_BLOCK_ROWS`` rows: a block takes the points whose first row falls in
-    its stretch of rows, and one ``_solve`` runs all of its rows.  Each group's
-    rows are finished on their own, so each group returns one ``ScanPoint``
-    per point."""
-    sizes = np.sum([[len(z) for z in starts] for starts in groups], axis=0)
+def _solve_blocks(points: _Job, starts: list[np.ndarray], firsts: list[np.ndarray]) -> list[ScanPoint]:
+    """Solve each point of ``points`` from its rows ``starts[k]``, row j from stage
+    ``firsts[k][j]`` of the schedule on, consecutive points in blocks of about
+    ``_BLOCK_ROWS`` rows: a block takes the points whose first row falls in its
+    stretch of rows, and one ``_solve`` and one ``_finish`` run all of its
+    rows.  Returns one ``ScanPoint`` per point, in the order of ``points``."""
+    sizes = np.array([len(rows) for rows in starts])
     block = (np.cumsum(sizes) - sizes) // _BLOCK_ROWS  # of each point's first row
-    out = [[] for _ in groups]
+    out = []
     for ks in np.split(np.arange(len(sizes)), np.flatnonzero(np.diff(block)) + 1):
-        owners = [np.repeat(np.arange(len(ks)), [len(starts[k]) for k in ks]) for starts in groups]
-        z0 = [np.concatenate([starts[k] for k in ks]) for starts in groups]
-        first = np.repeat(firsts, list(map(len, z0)))
-        z, met = _solve(points.take(ks[np.concatenate(owners)]), np.concatenate(z0), first)
-        at = 0
-        for done, owner, rows in zip(out, owners, z0):
-            done += _finish(points.take(ks), owner, rows, z[at : at + len(rows)], met[at : at + len(rows)])
-            at += len(rows)
+        owner = np.repeat(np.arange(len(ks)), sizes[ks])
+        z0 = np.concatenate([starts[k] for k in ks])
+        z, met = _solve(points.take(ks[owner]), z0, np.concatenate([firsts[k] for k in ks]))
+        out += _finish(points.take(ks), owner, z0, z, met)
     return out
 
 
@@ -713,33 +703,33 @@ def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
     """Solve every point of ``points``; point k draws its random starts from
     ``default_rng(seeds[k])``.
 
-    Each point starts at the witness that its kind's curves give at its
-    score (``_WITNESS_CURVES``), which only the Newton tail solves; the tail
-    doubles as the start's KKT check.  On NS and SYM kinds the ``restarts``
-    random starts are an audit of the witness: they run the full schedule on
-    every ``_AUDIT_EVERY``-th grid index and on no other point.  C kinds,
-    whose witnesses are proven extrema (``curves``), run no audit, so
-    ``restarts`` and ``seeds`` do not change their results.  An audited
-    point's witness row shares its block with its random rows and runs in
-    their last two stages, so a query is one ``_solve``; the other points'
-    witness rows run in blocks of their own.  A random result replaces the
-    witness's only if it is strictly better (below the witness curve on MIN,
-    above it on MAX), and keeps the witness's converged flag if that was set.
+    Each point has a witness row, started at the witness that its kind's
+    curves give at its score (``_WITNESS_CURVES``) and solved on the Newton
+    tail alone; the tail doubles as the start's KKT check.  On NS and SYM
+    kinds every ``_AUDIT_EVERY``-th grid point also has ``restarts`` random
+    rows, an audit of the witness over the full schedule.  C kinds, whose
+    witnesses are proven extrema (``curves``), run no audit, so ``restarts``
+    and ``seeds`` do not change their results.  All rows go through one
+    ``_solve_blocks``, so a query is one ``_solve``, and ``_finish`` picks
+    each point's row, witness or random, with that row's own flag.  Audited
+    points go first, so that random rows fill whole blocks: in grid order
+    they filled part of every block, whose early stages then ran on gathered
+    subsets of fewer rows, and ``repro fig6``'s scan took about a fifth more
+    CPU.
     """
-    geo = points.geo
     z = _witness_z(points)
-    audits = (np.arange(len(points.s)) % _AUDIT_EVERY == 0) & (geo.set is not FeasibleSet.C)
-    audited, rest = np.flatnonzero(audits), np.flatnonzero(~audits)
-    vals = {}
-    if rest.size:
-        vals.update(zip(rest, _solve_grid(points.take(rest), list(z[rest, None]), outers=_TAIL_STAGES)))
-    if audited.size:
-        starts = [_starts(points.take([k]), restarts, np.random.default_rng(seeds[k])) for k in audited]
-        tail = len(_MU_SCHEDULE) - _TAIL_STAGES
-        witness, audit = _solve_groups(points.take(audited), [list(z[audited, None]), starts], [tail, 0])
-        for k, w, p in zip(audited, witness, audit):
-            vals[k] = replace(p, converged=p.converged or w.converged) if geo.sigma * p.i < geo.sigma * w.i else w
-    return [vals[k] for k in range(len(points.s))]
+    audits = (np.arange(len(points.s)) % _AUDIT_EVERY == 0) & (points.geo.set is not FeasibleSet.C)
+    order = np.argsort(~audits, kind="stable")
+    starts = [
+        np.concatenate([z[k, None], _starts(points.take([k]), restarts, np.random.default_rng(seeds[k]))])
+        if audits[k]
+        else z[k, None]
+        for k in order
+    ]
+    tail = len(_MU_SCHEDULE) - _TAIL_STAGES
+    firsts = [np.repeat([tail, 0], [1, len(rows) - 1]) for rows in starts]
+    solved = _solve_blocks(points.take(order), starts, firsts)
+    return [solved[j] for j in np.argsort(order)]
 
 
 # ---------------------------------------------------------------------------
@@ -758,12 +748,13 @@ def optimize_at_s(
     """Extremize the mutual information at CHSH score exactly s.
 
     Multi-start local search; deterministic given ``seed``.  A query is a
-    one-point grid at index 0 (see ``_solve_points``): it runs its kind's
-    witness at s over the Newton tail and, on NS and SYM kinds, its
-    ``restarts`` random starts over the full schedule, all in one ``_solve``
-    (such a query is always audited).  On C kinds the witness is a proven
-    extremum, so the query is its Newton tail alone and ``restarts`` and
-    ``seed`` do not change the result.
+    one-point grid at index 0 (see ``_solve_points``): one ``_solve`` runs its
+    kind's witness at s over the Newton tail and, on NS and SYM kinds, its
+    ``restarts`` random starts over the full schedule (such a query is always
+    audited), and the best of these rows is the answer, with its own
+    ``converged`` flag.  On C kinds the witness is a proven extremum, so the
+    query is its Newton tail alone and ``restarts`` and ``seed`` do not change
+    the result.
     """
     set_ = FeasibleSet(set_) if isinstance(set_, str) else set_
     mode = ScanMode(mode) if isinstance(mode, str) else mode
@@ -777,12 +768,12 @@ def scan(config: ScanConfig) -> BoundaryCurve:
 
     Each audited grid point of an NS or SYM scan draws its random starts from
     its own grid-index-seeded RNG stream (C scans draw none, so ``restarts``
-    and ``seed`` do not change them); whole points are then stacked into
-    blocks of at most ``_BLOCK_ROWS`` rows and solved together.  Rows never
-    interact and each stops by its own rules, so a point's result does not
-    depend on its block beyond rounding in shared matrix products.  Per-point
-    failures are reported through ``converged=False``, never by aborting the
-    scan.
+    and ``seed`` do not change them); whole points, the audited ones first,
+    are then stacked into blocks of about ``_BLOCK_ROWS`` rows and solved
+    together, and the results come back in grid order.  Rows never interact
+    and each stops by its own rules, so a point's result does not depend on
+    its block beyond rounding in shared matrix products.  Per-point failures
+    are reported through ``converged=False``, never by aborting the scan.
     """
     grid = np.linspace(config.s_lo, config.s_hi, config.grid_points)
     points = _geometry(config.set, config.mode, config.qtilde_cap).at(grid)

@@ -280,26 +280,29 @@ def _sample_mixtures(n: int, seed: int) -> np.ndarray:
     return np.column_stack([_s_max_ab(ab), _mi_correlators(zero, zero, ab), ok.astype(float)])
 
 
-def _recipe_scan(args, set_, mode, lo, hi, n, restarts) -> ScanConfig:
+def _recipe_scan(args, set_, mode, lo, hi, n, restarts, qtilde_cap=False) -> ScanConfig:
+    """A recipe's scan of ``n`` grid points, a size the recipe has already
+    worked out from ``--points``; ``--restarts`` overrides ``restarts``."""
     return ScanConfig(
         set=set_,
         mode=mode,
         s_lo=lo,
         s_hi=hi,
-        grid_points=_given(args.points, n),
+        grid_points=n,
         restarts=_given(args.restarts, restarts),
         seed=args.seed,
+        qtilde_cap=qtilde_cap,
     )
 
 
 def _repro_fig3(args, outdir: Path) -> list[Path]:
     n_max, n_min = (700, 500) if args.full_scale else (200, 150)
     files = []
-    cfg = _recipe_scan(args, FeasibleSet.NS, ScanMode.MAX, 0.0, 4.0, n_max, 50)
+    cfg = _recipe_scan(args, FeasibleSet.NS, ScanMode.MAX, 0.0, 4.0, _given(args.points, n_max), 50)
     out = outdir / "fig3_ns_max.csv"
     write_curve_csv(out, scan(cfg))
     files.append(out)
-    cfg = _recipe_scan(args, FeasibleSet.NS, ScanMode.MIN, 2.0, 4.0, n_min, 50)
+    cfg = _recipe_scan(args, FeasibleSet.NS, ScanMode.MIN, 2.0, 4.0, _given(args.points, n_min), 50)
     out = outdir / "fig3_ns_min.csv"
     write_curve_csv(out, scan(cfg))
     files.append(out)
@@ -314,16 +317,7 @@ def _repro_fig4(args, outdir: Path) -> list[Path]:
     write_xy_csv(out, ss, ii)
     files.append(out)
     n = max(points // 4, 10)
-    cfg = ScanConfig(
-        set=FeasibleSet.C,
-        mode=ScanMode.MAX,
-        s_lo=2.0,
-        s_hi=TSIRELSON,
-        grid_points=n,
-        restarts=_given(args.restarts, 30),
-        seed=args.seed,
-        qtilde_cap=True,
-    )
+    cfg = _recipe_scan(args, FeasibleSet.C, ScanMode.MAX, 2.0, TSIRELSON, n, 30, qtilde_cap=True)
     out = outdir / "fig4_qtilde_max.csv"
     write_curve_csv(out, scan(cfg))
     files.append(out)

@@ -32,6 +32,15 @@ def interior_vectors(n, seed):
     return 0.9 * random_correlator_vectors(n, np.random.default_rng([seed]))
 
 
+def full_firsts(starts):
+    """Each point's rows all starting on the first stage of the schedule."""
+    return [np.zeros(len(rows), dtype=int) for rows in starts]
+
+
+#: The first stage of the Newton tail, where witness rows start.
+TAIL = len(boundary._MU_SCHEDULE) - boundary._TAIL_STAGES
+
+
 class TestInfoGradient:
     def test_matches_central_differences(self):
         vs = interior_vectors(100, seed=77)
@@ -135,16 +144,24 @@ class TestOptimizeAtS:
     def test_raw_start_does_not_beat_its_converged_descendant_on_rounding(self):
         # the tail from this argopt converges, and its raw start is only
         # rounding-level better after repair; the converged row is kept
-        from nonsig.boundary import _geometry, _repair, _rounding, _solve_grid, _z_from_vector
+        from nonsig.boundary import _geometry, _repair, _rounding, _solve_blocks, _z_from_vector
         from nonsig.slice import _info_from_x
 
         s = 2.5
         point = _geometry(FeasibleSet.NS, ScanMode.MIN, False).at([s])
         z = _z_from_vector(point, optimize_at_s("ns", "min", s, restarts=8, seed=1).argopt.vector())
-        (r,) = _solve_grid(point, [z], outers=2)
+        (r,) = _solve_blocks(point, [z], [np.array([TAIL])])
         assert r.converged
         raw = _info_from_x(_repair(point, z))[0]
         assert r.i <= raw + _rounding(raw)
+
+    def test_raw_witness_does_not_beat_a_converged_random_row_on_rounding(self):
+        # line 81 of ``scripts/query_dump.py 1``: the repaired raw witness
+        # start, -8.9e-16, once beat this converged random row at 0.0 by
+        # rounding alone and was kept with the random row's flag
+        r = optimize_at_s("ns", "min", 1.027469868908411, restarts=50, seed=668021669)
+        assert r.i == 0.0
+        assert r.converged
 
     def test_ns_max_at_tiny_score_is_exact(self):
         # the repair projected the exact witness off the dominance facets,
@@ -367,6 +384,31 @@ class TestAuditRule:
         drawn = self.recorded(monkeypatch)
         optimize_at_s(set_, mode, 1.7, restarts=3, seed=4, qtilde_cap=cap)
         assert drawn == ([] if set_ == "c" else [(1.7, 3)])
+
+    def test_scan_over_several_blocks_keeps_grid_order(self, monkeypatch):
+        """The audited points solve first, here over two blocks, the last
+        block also holding every other point's witness row; each point still
+        comes back at its grid index, as its own one-point solve."""
+        solve, solves = boundary._solve, []
+
+        def counted(job, z0, first):
+            solves.append(len(z0))
+            return solve(job, z0, first)
+
+        monkeypatch.setattr(boundary, "_solve", counted)
+        curve = scan(ScanConfig(FeasibleSet.NS, ScanMode.MIN, 2.5, 3.1, 21, restarts=130, seed=3))
+        assert solves == [262, 149]  # points 0 and 10, then point 20 and the 18 others
+        grid = np.linspace(2.5, 3.1, 21)
+        assert np.array_equal(curve.s, grid)
+        points = boundary._geometry(FeasibleSet.NS, ScanMode.MIN, False).at(grid)
+        witness = boundary._witness_z(points)
+        for k, point in enumerate(curve.points):
+            if k % 10:
+                (alone,) = boundary._solve_blocks(points.take([k]), [witness[k, None]], [np.array([TAIL])])
+            else:
+                (alone,) = boundary._solve_points(points.take([k]), 130, [[3, k]])
+            assert abs(point.i - alone.i) <= 4.4e-16, k
+            assert point.converged == alone.converged, k
 
 
 #: The C kinds: mode and arcsin cap.
@@ -720,7 +762,7 @@ class TestBlockIndependence:
         ],
     )
     def test_blocked_matches_one_point(self, set_, mode, grid, restarts, qtilde_cap):
-        from nonsig.boundary import _BLOCK_ROWS, _geometry, _solve_grid, _starts
+        from nonsig.boundary import _BLOCK_ROWS, _geometry, _solve_blocks, _starts
 
         points = _geometry(FeasibleSet(set_), ScanMode(mode), qtilde_cap).at(grid)
         starts = [
@@ -728,9 +770,9 @@ class TestBlockIndependence:
         ]
         if len(grid) > 10:  # the large case must really span several blocks
             assert sum(len(z) for z in starts) > _BLOCK_ROWS
-        blocked = _solve_grid(points, starts)
+        blocked = _solve_blocks(points, starts, full_firsts(starts))
         for k, point in enumerate(blocked):
-            (alone,) = _solve_grid(points.take([k]), [starts[k]])
+            (alone,) = _solve_blocks(points.take([k]), [starts[k]], full_firsts([starts[k]]))
             assert abs(point.i - alone.i) <= 4.4e-16
             assert point.converged == alone.converged
 
@@ -772,28 +814,22 @@ class TestStagedRows:
     def test_query_is_one_solve_and_its_witness_solves_as_alone(self, monkeypatch, set_, mode, cap, s, seed):
         """An audited query's witness row rides in its random rows' block and
         ends as it does alone; a C kind's query solves its witness row alone."""
-        solves, groups = [], []
-        solve, solve_groups = boundary._solve, boundary._solve_groups
+        solves = []
+        solve = boundary._solve
 
         def counted(job, z0, first):
-            solves.append(len(z0))
-            return solve(job, z0, first)
-
-        def recorded(points, starts, firsts):
-            out = solve_groups(points, starts, firsts)
-            groups.append((points, starts, out))
-            return out
+            z, met = solve(job, z0, first)
+            solves.append((job, z0, first, z, met))
+            return z, met
 
         monkeypatch.setattr(boundary, "_solve", counted)
-        monkeypatch.setattr(boundary, "_solve_groups", recorded)
         optimize_at_s(set_, mode, s, restarts=50, seed=seed, qtilde_cap=cap)
         audited = set_ != "c"
-        assert solves == [51 if audited else 1]
-        ((points, (witness, *others), (merged, *_)),) = groups
-        assert len(others) == audited
-        (alone,) = boundary._solve_grid(points, witness, outers=boundary._TAIL_STAGES)
-        assert (merged[0].i, merged[0].converged) == (alone.i, alone.converged)
-        assert np.array_equal(merged[0].argopt.vector(), alone.argopt.vector())
+        ((job, z0, first, z, met),) = solves
+        assert first.tolist() == [TAIL] + [0] * (50 if audited else 0)  # the witness row first
+        alone, met_alone = solve(job.take([0]), z0[:1], first[:1])
+        assert np.array_equal(z[:1], alone)
+        assert met[0] == met_alone[0]
 
 
 def full_bisection(job, z, lam):
@@ -941,7 +977,7 @@ class TestNewtonOracle:
 
 
 class TestNewtonSaddle:
-    def test_row_leaves_a_saddle_every_iteration(self, monkeypatch):
+    def test_row_leaves_a_saddle_every_iteration(self):
         """A row near a saddle of the first stage moves on every iteration.
 
         From its third iteration this row sits at |grad| = 4e-7 where the
@@ -954,8 +990,7 @@ class TestNewtonSaddle:
         z0 = boundary._starts(point, 50, np.random.default_rng([1621709875]))[:1]
         after = []
         for k in range(3, 14):
-            monkeypatch.setattr(boundary, "_NEWTON_ITERS", k)
-            z, _ = boundary._newton(point, z0.copy(), 10.0, 1e-2)
+            z, _ = boundary._newton(point, z0.copy(), 10.0, 1e-2, k)
             f, g = boundary._penalty(point.geo, point.off, z, 10.0, 1e-2)
             after.append((f[0], np.linalg.norm(g)))
         for (f, gnorm), (f_next, _) in zip(after, after[1:]):
@@ -987,12 +1022,11 @@ class TestNewtonStuckRow:
         z0 = np.array([[0.3458084997427767, -1.7290424987138648, -0.3458084997427567]])
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "solve", counted_solve)
-            boundary._newton(point, z0.copy(), 1e3, 1e-3)
+            boundary._newton(point, z0.copy(), 1e3, 1e-3, boundary._NEWTON_ITERS)
         assert iterations[0] <= boundary._NEWTON_ITERS // 3
         f = []
         for k in range(iterations[0] + 1):
-            monkeypatch.setattr(boundary, "_NEWTON_ITERS", k)
-            z, _ = boundary._newton(point, z0.copy(), 1e3, 1e-3)
+            z, _ = boundary._newton(point, z0.copy(), 1e3, 1e-3, k)
             f.append(boundary._penalty(point.geo, point.off, z, 1e3, 1e-3, grad=False)[0])
         assert np.all(np.diff(f) <= 0.0), f
 
@@ -1009,7 +1043,7 @@ class TestStageCaps:
         solve, newton = np.linalg.solve, boundary._newton
         stages = []  # (mu, batched solves) of each ``_newton`` call
 
-        def counted_newton(job, z, mu, eps, iters=None):
+        def counted_newton(job, z, mu, eps, iters):
             calls = [0]
 
             def counted_solve(a, b):

@@ -657,6 +657,14 @@ class TestRepro:
         manifest = read_manifest(d1 / "fig3_manifest.json")
         assert set(manifest.outputs) == {"fig3_ns_max.csv", "fig3_ns_min.csv"}
 
+    def test_fig4_points_sets_both_scans_once(self, tmp_path):
+        # --points 40 gives 40 curve points and 40 // 4 = 10 points per scan;
+        # the NS MIN scan once applied --points a second time
+        out = tmp_path / "f4"
+        assert dispatch(["repro", "fig4", "--seed", "1", "--points", "40", "--restarts", "4", "--outdir", str(out)]) == 0
+        for name in ("fig4_qtilde_max.csv", "fig4_ns_min.csv"):
+            assert len(read_curve_csv(out / name).points) == 10, name
+
     def test_fig5_small(self, tmp_path):
         out = tmp_path / "f5"
         assert dispatch(["repro", "fig5", "--seed", "1", "--n", "500", "--outdir", str(out)]) == 0
