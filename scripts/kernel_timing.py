@@ -4,13 +4,13 @@ per iteration of each stage of the penalty schedule.
 Usage: PYTHONPATH=src python scripts/kernel_timing.py
 
 Times ``boundary._penalty`` at 1, 10, 100, 256 and 1000 rows, value only and
-value with gradient, for NS MIN at s = 2.9 and for the arcsin-capped C MAX at
-s = 2.5.  The rows are starts drawn by the solver's own start builder, and
-the penalty stage is mu = 1e3, eps = 1e-3.
+value with gradient and Hessian, for NS MIN at s = 2.9.  The rows are starts
+drawn by the solver's own start builder, and the penalty stage is mu = 1e3,
+eps = 1e-3.
 
 Then times ``_newton`` on each stage of the penalty schedule (mu = 10 to
 1e6) with the rows that have started by then, each row started where the
-stage before it leaves it, as ``_solve`` runs them, on five blocks, all of
+stage before it leaves it, as ``_solve`` runs them, on four blocks, all of
 rows that scans and queries run: the query blocks of NS MAX at s = 3.3 and of
 SYM MAX at s = 2.8991597630941346, seed 2065143098 (each one
 ``optimize_at_s`` at 50 restarts: 50 random audit rows from mu = 10 on, and
@@ -18,9 +18,8 @@ the ``ns_max`` witness row that joins them on the two tail stages, mu = 1e5
 and 1e6); 256 random NS MIN rows, 32 points on [2.5, 3.1] at 8 starts each
 (one fig6 block); the witness rows of the 100 scores of the benchmark's fig6
 grid on [2.5, 3.1], the lower-boundary family's points, as NS MIN scans
-start them; and the witness rows of 100 capped C MAX scores on [2, 2 sqrt 2],
-as every capped C MAX scan and query runs them.  Witness rows run on the two
-tail stages only.  Per stage it prints the stage's iteration cap
+start them.  Witness rows run on the two tail stages only; C kinds run no
+solve.  Per stage it prints the stage's iteration cap
 (``boundary._stage_iters``: 10 before the Newton tail, 30 on it), the
 iterations until every row has finished, the microseconds per iteration, and
 per iteration the value-only kernel calls and the value+gradient+Hessian
@@ -28,9 +27,7 @@ calls.  Every iteration is one batched linear solve; the next three columns
 are the rows it solves on average, the Armijo trials (step lengths tried)
 per row and iteration, and the share of solved steps that were no descent
 direction, which the row reverses to leave a saddle (reversed steps per row
-and iteration).  The last column is the share of the stage's rows that
-cannot progress: they end without moving after a search at the damping
-ceiling (``_DAMPING_CEILING``).
+and iteration).
 
 Last it times the family points themselves (``_family_vectors``, the
 closed-form minimizer in a) in microseconds per score, at 1 score (s =
@@ -50,13 +47,9 @@ import numpy as np
 
 from nonsig import boundary
 from nonsig.boundary import FeasibleSet, ScanMode, _geometry, _penalty, _starts, _witness_z
-from nonsig.functionals import TSIRELSON
 from nonsig.slice import _family_vectors
 
-CASES = (
-    ("ns_min", FeasibleSet.NS, ScanMode.MIN, False, 2.9),
-    ("c_max_capped", FeasibleSet.C, ScanMode.MAX, True, 2.5),
-)
+CASES = (("ns_min", FeasibleSet.NS, ScanMode.MIN, False, 2.9),)
 ROWS = (1, 10, 100, 256, 1000)
 #: Each query block's kind, score, random starts and start seed.
 QUERY_CASES = (
@@ -68,23 +61,20 @@ BLOCK_CASES = (
     ("ns_min block", FeasibleSet.NS, ScanMode.MIN, False, np.linspace(2.5, 3.1, 32), 8, [[0, j] for j in range(32)]),
 )
 #: Each witness block's kind and scores.
-WITNESS_CASES = (
-    ("ns_min family", FeasibleSet.NS, ScanMode.MIN, False, np.linspace(2.5, 3.1, 100)),
-    ("c_max witness", FeasibleSet.C, ScanMode.MAX, True, np.linspace(2.0, TSIRELSON, 100)),
-)
+WITNESS_CASES = (("ns_min family", FeasibleSet.NS, ScanMode.MIN, False, np.linspace(2.5, 3.1, 100)),)
 #: The first stage of a witness row: the Newton tail.
 TAIL = len(boundary._MU_SCHEDULE) - boundary._TAIL_STAGES
 FAMILY_SCORES = (np.array([2.0 + 1e-9]), np.array([2.001]), np.array([2.6]), np.linspace(2.01, 2.82, 100))
 REPEATS = 7
 
 
-def per_call_us(geo, off, z, grad: bool) -> float:
+def per_call_us(geo, off, z, derivs: bool) -> float:
     calls = max(20, 2000 // len(z))
     samples = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         for _ in range(calls):
-            _penalty(geo, off, z, 1e3, 1e-3, grad=grad)
+            _penalty(geo, off, z, 1e3, 1e-3, derivs)
         samples.append((time.perf_counter() - t0) / calls * 1e6)
     return statistics.median(samples)
 
@@ -128,26 +118,20 @@ def stages(job, z, first):
     return out
 
 
-def newton_counts(job, z, mu, eps, cap) -> tuple[int, int, int, int, int, int, int]:
+def newton_counts(job, z, mu, eps, cap) -> tuple[int, int, int, int, int, int]:
     """Iterations (batched solves, one per iteration), value-only calls,
-    value+grad+Hessian calls, rows solved, step lengths tried, reversed
-    steps and rows that cannot progress in one stage.
+    value+grad+Hessian calls, rows solved, step lengths tried and reversed
+    steps in one stage.
 
     A solved step (H + lam I) step = -grad is reversed when grad . step >= 0,
-    which the solve's right-hand side and solution show.
-    A row cannot progress when it ends, short of ``_NEWTON_GTOL``, at the z
-    its last iteration started from, with that iteration's damping at the
-    ceiling; ``_retire`` sees each row's state at the start of every
-    iteration, and the damping is the one ``_newton`` derives from it."""
+    which the solve's right-hand side and solution show."""
     events = []  # (call, rows): "solve", "value" or "hess"
     reversed_steps = [0]
-    last = {}  # row -> its z, damping and Hessian scale at the start of its latest iteration
-    stuck = []  # the rows that cannot progress
-    solve, retire = np.linalg.solve, boundary._retire
+    solve = np.linalg.solve
 
-    def counted(geo, off, zz, mu, eps, grad=True, hess=False):
-        events.append(("hess" if hess else "grad" if grad else "value", len(zz)))
-        return _penalty(geo, off, zz, mu, eps, grad=grad, hess=hess)
+    def counted(geo, off, zz, mu, eps, derivs=False):
+        events.append(("hess" if derivs else "value", len(zz)))
+        return _penalty(geo, off, zz, mu, eps, derivs)
 
     def counted_solve(a, b):
         events.append(("solve", len(a)))
@@ -155,25 +139,11 @@ def newton_counts(job, z, mu, eps, cap) -> tuple[int, int, int, int, int, int, i
         reversed_steps[0] += int(((b * step).sum(axis=(1, 2)) <= 0.0).sum())  # -grad . step <= 0
         return step
 
-    def watched_retire(keep, act, full, part, off):
-        if len(part) > len(full):  # the start of an iteration, not the final write-back
-            za, ga, _, ha, lam, live = part
-            ended = ~live & ((ga * ga).sum(axis=1) > boundary._NEWTON_GTOL**2)
-            for i in np.flatnonzero(ended):
-                z0, damping, scale = last[act[i]]
-                if np.array_equal(z0, za[i]) and damping >= boundary._DAMPING_CEILING * scale:
-                    stuck.append(act[i])
-            scale = np.abs(np.diagonal(ha, axis1=1, axis2=2)).max(axis=1)
-            damping = np.maximum(lam, boundary._DAMPING_FLOOR * (1.0 + scale))
-            for i in np.flatnonzero(keep):
-                last[act[i]] = za[i].copy(), damping[i], scale[i]
-        return retire(keep, act, full, part, off)
-
-    boundary._penalty, np.linalg.solve, boundary._retire = counted, counted_solve, watched_retire
+    boundary._penalty, np.linalg.solve = counted, counted_solve
     try:
         boundary._newton(job, z.copy(), mu, eps, cap)
     finally:
-        boundary._penalty, np.linalg.solve, boundary._retire = _penalty, solve, retire
+        boundary._penalty, np.linalg.solve = _penalty, solve
 
     def calls(kind):
         return sum(k == kind for k, _ in events)
@@ -181,7 +151,7 @@ def newton_counts(job, z, mu, eps, cap) -> tuple[int, int, int, int, int, int, i
     def rows(kind):
         return sum(r for k, r in events if k == kind)
 
-    return calls("solve"), calls("value"), calls("hess"), rows("solve"), rows("value"), reversed_steps[0], len(stuck)
+    return calls("solve"), calls("value"), calls("hess"), rows("solve"), rows("value"), reversed_steps[0]
 
 
 def per_stage_us(job, z, mu, eps, cap) -> float:
@@ -205,7 +175,7 @@ def family_us(scores) -> float:
 
 def main() -> None:
     print(f"nproc {os.cpu_count()}; numpy {np.__version__}; median of {REPEATS} samples, us per call")
-    print(f"{'case':<14}{'rows':>6}{'value':>10}{'value+grad':>12}")
+    print(f"{'case':<14}{'rows':>6}{'value':>10}{'+grad+hess':>12}")
     for name, set_, mode, cap, s in CASES:
         geo = _geometry(set_, mode, cap)
         for rows in ROWS:
@@ -218,19 +188,19 @@ def main() -> None:
     print("\nNewton stages, per iteration")
     print(
         f"{'case':<14}{'rows':>6}{'mu':>7}{'cap':>5}{'iters':>7}{'us/iter':>10}{'value/iter':>12}"
-        f"{'hess/iter':>11}{'rows/solve':>12}{'trials/row':>12}{'reversed/row':>14}{'stuck/row':>11}"
+        f"{'hess/iter':>11}{'rows/solve':>12}{'trials/row':>12}{'reversed/row':>14}"
     )
     blocks = [(name, *query_block(*case)) for name, *case in QUERY_CASES]
     blocks += [(name, *random_start(*case)) for name, *case in BLOCK_CASES]
     blocks += [(name, *witness_start(*case)) for name, *case in WITNESS_CASES]
     for name, job, z0, first in blocks:
         for mu, eps, cap, part, z in stages(job, z0, first):
-            iterations, value, hess, solved, trials, reversed_steps, stuck = newton_counts(part, z, mu, eps, cap)
+            iterations, value, hess, solved, trials, reversed_steps = newton_counts(part, z, mu, eps, cap)
             us = per_stage_us(part, z, mu, eps, cap) / iterations
             print(
                 f"{name:<14}{len(z):>6}{mu:>7.0e}{cap:>5}{iterations:>7}{us:>10.1f}{value / iterations:>12.2f}"
                 f"{hess / iterations:>11.2f}{solved / iterations:>12.1f}{trials / solved:>12.2f}"
-                f"{reversed_steps / solved:>14.3f}{stuck / len(z):>11.3f}"
+                f"{reversed_steps / solved:>14.3f}"
             )
 
     print("\nfamily points (_family_vectors), us per score")

@@ -6,10 +6,9 @@ Runs 91 ``optimize_at_s`` queries at 50 restarts, the five kinds in turn
 (NS MIN, NS MAX, SYM MIN, SYM MAX, capped C MAX).  Each kind's first query
 sits at the low end of its score range and its second at the high end; the
 other scores and every query's seed are drawn from ``default_rng([SEED])``.
-The capped C MAX fifth answers from its witness's Newton tail alone (C kinds
-run no random starts), so the seeds drawn for it do not change its lines;
-they are still drawn, which keeps the other kinds' scores and seeds as
-they were.
+The capped C MAX fifth answers from its proven witness with no solve, so
+the seeds drawn for it do not change its lines; they are still drawn, which
+keeps the other kinds' scores and seeds as they were.
 Each line holds the kind, s, I, the converged flag (0/1) and the 8 argopt
 correlators, floats as ``repr``.  Two checkouts answered the stream
 identically when

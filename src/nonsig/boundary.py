@@ -22,25 +22,24 @@ tries its step lengths in order until one passes, so its search does not
 depend on its block; only the kernel's rounding in calls of more than about
 192 rows still can (``_penalty``).  Each row stops by its own
 rules: at ``_NEWTON_GTOL``, which makes it ``converged`` after the last
-stage, at a step below the rounding of z, when it cannot progress (its line
-search fails with the damping at ``_DAMPING_CEILING`` times the Hessian's
-scale; after each failed search the damping jumps to at least that scale),
-or at its stage's iteration cap: ``_CONTINUATION_ITERS`` on the stages before
-the Newton tail, which only warm-start the next, and ``_NEWTON_ITERS`` on the
-tail.  ``_finish`` alone builds each point's ``ScanPoint`` from its best
-exactly evaluated row, with that row's flag.
+stage, at a step below the rounding of z, or at its stage's iteration cap:
+``_CONTINUATION_ITERS`` on the stages before the Newton tail, which only
+warm-start the next, and ``_NEWTON_ITERS`` on the tail.  ``_finish`` alone
+builds each point's ``ScanPoint`` from its best exactly evaluated row, with
+that row's flag.
 
-Every kind starts each point at a known witness and runs only the Newton
-tail from it (``curves.witness_vectors``): NS and SYM MIN at ``ns_min``, NS
-and SYM MAX at ``ns_max``, C MIN at ``c_min``, C MAX at ``c_max`` and, under
-the arcsin cap, at ``qc_max`` from S = 2 on.  On NS and SYM kinds random
-restarts over the full schedule audit the witness on every
-``_AUDIT_EVERY``-th grid point.  ``_solve_points`` lists each point's rows
-once, its witness row first, and sends all of them through one blocked pass
-(``_solve_blocks``), whose ``_solve`` starts each row on its own stage, so a
-point query is one ``_solve``.  The C witnesses are proven extrema
-(``curves``), so C kinds run no random starts and ignore ``restarts``.  The
-quantities the solver reads are the affine map of ``slice``.
+Every kind starts each point at a known witness (``curves.witness_vectors``):
+NS and SYM MIN at ``ns_min``, NS and SYM MAX at ``ns_max``, C MIN at
+``c_min``, C MAX at ``c_max`` and, under the arcsin cap, at ``qc_max`` from
+S = 2 on.  The C witnesses are proven extrema (``curves``), so a C point is
+its witness, repaired onto the slice and evaluated exactly, with no solve;
+the arcsin cap enters only that repair.  NS and SYM points run the Newton
+tail from their witness, and random restarts over the full schedule audit
+it on every ``_AUDIT_EVERY``-th grid point.  ``_solve_points`` lists each
+point's rows once, its witness row first, and sends all of them through one
+blocked pass (``_solve_blocks``), whose ``_solve`` starts each row on its own
+stage, so a point query is one ``_solve``.  The quantities the solver reads
+are the affine map of ``slice``.
 """
 
 from __future__ import annotations
@@ -53,7 +52,8 @@ import numpy as np
 from . import curves
 from .behavior import BehaviorError, Correlators
 from .functionals import TSIRELSON, _s_max_ab
-from .slice import _C4, _DOM, _ENT, _ENT_W, _FACETS, _LOG2_FLOOR, _LOG2E, _Q0, _Q_PER_S, _QX, _SLOT_W, _X, _info_from_x
+from .membership import _arcsin_margin
+from .slice import _DOM, _ENT, _ENT_W, _FACETS, _LOG2_FLOOR, _LOG2E, _Q0, _Q_PER_S, _QX, _SLOT_W, _X, _info_from_x
 
 #: Penalty weights by stage; every stage runs ``_newton``, done at
 #: ``_NEWTON_GTOL``, and capped at ``_NEWTON_ITERS`` iterations on the Newton
@@ -72,9 +72,6 @@ _CONTINUATION_ITERS = 10
 _NEWTON_GTOL = 1e-9
 #: Least Levenberg-Marquardt damping of a Newton step, relative to the Hessian's scale.
 _DAMPING_FLOOR = 1e-12
-#: Damping, relative to the Hessian's scale, at which a row whose search fails
-#: stops; ceilings of 1 and 1e2 cost converged flags on point queries.
-_DAMPING_CEILING = 1e4
 #: Softening width of the entropy kink at p = 0, by stage.  The subproblems
 #: stay smooth while iterates slide along positivity facets; the final stages
 #: approach the exact kinked objective and the reported values are always
@@ -99,9 +96,9 @@ class ScanConfig:
 
     ``restarts`` is the number of random starts of each audited point, every
     ``_AUDIT_EVERY``-th grid point of an NS or SYM scan, where they compete
-    with the witness start on equal terms; C scans start from proven
-    witnesses alone, so ``restarts`` and ``seed`` do not change them (see
-    ``_solve_points``).
+    with the witness start on equal terms.  A C scan answers every point from
+    its proven witness with no solve, so ``restarts`` and ``seed`` do not
+    change it (see ``_solve_points``).
     """
 
     set: FeasibleSet
@@ -194,7 +191,7 @@ class _Geometry:
     mode: ScanMode
     qtilde_cap: bool
     map: np.ndarray   # (39, d-1)
-    outer: np.ndarray  # (39, (d-1)^2) outer products of the rows of map
+    outer: np.ndarray  # (31, (d-1)^2) outer products of the entropy and facet rows of map
     zmap: np.ndarray  # (8, d-1) least-squares z of a correlator displacement
     sigma: float      # +1 minimizes I, -1 maximizes
 
@@ -232,7 +229,7 @@ def _geometry(set_: FeasibleSet, mode: ScanMode, qtilde_cap: bool) -> _Geometry:
         mode=mode,
         qtilde_cap=qtilde_cap,
         map=qmap,
-        outer=(qmap[:, :, None] * qmap[:, None, :]).reshape(len(qmap), -1),
+        outer=(qmap[: _FACETS.stop, :, None] * qmap[: _FACETS.stop, None, :]).reshape(_FACETS.stop, -1),
         zmap=np.linalg.pinv(emb).T @ null,
         sigma=1.0 if mode is ScanMode.MIN else -1.0,
     )
@@ -242,34 +239,14 @@ def _geometry(set_: FeasibleSet, mode: ScanMode, qtilde_cap: bool) -> _Geometry:
 # objective and penalty
 
 
-def _qtilde_exprs(c4: np.ndarray, axis: int = -1) -> np.ndarray:
-    t = np.arcsin(np.clip(c4, -1.0, 1.0))
-    return t.sum(axis=axis, keepdims=True) - 2.0 * t
+def _penalty(geo: _Geometry, off: np.ndarray, z: np.ndarray, mu: float, eps: float, derivs: bool = False):
+    """Softened, penalized objective of rows z at offsets ``off`` (39, r): one
+    product in, p log2 p rounded over a width ~eps at p = 0 (as q log2 q,
+    q = (p + sqrt(p^2 + eps^2)) / 2), plus mu times the squared facet violations.
 
-
-#: d e_k / d t_j of the four cap expressions e_k = sum_j t_j - 2 t_k.
-_CAP_COEFF = 1.0 - 2.0 * np.eye(4)
-
-
-def _arcsin_slope(c4: np.ndarray) -> np.ndarray:
-    # consistent with the clipped arcsin: flat outside the cube
-    inside = np.abs(c4) < 1.0
-    return np.where(inside, 1.0 / np.sqrt(np.clip(1.0 - c4**2, 1e-12, None)), 0.0)
-
-
-def _penalty(
-    geo: _Geometry, off: np.ndarray, z: np.ndarray, mu: float, eps: float, grad: bool = True, hess: bool = False
-):
-    """Softened, penalized objective of rows z at offsets ``off`` (39, r) and, if ``grad``,
-    its z-gradient: one product in, p log2 p rounded over a width ~eps at p = 0
-    (as q log2 q, q = (p + sqrt(p^2 + eps^2)) / 2), and one product back.
-
-    With ``hess`` it also returns the z-Hessians (r, d, d): per-row weights on
-    the quantity rows times their outer products ``geo.outer``, one product,
-    plus, under the arcsin cap, the Gauss-Newton term of the cap penalty.  The
-    arcsin curvature weighted by the cap's multipliers sits on the correlator
-    rows, so the capped Hessian is exact too: without it the Hessian misses
-    the facet's own curvature and turns indefinite along the curved facet.
+    With ``derivs`` it also returns the z-gradients (r, d), one product back,
+    and the z-Hessians (r, d, d): per-row weights on the quantity rows times
+    their outer products ``geo.outer``, one product.
 
     A row rounds alike whichever rows share its call: the sums over quantity
     rows are einsums, and a lone row runs as two, as BLAS rounds gemv unlike gemm.
@@ -280,9 +257,9 @@ def _penalty(
     n = len(z)
     if n == 1:
         off, z = np.repeat(off, 2, axis=1), np.repeat(z, 2, axis=0)
-    m = geo.map[: _X.stop if geo.qtilde_cap else _FACETS.stop]
+    m = geo.map[: _FACETS.stop]
     y = m @ z.T
-    y += off[: len(m)]
+    y += off[: _FACETS.stop]
     p = y[_ENT]
     root = np.sqrt(p * p + eps * eps)
     q = root + p
@@ -290,22 +267,16 @@ def _penalty(
     lg = np.log2(q + 1e-300)
     viol = np.minimum(y[_FACETS], 0.0)
     f = geo.sigma * np.einsum("i,ij->j", _ENT_W, q * lg) + mu * np.einsum("ij,ij->j", viol, viol)
-    if geo.qtilde_cap:
-        e = _qtilde_exprs(y[_C4], axis=0)
-        up = np.maximum(e - np.pi, 0.0)
-        dn = np.maximum(-e - np.pi, 0.0)
-        f += mu * (up**2 + dn**2).sum(axis=0)
-    if not grad:
+    if not derivs:
         return f[:n]
 
-    if hess:
-        # d2(q log2 q)/dp2 = q / (ln 2 root^2) + (log2 q + 1/ln 2) eps^2 / (2 root^3), the
-        # derivative of the floored slope below
-        w = np.zeros_like(y)
-        curv = np.where(lg > _LOG2_FLOOR, q * _LOG2E, 0.0)
-        curv += (np.maximum(lg, _LOG2_FLOOR) + _LOG2E) * (0.5 * eps * eps / root)
-        curv /= root * root
-        w[_ENT] = (geo.sigma * _ENT_W)[:, None] * curv
+    # d2(q log2 q)/dp2 = q / (ln 2 root^2) + (log2 q + 1/ln 2) eps^2 / (2 root^3), the
+    # derivative of the floored slope below
+    w = np.zeros_like(y)
+    curv = np.where(lg > _LOG2_FLOOR, q * _LOG2E, 0.0)
+    curv += (np.maximum(lg, _LOG2_FLOOR) + _LOG2E) * (0.5 * eps * eps / root)
+    curv /= root * root
+    w[_ENT] = (geo.sigma * _ENT_W)[:, None] * curv
     g = np.zeros_like(y)
     # d(q log2 q)/dp = (log2 q + 1/ln 2) (1 + p/root) / 2, log2 q floored at log2(GRAD_FLOOR)
     ent = np.maximum(lg, _LOG2_FLOOR, out=g[_ENT])
@@ -315,22 +286,9 @@ def _penalty(
     dq *= 0.5 * geo.sigma * _ENT_W[:, None]
     ent *= dq
     g[_FACETS] += (2.0 * mu) * viol
-    if geo.qtilde_cap:
-        u = up - dn
-        slope = _arcsin_slope(y[_C4])
-        g[_C4] = (2.0 * mu) * (u.sum(axis=0, keepdims=True) - 2.0 * u) * slope
-    if not hess:
-        return f[:n], (g.T @ m)[:n]
     w[_FACETS] += (2.0 * mu) * (viol < 0.0)
     d = z.shape[1]
-    if geo.qtilde_cap:
-        # arcsin'' = c arcsin'^3 on the correlator rows, times the multipliers of the gradient
-        w[_C4] = g[_C4] * y[_C4] * slope * slope
-        # d e_k / dz = sum_j (1 - 2 [j = k]) arcsin'(c_j) map_j over the four cap expressions
-        jac = np.einsum("kj,jr,jd->rkd", _CAP_COEFF, slope, m[_C4])
-        jac *= np.sqrt(2.0 * mu) * (u != 0.0).T[:, :, None]
-        return f[:n], (g.T @ m)[:n], ((w.T @ geo.outer).reshape(-1, d, d) + np.einsum("rki,rkj->rij", jac, jac))[:n]
-    return f[:n], (g.T @ m)[:n], (w.T @ geo.outer[: _FACETS.stop]).reshape(-1, d, d)[:n]
+    return f[:n], (g.T @ m)[:n], (w.T @ geo.outer).reshape(-1, d, d)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +333,7 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float, iters: int) -> tupl
     grad . step >= 0 has curvature below -lam along it, as step . (H + lam I)
     step = -grad . step; the row is near a saddle and takes the reversed step,
     a descent direction of negative curvature (More and Sorensen 1979).
-    Random rows and the witness rows of every kind that steps at all (all but
-    C MIN, whose witnesses start converged) take such steps
+    Random rows and witness rows both take such steps
     (``scripts/kernel_timing.py``, reversed/row).  The damping lam eases
     tenfold after a full step.  After a failed search it tightens tenfold and
     to at least the row's scale, its largest Hessian diagonal, so that the
@@ -386,20 +343,14 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float, iters: int) -> tupl
     one plus the scale.
 
     A row is done when its gradient norm is at most ``_NEWTON_GTOL``
-    (converged), when its step is below the rounding of z, or when it cannot
-    progress: its search fails with lam at ``_DAMPING_CEILING`` times the
-    scale or more, about five failures after the first.  Such rows sit where
-    no step gains, as random capped C MAX rows at the face of the cube, where
-    the clipped arcsin makes the cap penalty flat outside and infinitely
-    steep just inside.  Scans and queries run no such rows, as C kinds draw
-    no random starts, but ``scripts/start_quality.py`` does; no witness row
-    and no NS or SYM random row was seen to reach the ceiling.  Every row
-    stops after ``iters`` iterations (``_stage_iters``).  Returns the
-    iterates, those of ``z`` updated in place, and the converged flags.
+    (converged) or when its step, taken or proposed, is below the rounding of
+    z; every row stops after ``iters`` iterations (``_stage_iters``).
+    Returns the iterates, those of ``z`` updated in place, and the converged
+    flags.
     """
     geo = job.geo
     d = z.shape[1]
-    f, g, h = _penalty(geo, job.off, z, mu, eps, hess=True)
+    f, g, h = _penalty(geo, job.off, z, mu, eps, derivs=True)
     full = (z, g)
     act = np.arange(z.shape[0])
     za, ga, fa, ha, offa = z.copy(), g.copy(), f, h, job.off
@@ -429,7 +380,7 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float, iters: int) -> tupl
             sel = slice(None) if rows.size == act.size else rows  # every row: no gathers
             cand = za[sel, None] + lengths[:, None] * step[sel, None]
             off = offa[:, sel] if len(lengths) == 1 else np.repeat(offa[:, sel], len(lengths), axis=1)
-            fc = _penalty(geo, off, cand.reshape(-1, d), mu, eps, grad=False).reshape(rows.size, -1)
+            fc = _penalty(geo, off, cand.reshape(-1, d), mu, eps).reshape(rows.size, -1)
             ok = fc <= fa[sel, None] + 1e-4 * lengths * slope[sel, None] + slack[sel, None]
             hit = ok.any(axis=1)
             first = ok.argmax(axis=1)[hit]
@@ -437,10 +388,9 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float, iters: int) -> tupl
             rows = rows[~hit]
             tried += len(lengths)
         moved = t > 0.0
-        # a step below the rounding of z, taken or proposed, ends the row, and so
-        # does a failed search at the damping ceiling
+        # a step below the rounding of z, taken or proposed, ends the row
         size = np.abs(step).max(axis=1) * np.where(moved, t, 1.0)
-        live = (size > 1e-15 * (1.0 + np.abs(za).max(axis=1))) & (moved | (lam < _DAMPING_CEILING * scale))
+        live = size > 1e-15 * (1.0 + np.abs(za).max(axis=1))
         lam = np.where(t == 1.0, 0.1 * lam, np.where(moved, lam, np.maximum(10.0 * lam, scale)))
         if uphill.any():
             curv = np.einsum("ri,rij,rj->r", step, ha, step) / np.maximum((step * step).sum(axis=1), 1e-300)
@@ -449,9 +399,9 @@ def _newton(job: _Job, z: np.ndarray, mu: float, eps: float, iters: int) -> tupl
             za = za + t[:, None] * step
             rows = np.flatnonzero(moved)
             if rows.size == act.size:
-                _, ga, ha = _penalty(geo, offa, za, mu, eps, hess=True)
+                _, ga, ha = _penalty(geo, offa, za, mu, eps, derivs=True)
             else:
-                _, ga[rows], ha[rows] = _penalty(geo, offa[:, rows], za[rows], mu, eps, hess=True)
+                _, ga[rows], ha[rows] = _penalty(geo, offa[:, rows], za[rows], mu, eps, derivs=True)
     _retire(np.zeros(act.size, dtype=bool), act, full, (za, ga), offa)
     return z, (g * g).sum(axis=1) <= _NEWTON_GTOL**2
 
@@ -539,7 +489,7 @@ def _qtilde_lambda(job: _Job, z: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     def holds(job: _Job, z: np.ndarray, l: np.ndarray) -> np.ndarray:
         x = _x_from_z(job, l[:, None] * z)
-        return np.abs(_qtilde_exprs(x[:, 4:])).max(axis=-1) <= np.pi + 4e-15
+        return _arcsin_margin(x[:, 4:].reshape(-1, 2, 2)) <= np.pi + 4e-15
 
     rows = np.flatnonzero(~holds(job, z, lam))
     if not rows.size:
@@ -592,10 +542,7 @@ def _starts(point: _Job, n: int, rng: np.random.Generator) -> np.ndarray:
         t_j = np.where(slope < -1e-12, ca / (-slope), np.inf)
     t_max = np.minimum(t_j.min(axis=-1), 8.0)
     beta = rng.uniform(0.2, 0.95, size=n)
-    z0 = (beta * t_max)[:, None] * u
-    if point.geo.qtilde_cap:
-        z0 *= _qtilde_lambda(point, z0, np.ones(n))[:, None]
-    return z0
+    return (beta * t_max)[:, None] * u
 
 
 def _null_basis_rows(rows: np.ndarray) -> np.ndarray:
@@ -675,7 +622,7 @@ def _solve_blocks(points: _Job, starts: list[np.ndarray], firsts: list[np.ndarra
 #: a later curve taking over from an earlier one inside its domain.  On the
 #: correlation space C all of them are proven extrema (``curves``: Jensen for
 #: ``c_min``, the best slice vertex for ``c_max``, Tsirelson and Landau for
-#: ``qc_max``), so C kinds run no audit (``_solve_points``).
+#: ``qc_max``), so a C point is its witness (``_solve_points``).
 _WITNESS_CURVES = {
     (FeasibleSet.NS, ScanMode.MIN, False): ("ns_min",),
     (FeasibleSet.SYM, ScanMode.MIN, False): ("ns_min",),
@@ -703,13 +650,14 @@ def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
     """Solve every point of ``points``; point k draws its random starts from
     ``default_rng(seeds[k])``.
 
-    Each point has a witness row, started at the witness that its kind's
-    curves give at its score (``_WITNESS_CURVES``) and solved on the Newton
-    tail alone; the tail doubles as the start's KKT check.  On NS and SYM
-    kinds every ``_AUDIT_EVERY``-th grid point also has ``restarts`` random
-    rows, an audit of the witness over the full schedule.  C kinds, whose
-    witnesses are proven extrema (``curves``), run no audit, so ``restarts``
-    and ``seeds`` do not change their results.  All rows go through one
+    Each point starts at the witness that its kind's curves give at its
+    score (``_WITNESS_CURVES``), repaired exactly.  On C kinds that witness is
+    a proven extremum (``curves``), so it is the answer, evaluated exactly
+    and ``converged`` by proof: no solve runs, and ``restarts`` and ``seeds``
+    do not change the result.  On NS and SYM kinds the witness row is solved
+    on the Newton tail alone, which doubles as the start's KKT check, and
+    every ``_AUDIT_EVERY``-th grid point also has ``restarts`` random rows, an
+    audit of the witness over the full schedule.  All rows go through one
     ``_solve_blocks``, so a query is one ``_solve``, and ``_finish`` picks
     each point's row, witness or random, with that row's own flag.  Audited
     points go first, so that random rows fill whole blocks: in grid order
@@ -718,7 +666,13 @@ def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
     CPU.
     """
     z = _witness_z(points)
-    audits = (np.arange(len(points.s)) % _AUDIT_EVERY == 0) & (points.geo.set is not FeasibleSet.C)
+    if points.geo.set is FeasibleSet.C:
+        x = _x_from_z(points, z)
+        return [
+            ScanPoint(s=float(s), i=float(i), argopt=Correlators.from_vector(v), converged=True)
+            for s, i, v in zip(points.s, _info_from_x(x), x)
+        ]
+    audits = np.arange(len(points.s)) % _AUDIT_EVERY == 0
     order = np.argsort(~audits, kind="stable")
     starts = [
         np.concatenate([z[k, None], _starts(points.take([k]), restarts, np.random.default_rng(seeds[k]))])
@@ -748,13 +702,13 @@ def optimize_at_s(
     """Extremize the mutual information at CHSH score exactly s.
 
     Multi-start local search; deterministic given ``seed``.  A query is a
-    one-point grid at index 0 (see ``_solve_points``): one ``_solve`` runs its
-    kind's witness at s over the Newton tail and, on NS and SYM kinds, its
+    one-point grid at index 0 (see ``_solve_points``).  On NS and SYM kinds one
+    ``_solve`` runs its kind's witness at s over the Newton tail and its
     ``restarts`` random starts over the full schedule (such a query is always
     audited), and the best of these rows is the answer, with its own
     ``converged`` flag.  On C kinds the witness is a proven extremum, so the
-    query is its Newton tail alone and ``restarts`` and ``seed`` do not change
-    the result.
+    answer is that witness, repaired and evaluated exactly, ``converged`` by
+    proof; no solve runs, and ``restarts`` and ``seed`` do not change it.
     """
     set_ = FeasibleSet(set_) if isinstance(set_, str) else set_
     mode = ScanMode(mode) if isinstance(mode, str) else mode
@@ -767,13 +721,14 @@ def scan(config: ScanConfig) -> BoundaryCurve:
     """Solve every point of the evenly spaced grid (see ``_solve_points``).
 
     Each audited grid point of an NS or SYM scan draws its random starts from
-    its own grid-index-seeded RNG stream (C scans draw none, so ``restarts``
-    and ``seed`` do not change them); whole points, the audited ones first,
-    are then stacked into blocks of about ``_BLOCK_ROWS`` rows and solved
-    together, and the results come back in grid order.  Rows never interact
-    and each stops by its own rules, so a point's result does not depend on
-    its block beyond rounding in shared matrix products.  Per-point failures
-    are reported through ``converged=False``, never by aborting the scan.
+    its own grid-index-seeded RNG stream; whole points, the audited ones
+    first, are then stacked into blocks of about ``_BLOCK_ROWS`` rows and
+    solved together, and the results come back in grid order.  Rows never
+    interact and each stops by its own rules, so a point's result does not
+    depend on its block beyond rounding in shared matrix products.  Per-point
+    failures are reported through ``converged=False``, never by aborting the
+    scan.  A C scan solves nothing: each point is its proven witness, with
+    ``converged=True``, whatever ``restarts`` and ``seed`` are.
     """
     grid = np.linspace(config.s_lo, config.s_hi, config.grid_points)
     points = _geometry(config.set, config.mode, config.qtilde_cap).at(grid)

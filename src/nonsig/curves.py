@@ -127,7 +127,8 @@ def w(s):
     rad = 8.0 - s * s
     # the arctan argument diverges as S -> 2*sqrt(2); use the limit pi/2
     angle = np.where(rad <= 1e-14, np.pi / 2.0, np.arctan(s / np.sqrt(np.maximum(rad, 1e-14))))
-    out = np.sqrt(2.0) * np.cos(np.pi / 6.0 + angle / 3.0)
+    # clamped at 1: at S = 2 the formula rounds to 1 + 2.2e-16
+    out = np.minimum(np.sqrt(2.0) * np.cos(np.pi / 6.0 + angle / 3.0), 1.0)
     return float(out) if out.ndim == 0 else out
 
 

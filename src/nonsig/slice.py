@@ -30,9 +30,9 @@ _ANCHOR_DIR = np.array([0.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.25, -0.25])
 #: The quantities the solver reads, one row each: p(a|x), p(b|y) and the joint
 #: probabilities (the entropy rows), the 7 dominance slacks s - (slot k
 #: expression) (with the joint probabilities, the facets kept >= 0), and the 8
-#: correlators, whose last 4 are the C_xy of the arcsin cap.
+#: correlators.
 _PA, _PB, _P16, _ENT = slice(0, 4), slice(4, 8), slice(8, 24), slice(0, 24)
-_FACETS, _DOM, _X, _C4 = slice(8, 31), slice(24, 31), slice(31, 39), slice(35, 39)
+_FACETS, _DOM, _X = slice(8, 31), slice(24, 31), slice(31, 39)
 
 
 def _quantity_rows(x: np.ndarray) -> np.ndarray:

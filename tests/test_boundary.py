@@ -184,8 +184,8 @@ class TestOptimizeAtS:
         assert "nan" not in out.read_text()
 
     def test_polish_reaches_capped_c_max(self):
-        # the query is its qc_max witness's Newton tail alone; when random starts
-        # ran, the best of 2 stayed 4.0e-11 below the closed form without the polish
+        # the query is its repaired qc_max witness; when random starts ran, the
+        # best of 2 stayed 4.0e-11 below the closed form without the polish
         s = 2.3154406173881354
         r = optimize_at_s("c", "max", s, restarts=2, seed=1845865537, qtilde_cap=True)
         assert r.i >= curve_value("qc_max", s) - 1e-12
@@ -416,7 +416,7 @@ C_KINDS = [(mode, cap) for set_, mode, cap in KINDS if set_ == "c"]
 
 
 class TestProvenKinds:
-    """A C kind answers from its witness's Newton tail alone, so ``restarts``
+    """A C kind answers from its proven witness with no solve, so ``restarts``
     and ``seed`` do not change its results, bit for bit."""
 
     @pytest.mark.parametrize("mode, cap", C_KINDS)
@@ -440,6 +440,44 @@ class TestProvenKinds:
         assert np.array_equal(a.i, b.i)
         assert np.array_equal(a.argopt_vectors(), b.argopt_vectors())
         assert [p.converged for p in a.points] == [p.converged for p in b.points]
+
+
+    @pytest.mark.parametrize("mode, cap", C_KINDS)
+    def test_no_solve_and_converged_by_proof(self, monkeypatch, mode, cap):
+        def refuse(*args):
+            raise AssertionError("a C kind ran the solver")
+
+        monkeypatch.setattr(boundary, "_solve", refuse)
+        hi = TSIRELSON if cap else 4.0
+        curve = scan(ScanConfig(FeasibleSet.C, ScanMode(mode), 0.0, hi, 25, 3, 1, qtilde_cap=cap))
+        queries = [optimize_at_s("c", mode, s, restarts=5, seed=2, qtilde_cap=cap) for s in (0.0, 1.3, 2.0, hi)]
+        assert all(p.converged for p in curve.points + tuple(queries))
+
+    def test_capped_argopts_keep_the_arcsin_cap(self):
+        # the repair of the qc_max witness is what keeps them: near S = 2 the
+        # raw witness breaks the cap by up to 4.2e-8 in arcsin sum
+        from nonsig.membership import _arcsin_margin
+
+        near = 2.0 + np.logspace(-16, -1, 31)
+        points = [optimize_at_s("c", "max", s, restarts=1, seed=0, qtilde_cap=True) for s in near]
+        points += scan(ScanConfig(FeasibleSet.C, ScanMode.MAX, 2.0, TSIRELSON, 201, 1, 0, qtilde_cap=True)).points
+        margin = _arcsin_margin(np.array([p.argopt.ab for p in points]))
+        assert np.all(margin <= np.pi + 4e-15)
+
+    @pytest.mark.parametrize("s", [2.05, 2.3, 2.6, 2.8])
+    def test_qc_max_witness_is_a_kkt_point_of_the_capped_slice(self, s):
+        """At fixed score the gradient of I in C is a multiple of the score's
+        gradient sigma plus a positive multiple of the gradient of the active
+        arcsin facet sum arcsin C - 2 arcsin C11 <= pi, as at a maximum."""
+        from nonsig.curves import witness_vectors
+
+        x = witness_vectors("qc_max", s)[0]
+        sigma = np.array([1.0, 1.0, 1.0, -1.0])
+        normals = np.column_stack([sigma, sigma / np.sqrt(1.0 - x[4:] ** 2)])
+        grad = info_gradient(x)[4:]
+        (alpha, beta), *_ = np.linalg.lstsq(normals, grad, rcond=None)
+        assert np.linalg.norm(grad - normals @ [alpha, beta]) <= 1e-12 * np.linalg.norm(grad)
+        assert beta > 0.0
 
 
 @pytest.fixture(scope="module")
@@ -595,7 +633,7 @@ class TestKernel:
                 job = point.take(np.zeros(len(z), dtype=int))
                 x = _x_from_z(job, z)
                 assert _rows_probs(_entropy_rows(x))[0].min() > 1e-3
-                f, grad = _penalty(geo, job.off, z, mu=0.0, eps=1e-9)
+                f, grad, _ = _penalty(geo, job.off, z, mu=0.0, eps=1e-9, derivs=True)
                 exact = _info_from_x(x)
                 assert np.max(np.abs(f - geo.sigma * exact)) <= 1e-14
                 expected = (geo.sigma * info_gradient(x)) @ geo.map[_X]
@@ -604,7 +642,7 @@ class TestKernel:
                 assert np.max(np.abs(exact - _mi_tables(tables))) <= 1e-14
 
 
-def term_by_term_penalty(set_, mode, qtilde_cap, s, z, mu, eps):
+def term_by_term_penalty(set_, mode, s, z, mu, eps):
     """The solver's penalized objective written out term by term in correlator space."""
     from nonsig.boundary import _embedding, _null_basis_rows
     from nonsig.slice import _ANCHOR_DIR, _SLOT_W
@@ -633,14 +671,13 @@ def term_by_term_penalty(set_, mode, qtilde_cap, s, z, mu, eps):
     slots = np.einsum("rxy,kxy->rk", ab, CHSH_SLOT_SIGNS)[:, 1:]
     penalty = (np.minimum(p16, 0.0) ** 2).sum(axis=1)
     penalty += (np.maximum(slots - s[:, None], 0.0) ** 2).sum(axis=1)
-    if qtilde_cap:
-        t = np.arcsin(np.clip(ab.reshape(-1, 4), -1.0, 1.0))
-        e = t.sum(axis=1, keepdims=True) - 2.0 * t
-        penalty += (np.maximum(np.abs(e) - np.pi, 0.0) ** 2).sum(axis=1)
     sigma = 1.0 if mode is ScanMode.MIN else -1.0
     return sigma * info + mu * penalty, penalty
 
 
+#: The C rows keep the capped geometry that capped C points are repaired on;
+#: the kernel reads no cap (those points are their witnesses, with no solve),
+#: so they check the kernel on the C slice's three free coordinates.
 KERNEL_CASES = [
     (set_, mode, set_ == "c", scores)
     for set_, scores in (("ns", (0.5, 2.0, 3.3, 4.0)), ("sym", (1.0, 2.9)), ("c", (2.0, 2.7)))
@@ -651,7 +688,7 @@ KERNEL_STAGES = [(mu, eps) for mu in (10.0, 1e6) for eps in (1e-2, 1e-9)]
 
 def kernel_rows(set_, mode, qtilde_cap, scores, seed):
     """Rows at each score with random iterates of random lengths: some stay
-    feasible, the others cross facets (the arcsin facets too, where capped)."""
+    feasible, the others cross facets."""
     from nonsig.boundary import _geometry
 
     geo = _geometry(FeasibleSet(set_), ScanMode(mode), qtilde_cap)
@@ -670,8 +707,8 @@ class TestPenaltyKernel:
         from nonsig.boundary import _penalty
 
         geo, off, s, z = kernel_rows(set_, mode, qtilde_cap, scores, seed=41)
-        f, _ = _penalty(geo, off, z, mu, eps)
-        ref, penalty = term_by_term_penalty(FeasibleSet(set_), ScanMode(mode), qtilde_cap, s, z, mu, eps)
+        f = _penalty(geo, off, z, mu, eps)
+        ref, penalty = term_by_term_penalty(FeasibleSet(set_), ScanMode(mode), s, z, mu, eps)
         assert np.any(penalty > 0.0) and np.any(penalty == 0.0)
         np.testing.assert_allclose(f, ref, rtol=1e-12, atol=0.0)
 
@@ -681,14 +718,14 @@ class TestPenaltyKernel:
         from nonsig.boundary import _penalty
 
         geo, off, _, z = kernel_rows(set_, mode, qtilde_cap, scores, seed=42)
-        _, grad = _penalty(geo, off, z, mu, eps)
+        _, grad, _ = _penalty(geo, off, z, mu, eps, derivs=True)
         step = 1e-7
         fd = np.zeros_like(z)
         for k in range(z.shape[1]):
             dz = np.zeros_like(z)
             dz[:, k] = step
-            up = _penalty(geo, off, z + dz, mu, eps, grad=False)
-            dn = _penalty(geo, off, z - dz, mu, eps, grad=False)
+            up = _penalty(geo, off, z + dz, mu, eps)
+            dn = _penalty(geo, off, z - dz, mu, eps)
             fd[:, k] = (up - dn) / (2 * step)
         err = np.linalg.norm(grad - fd, axis=1)
         assert np.all(err <= 1e-5 * np.maximum(np.linalg.norm(fd, axis=1), 1.0))
@@ -698,27 +735,22 @@ class TestPenaltyKernel:
     def test_hessian_matches_central_differences(self, set_, mode, qtilde_cap, scores, mu, eps):
         """The Hessian against central differences of the z-gradient, at stages
         whose softened entropy curvature a step of 1e-6 resolves, on rows inside
-        the feasible set and across its facets.  On capped rows the Hessian is
-        the cap penalty's Gauss-Newton term plus the arcsin curvature weighted
-        by the cap's multipliers, together its exact Hessian, so those rows are
-        held to the same relative tolerance, 1e-6, as all others."""
-        from nonsig.boundary import _penalty, _qtilde_exprs
-        from nonsig.slice import _C4, _FACETS
+        the feasible set and across its facets."""
+        from nonsig.boundary import _penalty
+        from nonsig.slice import _FACETS
 
         geo, off, _, z = kernel_rows(set_, mode, qtilde_cap, scores, seed=44)
         y = geo.map @ z.T + off
         crossed = (y[_FACETS] < 0.0).any(axis=0)
         assert crossed.any() and not crossed.all()
-        if qtilde_cap:
-            assert np.any(np.abs(_qtilde_exprs(y[_C4], axis=0)) > np.pi)
-        _, _, hess = _penalty(geo, off, z, mu, eps, hess=True)
+        _, _, hess = _penalty(geo, off, z, mu, eps, derivs=True)
         step = 1e-6
         fd = np.zeros_like(hess)
         for k in range(z.shape[1]):
             dz = np.zeros_like(z)
             dz[:, k] = step
-            _, up = _penalty(geo, off, z + dz, mu, eps)
-            _, dn = _penalty(geo, off, z - dz, mu, eps)
+            _, up, _ = _penalty(geo, off, z + dz, mu, eps, derivs=True)
+            _, dn, _ = _penalty(geo, off, z - dz, mu, eps, derivs=True)
             fd[:, :, k] = (up - dn) / (2 * step)
         err = np.linalg.norm(hess - fd, axis=(1, 2))
         assert np.all(err <= 1e-6 * np.maximum(np.linalg.norm(fd, axis=(1, 2)), 1.0))
@@ -731,13 +763,13 @@ class TestPenaltyKernel:
 
         geo, off, _, z = kernel_rows(set_, mode, qtilde_cap, scores, seed=45)
         for mu, eps in KERNEL_STAGES:
-            block = _penalty(geo, off, z, mu, eps, hess=True)
+            block = _penalty(geo, off, z, mu, eps, derivs=True)
             for size in (1, 2, 5):
                 for a in range(0, len(z) - size + 1, size):
                     rows = slice(a, a + size)
-                    part = _penalty(geo, off[:, rows], z[rows], mu, eps, hess=True)
+                    part = _penalty(geo, off[:, rows], z[rows], mu, eps, derivs=True)
                     assert all(np.array_equal(p, b[rows]) for p, b in zip(part, block))
-                    assert np.array_equal(_penalty(geo, off[:, rows], z[rows], mu, eps, grad=False), block[0][rows])
+                    assert np.array_equal(_penalty(geo, off[:, rows], z[rows], mu, eps), block[0][rows])
 
     @pytest.mark.parametrize("set_, mode, qtilde_cap, scores", KERNEL_CASES)
     def test_value_only_is_bit_identical(self, set_, mode, qtilde_cap, scores):
@@ -745,8 +777,8 @@ class TestPenaltyKernel:
 
         geo, off, _, z = kernel_rows(set_, mode, qtilde_cap, scores, seed=43)
         for mu, eps in KERNEL_STAGES:
-            f, _ = _penalty(geo, off, z, mu, eps)
-            assert np.array_equal(_penalty(geo, off, z, mu, eps, grad=False), f)
+            f, _, _ = _penalty(geo, off, z, mu, eps, derivs=True)
+            assert np.array_equal(_penalty(geo, off, z, mu, eps), f)
 
 
 class TestBlockIndependence:
@@ -757,7 +789,7 @@ class TestBlockIndependence:
         [
             ("ns", "min", np.linspace(1.6, 2.4, 9), 6, False),  # product starts below s = 2
             ("ns", "max", np.linspace(0.0, 4.0, 9), 6, False),  # anchor on a facet at 0 and 4
-            ("c", "max", np.linspace(2.0, TSIRELSON, 6), 6, True),  # the arcsin cap
+            ("sym", "max", np.linspace(1.6, 3.2, 6), 6, False),  # the symmetric subspace
             ("ns", "min", np.linspace(2.5, 3.1, 70), 16, False),  # more rows than one block
         ],
     )
@@ -781,10 +813,7 @@ class TestStagedRows:
     """``_solve`` starts each row on its own stage, so a query's witness row
     rides in the block of its random rows from the Newton tail on."""
 
-    @pytest.mark.parametrize(
-        "set_, mode, cap, s, seed",
-        [("ns", "min", False, 1.9, 3), ("c", "max", True, 2.3994778222729702, 740899032)],
-    )
+    @pytest.mark.parametrize("set_, mode, cap, s, seed", [("ns", "min", False, 1.9, 3)])
     def test_rows_match_their_stage_groups_alone(self, set_, mode, cap, s, seed):
         """Bit for bit.  The merged stages have more rows failing their full
         step than each group alone, so this holds only while every row tries
@@ -807,13 +836,13 @@ class TestStagedRows:
             ("ns", "max", False, 1.21277931716658, 267191831),
             ("sym", "min", False, 2.198374750692238, 184123697),
             ("sym", "max", False, 2.8991597630941346, 2065143098),
-            # a proven kind: its one solve is the witness row alone
+            # a proven kind: it answers from its witness with no solve
             ("c", "max", True, 2.3994778222729702, 740899032),
         ],
     )
     def test_query_is_one_solve_and_its_witness_solves_as_alone(self, monkeypatch, set_, mode, cap, s, seed):
         """An audited query's witness row rides in its random rows' block and
-        ends as it does alone; a C kind's query solves its witness row alone."""
+        ends as it does alone; a C kind's query runs no solve."""
         solves = []
         solve = boundary._solve
 
@@ -824,9 +853,11 @@ class TestStagedRows:
 
         monkeypatch.setattr(boundary, "_solve", counted)
         optimize_at_s(set_, mode, s, restarts=50, seed=seed, qtilde_cap=cap)
-        audited = set_ != "c"
+        if set_ == "c":
+            assert solves == []
+            return
         ((job, z0, first, z, met),) = solves
-        assert first.tolist() == [TAIL] + [0] * (50 if audited else 0)  # the witness row first
+        assert first.tolist() == [TAIL] + [0] * 50  # the witness row first
         alone, met_alone = solve(job.take([0]), z0[:1], first[:1])
         assert np.array_equal(z[:1], alone)
         assert met[0] == met_alone[0]
@@ -834,11 +865,11 @@ class TestStagedRows:
 
 def full_bisection(job, z, lam):
     """The arcsin scalings with all 50 bisection steps run on every row, failing or not."""
-    from nonsig.boundary import _qtilde_exprs, _x_from_z
+    from nonsig.boundary import _x_from_z
 
     def holds(l):
-        x = _x_from_z(job, l[:, None] * z)
-        return np.abs(_qtilde_exprs(x[:, 4:])).max(axis=-1) <= np.pi + 4e-15
+        t = np.arcsin(np.clip(_x_from_z(job, l[:, None] * z)[:, 4:], -1.0, 1.0))
+        return np.abs(t.sum(axis=1, keepdims=True) - 2.0 * t).max(axis=1) <= np.pi + 4e-15
 
     ok = holds(lam)
     lo, hi = np.where(ok, lam, 0.0), lam.copy()
@@ -912,16 +943,14 @@ class TestNewtonOracle:
     at its own iteration cap (``_stage_iters``), from a few random starts per
     point.  Across the cases and their stages every stop reason occurs: rows
     that stop at ``_NEWTON_GTOL``, rows that stop at a step below the rounding
-    of z, rows that cannot progress (a failed search at the damping ceiling:
-    the same row run without the ceiling takes more iterations) and rows that
-    run to their stage's cap.  Each case states the reasons its rows show.
+    of z and rows that run to their stage's cap.  Each case states the reasons
+    its rows show.
     """
 
-    REASONS = ("gtol", "rounding step", "cannot progress", "iteration cap")
+    REASONS = ("gtol", "rounding step", "iteration cap")
     CASES = {
         "ns_min": (("ns", "min", False, np.linspace(1.6, 2.4, 5), 0), {"gtol", "rounding step", "iteration cap"}),
         "ns_max": (("ns", "max", False, np.linspace(0.0, 4.0, 5), 0), {"gtol", "rounding step", "iteration cap"}),
-        "c_max_capped": (("c", "max", True, np.linspace(2.0, 2.8, 4), 4), {"gtol", "rounding step", "cannot progress", "iteration cap"}),
     }
 
     def test_cases_cover_every_stop_reason(self):
@@ -935,19 +964,18 @@ class TestNewtonOracle:
         kernel, solve = boundary._penalty, np.linalg.solve
         iterations = [0]  # of the last one-row run: one batched solve per iteration
 
-        def one_row_at_a_time(geo, off, z, mu, eps, grad=True, hess=False):
-            rows = [kernel(geo, off[:, k : k + 1], z[k : k + 1], mu, eps, grad=grad, hess=hess) for k in range(len(z))]
-            return tuple(map(np.concatenate, zip(*rows))) if grad else np.concatenate(rows)
+        def one_row_at_a_time(geo, off, z, mu, eps, derivs=False):
+            rows = [kernel(geo, off[:, k : k + 1], z[k : k + 1], mu, eps, derivs) for k in range(len(z))]
+            return tuple(map(np.concatenate, zip(*rows))) if derivs else np.concatenate(rows)
 
         def counted_solve(a, b):
             iterations[0] += 1
             return solve(a, b)
 
-        def alone(r, mu, eps, cap, ceiling=boundary._DAMPING_CEILING):
+        def alone(r, mu, eps, cap):
             iterations[0] = 0
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "solve", counted_solve)
-                m.setattr(boundary, "_DAMPING_CEILING", ceiling)
                 out = boundary._newton(job.take([r]), z[r : r + 1].copy(), mu, eps, cap)
             return out, iterations[0]
 
@@ -968,8 +996,6 @@ class TestNewtonOracle:
                     seen["gtol"] += 1
                 elif n == cap:
                     seen["iteration cap"] += 1
-                elif alone(r, mu, eps, cap, ceiling=np.inf)[1] > n:
-                    seen["cannot progress"] += 1
                 else:
                     seen["rounding step"] += 1
             z = block
@@ -991,44 +1017,10 @@ class TestNewtonSaddle:
         after = []
         for k in range(3, 14):
             z, _ = boundary._newton(point, z0.copy(), 10.0, 1e-2, k)
-            f, g = boundary._penalty(point.geo, point.off, z, 10.0, 1e-2)
+            f, g, _ = boundary._penalty(point.geo, point.off, z, 10.0, 1e-2, derivs=True)
             after.append((f[0], np.linalg.norm(g)))
         for (f, gnorm), (f_next, _) in zip(after, after[1:]):
             assert gnorm <= boundary._NEWTON_GTOL or f_next < f
-
-
-class TestNewtonStuckRow:
-    def test_row_at_the_cube_face_stops_early(self, monkeypatch):
-        """A capped C MAX row stuck at the cube face ends long before the iteration cap.
-
-        One of the 50 random starts that the query s = 2.224552993103895, seed
-        563703103, drew while C kinds still ran random starts, as the first two
-        stages leave it: its correlators are
-        (1.0749, 1.0749, -1 - 5.7e-10, -1.0749), where the clipped arcsin makes
-        the cap penalty flat outside the cube and infinitely steep just inside
-        it.  At mu = 1e3 its |grad| stays 15.59 and every line search fails;
-        while the damping rose only tenfold per failure the row ran all 30
-        iterations, with moves of rounding size at the end."""
-        from nonsig import boundary
-
-        solve = np.linalg.solve
-        iterations = [0]
-
-        def counted_solve(a, b):
-            iterations[0] += 1
-            return solve(a, b)
-
-        point = boundary._geometry(FeasibleSet.C, ScanMode.MAX, True).at([2.224552993103895])
-        z0 = np.array([[0.3458084997427767, -1.7290424987138648, -0.3458084997427567]])
-        with monkeypatch.context() as m:
-            m.setattr(np.linalg, "solve", counted_solve)
-            boundary._newton(point, z0.copy(), 1e3, 1e-3, boundary._NEWTON_ITERS)
-        assert iterations[0] <= boundary._NEWTON_ITERS // 3
-        f = []
-        for k in range(iterations[0] + 1):
-            z, _ = boundary._newton(point, z0.copy(), 1e3, 1e-3, k)
-            f.append(boundary._penalty(point.geo, point.off, z, 1e3, 1e-3, grad=False)[0])
-        assert np.all(np.diff(f) <= 0.0), f
 
 
 class TestStageCaps:

@@ -260,6 +260,17 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["ns_valid"] and not out["local"] and out["npa1"] and out["qtilde"]
 
+    def test_check_near_a_cube_face(self, capsys, tmp_path):
+        # curve_witness("qc_max", 2 + 1e-15): S - 2 = 8.9e-16 passed the local
+        # test while the arcsin sum read pi + 4.2e-8 and failed both arcsin
+        # tests, so the implication chain broke and check raised
+        doc = tmp_path / "face.json"
+        doc.write_text('{"marginals_a":[0,0],"marginals_b":[0,0],"correlations":[[1,1],[1,0.9999999999999991]]}')
+        assert dispatch(["check", "--in", str(doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["local"] and out["npa1"] and out["qtilde"]
+        assert all(out["slacks"][k] >= 0.0 for k in ("local", "npa1", "qtilde"))
+
     def test_check_invalid_behavior_exits_one(self, capsys, tmp_path):
         doc = tmp_path / "bad.json"
         doc.write_text(json.dumps({

@@ -104,6 +104,14 @@ class TestW:
         for s in np.linspace(2, TSIRELSON, 50):
             assert 1 / math.sqrt(2) - 1e-12 <= w(s) <= 1.0 + 1e-12
 
+    def test_clamped_at_one(self):
+        # the closed form rounds to 1 + 2.2e-16 at S = 2, which put all four
+        # qc_max witness correlators above 1
+        assert w(2.0) == 1.0
+        s = np.linspace(2.0, TSIRELSON, 100001)
+        assert np.all(w(s) <= 1.0)
+        assert np.all(np.abs(witness_vectors("qc_max", s)) <= 1.0)
+
 
 class TestQcMax:
     def test_endpoints(self):

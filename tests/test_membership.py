@@ -9,6 +9,8 @@ from nonsig.behavior import (
     random_correlator_vectors,
     Correlators,
 )
+from nonsig.curves import curve_witness
+from nonsig.functionals import s_max
 from nonsig.membership import (
     MembershipReport,
     TSIRELSON,
@@ -133,6 +135,18 @@ class TestChainAndCap:
 
         passing = _arcsin_margin(ab) <= np.pi + 1e-9
         assert np.all(_s_max_ab(ab)[passing] <= TSIRELSON + 1e-6)
+
+    def test_qc_max_witnesses_near_two(self):
+        # the arcsin sum of these quantum boundary points reads up to pi + 4.2e-8
+        # (arcsin's slope is infinite at 1); every verdict takes the local
+        # test's tolerance, so all of them are quantum, and local while S - 2
+        # is within it
+        for s in 2.0 + np.logspace(-16, -6, 41):
+            r = report(curve_witness("qc_max", s))
+            assert r.npa1 and r.qtilde, s
+            assert r.local == (s_max(curve_witness("qc_max", s)) <= 2.0 + 1e-9), s
+            for key in ("local", "npa1", "qtilde"):
+                assert getattr(r, key) == (r.slacks[key] >= 0.0), (s, key)
 
     def test_chain_on_behavior_objects(self, rng):
         for _ in range(50):
