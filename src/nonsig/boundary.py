@@ -29,17 +29,21 @@ builds each point's ``ScanPoint`` from its best exactly evaluated row, with
 that row's flag.
 
 Every kind starts each point at a known witness (``curves.witness_vectors``):
-NS and SYM MIN at ``ns_min``, NS and SYM MAX at ``ns_max``, C MIN at
-``c_min``, C MAX at ``c_max`` and, under the arcsin cap, at ``qc_max`` from
-S = 2 on.  The C witnesses are proven extrema (``curves``), so a C point is
-its witness, repaired onto the slice and evaluated exactly, with no solve;
-the arcsin cap enters only that repair.  NS and SYM points run the Newton
-tail from their witness, and random restarts over the full schedule audit
-it on every ``_AUDIT_EVERY``-th grid point.  ``_solve_points`` lists each
-point's rows once, its witness row first, and sends all of them through one
-blocked pass (``_solve_blocks``), whose ``_solve`` starts each row on its own
-stage, so a point query is one ``_solve``.  The quantities the solver reads
-are the affine map of ``slice``.
+NS and SYM MIN at ``ns_min`` above S = 2 and at a symmetric product behavior
+up to it, NS and SYM MAX at ``ns_max``, C MIN at ``c_min``, C MAX at
+``c_max`` and, under the arcsin cap, at ``qc_max`` from S = 2 on.  The C
+witnesses are proven extrema (``curves``), and so is the MIN witness up to
+S = 2: it has I = 0, and I >= 0 for every behavior (Cover and Thomas,
+Elements of Information Theory, Thm 2.6.3).  A proven point is its witness,
+repaired onto the slice and evaluated exactly, with no solve, so
+``restarts`` and ``seed`` do not change it; the arcsin cap enters only that
+repair.  Every other point runs the Newton tail from its witness, and random
+restarts over the full schedule audit it on every ``_AUDIT_EVERY``-th grid
+point.  ``_solve_points`` lists each such point's rows once, its witness
+row first, and sends all of them through one blocked pass
+(``_solve_blocks``), whose ``_solve`` starts each row on its own stage, so a
+point query is at most one ``_solve``.  The quantities the solver reads are
+the affine map of ``slice``.
 """
 
 from __future__ import annotations
@@ -97,8 +101,9 @@ class ScanConfig:
     ``restarts`` is the number of random starts of each audited point, every
     ``_AUDIT_EVERY``-th grid point of an NS or SYM scan, where they compete
     with the witness start on equal terms.  A C scan answers every point from
-    its proven witness with no solve, so ``restarts`` and ``seed`` do not
-    change it (see ``_solve_points``).
+    its proven witness with no solve, and an NS or SYM MIN scan every point
+    at S <= 2, so ``restarts`` and ``seed`` do not change those points (see
+    ``_solve_points``).
     """
 
     set: FeasibleSet
@@ -571,7 +576,7 @@ _BLOCK_ROWS = 256
 _TRIAL_LENGTHS = np.ldexp(1.0, -np.arange(9))
 #: The Newton tail, the two stiffest stages: all that witness starts run.
 _TAIL_STAGES = 2
-#: Every ``_AUDIT_EVERY``-th point of a grid, from its first, also runs its random starts.
+#: Every ``_AUDIT_EVERY``-th point of a grid, from its first, also runs its random starts unless it is proven.
 _AUDIT_EVERY = 10
 
 
@@ -622,7 +627,8 @@ def _solve_blocks(points: _Job, starts: list[np.ndarray], firsts: list[np.ndarra
 #: a later curve taking over from an earlier one inside its domain.  On the
 #: correlation space C all of them are proven extrema (``curves``: Jensen for
 #: ``c_min``, the best slice vertex for ``c_max``, Tsirelson and Landau for
-#: ``qc_max``), so a C point is its witness (``_solve_points``).
+#: ``qc_max``), so a C point is its witness (``_solve_points``).  NS and SYM
+#: MIN points up to S = 2 start at a product behavior instead (``_witness_z``).
 _WITNESS_CURVES = {
     (FeasibleSet.NS, ScanMode.MIN, False): ("ns_min",),
     (FeasibleSet.SYM, ScanMode.MIN, False): ("ns_min",),
@@ -636,13 +642,20 @@ _WITNESS_CURVES = {
 
 
 def _witness_z(points: _Job) -> np.ndarray:
-    """Each point's witness start: its kind's curves at its score (``_WITNESS_CURVES``), as feasible z."""
+    """Each point's witness start: its kind's curves at its score (``_WITNESS_CURVES``), on NS and SYM
+    MIN up to S = 2 the symmetric product, as feasible z."""
     geo = points.geo
     x = np.empty((len(points.s), 8))
     for curve in _WITNESS_CURVES[geo.set, geo.mode, geo.qtilde_cap]:
         lo, hi = curves.CURVE_DOMAINS[curves.CurveId(curve)]
         mine = (points.s >= lo - curves._DOMAIN_SLACK) & (points.s <= hi + curves._DOMAIN_SLACK)
         x[mine] = curves.witness_vectors(curve, points.s[mine])
+    if geo.set is not FeasibleSet.C and geo.mode is ScanMode.MIN:
+        # up to S = 2 the symmetric product with both marginals sqrt(s/2) (1, 1): I = 0 with every
+        # probability positive below 2, where the family's product (A0 = 1) has probabilities at 0
+        low = points.s <= 2.0
+        half = np.maximum(points.s[low], 0.0) / 2.0
+        x[low] = np.repeat([np.sqrt(half), half], 4, axis=0).T
     return _z_from_vector(points, x)
 
 
@@ -650,40 +663,44 @@ def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
     """Solve every point of ``points``; point k draws its random starts from
     ``default_rng(seeds[k])``.
 
-    Each point starts at the witness that its kind's curves give at its
-    score (``_WITNESS_CURVES``), repaired exactly.  On C kinds that witness is
-    a proven extremum (``curves``), so it is the answer, evaluated exactly
-    and ``converged`` by proof: no solve runs, and ``restarts`` and ``seeds``
-    do not change the result.  On NS and SYM kinds the witness row is solved
-    on the Newton tail alone, which doubles as the start's KKT check, and
-    every ``_AUDIT_EVERY``-th grid point also has ``restarts`` random rows, an
-    audit of the witness over the full schedule.  All rows go through one
-    ``_solve_blocks``, so a query is one ``_solve``, and ``_finish`` picks
-    each point's row, witness or random, with that row's own flag.  Audited
-    points go first, so that random rows fill whole blocks: in grid order
-    they filled part of every block, whose early stages then ran on gathered
-    subsets of fewer rows, and ``repro fig6``'s scan took about a fifth more
-    CPU.
+    Each point starts at its kind's witness at its score (``_witness_z``),
+    repaired exactly.  A point is proven where that witness is a proven
+    extremum: on C kinds at every score (``curves``), and on NS and SYM MIN
+    up to S = 2, where the witness is a product behavior with I = 0 and
+    I >= 0 holds for every behavior.  A proven point's witness is the
+    answer, evaluated exactly and ``converged`` by proof: no solve runs for
+    it, and ``restarts`` and ``seeds`` do not change it.  On every other
+    point the witness row is solved on the Newton tail alone, which doubles
+    as the start's KKT check, and every ``_AUDIT_EVERY``-th grid point also
+    has ``restarts`` random rows, an audit of the witness over the full
+    schedule.  All their rows go through one ``_solve_blocks``, so a query is
+    at most one ``_solve``, and ``_finish`` picks each point's row, witness or
+    random, with that row's own flag.  Audited points go first, so that
+    random rows fill whole blocks: in grid order they filled part of every
+    block, whose early stages then ran on gathered subsets of fewer rows, and
+    ``repro fig6``'s scan took about a fifth more CPU.
     """
     z = _witness_z(points)
-    if points.geo.set is FeasibleSet.C:
-        x = _x_from_z(points, z)
-        return [
-            ScanPoint(s=float(s), i=float(i), argopt=Correlators.from_vector(v), converged=True)
-            for s, i, v in zip(points.s, _info_from_x(x), x)
-        ]
-    audits = np.arange(len(points.s)) % _AUDIT_EVERY == 0
-    order = np.argsort(~audits, kind="stable")
+    geo = points.geo
+    proven = (geo.set is FeasibleSet.C) | ((geo.mode is ScanMode.MIN) & (points.s <= 2.0))
+    x = _x_from_z(points.take(proven), z[proven])
+    out = {
+        k: ScanPoint(s=float(points.s[k]), i=float(i), argopt=Correlators.from_vector(v), converged=True)
+        for k, i, v in zip(np.flatnonzero(proven), _info_from_x(x), x)
+    }
+    rest = np.flatnonzero(~proven)
+    order = rest[np.argsort(rest % _AUDIT_EVERY != 0, kind="stable")]
     starts = [
         np.concatenate([z[k, None], _starts(points.take([k]), restarts, np.random.default_rng(seeds[k]))])
-        if audits[k]
+        if k % _AUDIT_EVERY == 0
         else z[k, None]
         for k in order
     ]
     tail = len(_MU_SCHEDULE) - _TAIL_STAGES
     firsts = [np.repeat([tail, 0], [1, len(rows) - 1]) for rows in starts]
-    solved = _solve_blocks(points.take(order), starts, firsts)
-    return [solved[j] for j in np.argsort(order)]
+    if order.size:
+        out.update(zip(order, _solve_blocks(points.take(order), starts, firsts)))
+    return [out[k] for k in range(len(points.s))]
 
 
 # ---------------------------------------------------------------------------
@@ -702,13 +719,14 @@ def optimize_at_s(
     """Extremize the mutual information at CHSH score exactly s.
 
     Multi-start local search; deterministic given ``seed``.  A query is a
-    one-point grid at index 0 (see ``_solve_points``).  On NS and SYM kinds one
+    one-point grid at index 0 (see ``_solve_points``).  On C kinds, and on NS
+    and SYM MIN at s <= 2, the witness is a proven extremum, so the answer is
+    that witness, repaired and evaluated exactly, ``converged`` by proof; no
+    solve runs, and ``restarts`` and ``seed`` do not change it.  Otherwise one
     ``_solve`` runs its kind's witness at s over the Newton tail and its
     ``restarts`` random starts over the full schedule (such a query is always
     audited), and the best of these rows is the answer, with its own
-    ``converged`` flag.  On C kinds the witness is a proven extremum, so the
-    answer is that witness, repaired and evaluated exactly, ``converged`` by
-    proof; no solve runs, and ``restarts`` and ``seed`` do not change it.
+    ``converged`` flag.
     """
     set_ = FeasibleSet(set_) if isinstance(set_, str) else set_
     mode = ScanMode(mode) if isinstance(mode, str) else mode
@@ -727,8 +745,9 @@ def scan(config: ScanConfig) -> BoundaryCurve:
     interact and each stops by its own rules, so a point's result does not
     depend on its block beyond rounding in shared matrix products.  Per-point
     failures are reported through ``converged=False``, never by aborting the
-    scan.  A C scan solves nothing: each point is its proven witness, with
-    ``converged=True``, whatever ``restarts`` and ``seed`` are.
+    scan.  A C scan solves nothing, and an NS or SYM MIN scan nothing at
+    S <= 2: each such point is its proven witness, with ``converged=True``,
+    whatever ``restarts`` and ``seed`` are.
     """
     grid = np.linspace(config.s_lo, config.s_hi, config.grid_points)
     points = _geometry(config.set, config.mode, config.qtilde_cap).at(grid)

@@ -70,7 +70,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="nonsig", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nonsig {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    restarts_help = "random starts per audited NS or SYM point (every 10th); C kinds ignore it (proven witnesses)"
+    restarts_help = (
+        "random starts per audited NS or SYM point (every 10th); C kinds and NS/SYM MIN at S <= 2 ignore it"
+        " (proven witnesses)"
+    )
 
     p = sub.add_parser("curve", help="evaluate an analytic boundary curve on a grid")
     p.add_argument("--id", required=True, choices=[c.value for c in CurveId])

@@ -41,6 +41,21 @@ def full_firsts(starts):
 TAIL = len(boundary._MU_SCHEDULE) - boundary._TAIL_STAGES
 
 
+def audited_pass(set_, s, restarts, seed):
+    """An audited MIN query's blocked pass at s: the ``ns_min``
+    witness row from the Newton tail and ``restarts`` random rows from
+    ``default_rng([seed])`` from stage 0, in one ``_solve_blocks``.  Up to
+    S = 2 a MIN query answers by proof and runs no rows, so this runs them
+    directly, to test ``_finish``'s rules on them."""
+    from nonsig.curves import witness_vectors
+
+    point = boundary._geometry(FeasibleSet(set_), ScanMode.MIN, False).at([s])
+    witness = boundary._z_from_vector(point, witness_vectors("ns_min", [s]))
+    rows = np.concatenate([witness, boundary._starts(point, restarts, np.random.default_rng([seed]))])
+    (r,) = boundary._solve_blocks(point, [rows], [np.repeat([TAIL, 0], [1, restarts])])
+    return r
+
+
 class TestInfoGradient:
     def test_matches_central_differences(self):
         vs = interior_vectors(100, seed=77)
@@ -108,7 +123,7 @@ class TestOptimizeAtS:
 
     def test_raw_start_winner_is_not_converged(self):
         # the exact product start wins here; the solver never touched it
-        r = optimize_at_s("sym", "min", 1.5, restarts=12, seed=3)
+        r = audited_pass("sym", 1.5, restarts=12, seed=3)
         assert abs(r.i) <= 1e-12
         assert not r.converged
 
@@ -156,10 +171,10 @@ class TestOptimizeAtS:
         assert r.i <= raw + _rounding(raw)
 
     def test_raw_witness_does_not_beat_a_converged_random_row_on_rounding(self):
-        # line 81 of ``scripts/query_dump.py 1``: the repaired raw witness
-        # start, -8.9e-16, once beat this converged random row at 0.0 by
-        # rounding alone and was kept with the random row's flag
-        r = optimize_at_s("ns", "min", 1.027469868908411, restarts=50, seed=668021669)
+        # line 81 of ``scripts/query_dump.py 1``, as an audited pass: the
+        # repaired raw witness start, -8.9e-16, once beat this converged random
+        # row at 0.0 by rounding alone and was kept with the random row's flag
+        r = audited_pass("ns", 1.027469868908411, restarts=50, seed=668021669)
         assert r.i == 0.0
         assert r.converged
 
@@ -354,10 +369,11 @@ class TestScanWitnessProperty:
 
 class TestAuditRule:
     """Random starts audit NS and SYM kinds on every 10th grid index and on
-    every query; C kinds, whose witnesses are proven extrema, draw none.
+    every query; proven points draw none: every C point and every NS or SYM
+    MIN point at S <= 2, whose witnesses are proven extrema.
 
-    The test names keep the audited kinds' rule; on a C kind each asserts
-    that no start is drawn, in scans and in queries."""
+    The test names keep the audited kinds' rule; on a proven point each
+    asserts that no start is drawn, in scans and in queries."""
 
     @staticmethod
     def recorded(monkeypatch):
@@ -377,13 +393,14 @@ class TestAuditRule:
         hi = TSIRELSON if cap else 4.0
         scan(ScanConfig(FeasibleSet(set_), ScanMode(mode), 0.0, hi, 21, 2, 0, qtilde_cap=cap))
         grid = np.linspace(0.0, hi, 21)
-        assert drawn == ([] if set_ == "c" else [(grid[k], 2) for k in (0, 10, 20)])
+        assert drawn == [(grid[k], 2) for k in (0, 10, 20) if not proven(set_, mode, grid[k])]
 
     @pytest.mark.parametrize("set_, mode, cap", KINDS)
     def test_query_is_audited(self, monkeypatch, set_, mode, cap):
         drawn = self.recorded(monkeypatch)
-        optimize_at_s(set_, mode, 1.7, restarts=3, seed=4, qtilde_cap=cap)
-        assert drawn == ([] if set_ == "c" else [(1.7, 3)])
+        for s in (1.7, 2.0, 2.3):
+            optimize_at_s(set_, mode, s, restarts=3, seed=4, qtilde_cap=cap)
+        assert drawn == [(s, 3) for s in (1.7, 2.0, 2.3) if not proven(set_, mode, s)]
 
     def test_scan_over_several_blocks_keeps_grid_order(self, monkeypatch):
         """The audited points solve first, here over two blocks, the last
@@ -411,47 +428,94 @@ class TestAuditRule:
             assert point.converged == alone.converged, k
 
 
-#: The C kinds: mode and arcsin cap.
-C_KINDS = [(mode, cap) for set_, mode, cap in KINDS if set_ == "c"]
+#: The proven kinds: set, mode, arcsin cap and the top of their proven range,
+#: every C kind on its whole range and NS and SYM MIN up to S = 2.
+PROVEN_KINDS = [
+    (set_, mode, cap, TSIRELSON if cap else 4.0 if set_ == "c" else 2.0)
+    for set_, mode, cap in KINDS
+    if set_ == "c" or mode == "min"
+]
+#: Their test ids: mode and cap on the C kinds, set and mode on the others.
+PROVEN_IDS = [f"{mode}-{cap}" if set_ == "c" else f"{set_}-{mode}" for set_, mode, cap, _ in PROVEN_KINDS]
+
+
+def proven(set_, mode, s):
+    """Whether a point of the kind at score s answers by proof."""
+    return set_ == "c" or (mode == "min" and s <= 2.0)
 
 
 class TestProvenKinds:
-    """A C kind answers from its proven witness with no solve, so ``restarts``
-    and ``seed`` do not change its results, bit for bit."""
+    """A proven point answers from its proven witness with no solve, so
+    ``restarts`` and ``seed`` do not change it, bit for bit: every C point
+    and every NS or SYM MIN point at S <= 2, where the witness is a product
+    behavior with I = 0 and no behavior has less."""
 
-    @pytest.mark.parametrize("mode, cap", C_KINDS)
-    def test_query_ignores_restarts_and_seed(self, mode, cap):
-        for s in (0.0, 0.37, 1.0, 2.0, 2.6, TSIRELSON, 3.5, 4.0):
-            if cap and s > TSIRELSON:
+    @pytest.mark.parametrize("set_, mode, cap, hi", PROVEN_KINDS, ids=PROVEN_IDS)
+    def test_query_ignores_restarts_and_seed(self, set_, mode, cap, hi):
+        for s in (0.0, 0.37, 1.0, 1.9999999, 2.0, 2.6, TSIRELSON, 3.5, 4.0):
+            if s > hi:
                 continue
-            one = optimize_at_s("c", mode, s, restarts=1, seed=0, qtilde_cap=cap)
-            many = optimize_at_s("c", mode, s, restarts=50, seed=9, qtilde_cap=cap)
+            one = optimize_at_s(set_, mode, s, restarts=1, seed=0, qtilde_cap=cap)
+            many = optimize_at_s(set_, mode, s, restarts=50, seed=9, qtilde_cap=cap)
             assert (one.i, one.converged) == (many.i, many.converged), s
             assert np.array_equal(one.argopt.vector(), many.argopt.vector()), s
-            assert abs(witness_gap("c", mode, cap, s, one.i)) <= 1e-12, s
+            assert abs(witness_gap(set_, mode, cap, s, one.i)) <= 1e-12, s
 
-    @pytest.mark.parametrize("mode, cap", C_KINDS)
-    def test_scan_ignores_restarts_and_seed(self, mode, cap):
-        hi = TSIRELSON if cap else 4.0
+    @pytest.mark.parametrize("set_, mode, cap, hi", PROVEN_KINDS, ids=PROVEN_IDS)
+    def test_scan_ignores_restarts_and_seed(self, set_, mode, cap, hi):
         a, b = (
-            scan(ScanConfig(FeasibleSet.C, ScanMode(mode), 0.0, hi, 12, restarts, seed, qtilde_cap=cap))
+            scan(ScanConfig(FeasibleSet(set_), ScanMode(mode), 0.0, hi, 12, restarts, seed, qtilde_cap=cap))
             for restarts, seed in ((1, 0), (7, 3))
         )
         assert np.array_equal(a.i, b.i)
         assert np.array_equal(a.argopt_vectors(), b.argopt_vectors())
         assert [p.converged for p in a.points] == [p.converged for p in b.points]
 
-
-    @pytest.mark.parametrize("mode, cap", C_KINDS)
-    def test_no_solve_and_converged_by_proof(self, monkeypatch, mode, cap):
+    @pytest.mark.parametrize("set_, mode, cap, hi", PROVEN_KINDS, ids=PROVEN_IDS)
+    def test_no_solve_and_converged_by_proof(self, monkeypatch, set_, mode, cap, hi):
         def refuse(*args):
-            raise AssertionError("a C kind ran the solver")
+            raise AssertionError("a proven point ran the solver")
 
         monkeypatch.setattr(boundary, "_solve", refuse)
-        hi = TSIRELSON if cap else 4.0
-        curve = scan(ScanConfig(FeasibleSet.C, ScanMode(mode), 0.0, hi, 25, 3, 1, qtilde_cap=cap))
-        queries = [optimize_at_s("c", mode, s, restarts=5, seed=2, qtilde_cap=cap) for s in (0.0, 1.3, 2.0, hi)]
+        curve = scan(ScanConfig(FeasibleSet(set_), ScanMode(mode), 0.0, hi, 25, 3, 1, qtilde_cap=cap))
+        queries = [optimize_at_s(set_, mode, s, restarts=5, seed=2, qtilde_cap=cap) for s in (0.0, 1.3, 2.0, hi)]
         assert all(p.converged for p in curve.points + tuple(queries))
+
+    @pytest.mark.parametrize("set_", ["ns", "sym"])
+    def test_local_min_is_zero_to_rounding(self, set_):
+        """Below S = 2 the MIN witness is the symmetric product with every
+        probability positive, so its repair keeps I = 0 to rounding.  The
+        family's product, whose A0 = 1 puts probabilities at 0, repaired up
+        to 9.2e-15 on SYM on this grid, and to 1.67e-15 at the NS MIN query
+        at S = 1.6933 of ``scripts/query_dump.py 1``.  S = 2 itself is the
+        deterministic corner, left out."""
+        s = np.linspace(0.0, 2.0, 20001)[:-1]
+        curve = scan(ScanConfig(FeasibleSet(set_), ScanMode.MIN, 0.0, s[-1], len(s), 1, 0))
+        assert np.array_equal(curve.s, s)
+        assert np.max(np.abs(curve.i)) <= _rounding(0.0)
+        assert abs(optimize_at_s(set_, "min", 1.6933057958903026, restarts=50, seed=0).i) <= _rounding(0.0)
+
+    @pytest.mark.parametrize("set_", ["ns", "sym"])
+    def test_min_scan_across_two_solves_only_above_it(self, set_):
+        """A MIN scan over [1.5, 2.5]: its points up to S = 2 are proven, and
+        each point above 2 is, bit for bit, its own one-point solve from the
+        same rows: its witness row, and on the last point, whose grid index 20
+        is audited, its random rows from ``default_rng([seed, 20])``."""
+        grid = np.linspace(1.5, 2.5, 21)
+        curve = scan(ScanConfig(FeasibleSet(set_), ScanMode.MIN, 1.5, 2.5, 21, restarts=6, seed=3))
+        points = boundary._geometry(FeasibleSet(set_), ScanMode.MIN, False).at(grid)
+        witness = boundary._witness_z(points)
+        for k, point in enumerate(curve.points):
+            if grid[k] <= 2.0:
+                assert point.converged and abs(point.i) <= 4e-14, k
+                continue
+            rows, firsts = witness[k, None], np.array([TAIL])
+            if k % 10 == 0:
+                rows = np.concatenate([rows, boundary._starts(points.take([k]), 6, np.random.default_rng([3, k]))])
+                firsts = np.repeat([TAIL, 0], [1, 6])
+            (alone,) = boundary._solve_blocks(points.take([k]), [rows], [firsts])
+            assert (point.i, point.converged) == (alone.i, alone.converged), k
+            assert np.array_equal(point.argopt.vector(), alone.argopt.vector()), k
 
     def test_capped_argopts_keep_the_arcsin_cap(self):
         # the repair of the qc_max witness is what keeps them: near S = 2 the
