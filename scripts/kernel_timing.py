@@ -46,7 +46,7 @@ import time
 import numpy as np
 
 from nonsig import boundary
-from nonsig.boundary import FeasibleSet, ScanMode, _geometry, _penalty, _starts, _witness_z
+from nonsig.boundary import FeasibleSet, ScanMode, _geometry, _penalty, _starts, _witness
 from nonsig.slice import _family_vectors
 
 CASES = (("ns_min", FeasibleSet.NS, ScanMode.MIN, False, 2.9),)
@@ -94,13 +94,13 @@ def query_block(set_, mode, s, restarts, seed):
     point = _geometry(set_, mode, False).at([s])
     z = _starts(point, restarts, np.random.default_rng(seed))
     first = np.append(TAIL, np.zeros(restarts, dtype=int))
-    return point.take(np.zeros(restarts + 1, dtype=int)), np.concatenate([_witness_z(point), z]), first
+    return point.take(np.zeros(restarts + 1, dtype=int)), np.concatenate([_witness(point)[0], z]), first
 
 
 def witness_start(set_, mode, cap, grid):
     """The job of a grid and its witness starts, one row per point from the Newton tail on."""
     points = _geometry(set_, mode, cap).at(grid)
-    return points, _witness_z(points), np.full(len(grid), TAIL)
+    return points, _witness(points)[0], np.full(len(grid), TAIL)
 
 
 def stages(job, z, first):

@@ -28,21 +28,16 @@ warm-start the next, and ``_NEWTON_ITERS`` on the tail.  ``_finish`` alone
 builds each point's ``ScanPoint`` from its best exactly evaluated row, with
 that row's flag.
 
-Every kind starts each point at a known witness (``curves.witness_vectors``):
-NS and SYM MIN at ``ns_min`` above S = 2 and at a symmetric product behavior
-up to it, NS and SYM MAX at ``ns_max``, C MIN at ``c_min``, C MAX at
-``c_max`` and, under the arcsin cap, at ``qc_max`` from S = 2 on.  The C
-witnesses are proven extrema (``curves``), and so is the MIN witness up to
-S = 2: it has I = 0, and I >= 0 for every behavior (Cover and Thomas,
-Elements of Information Theory, Thm 2.6.3).  A proven point is its witness,
-repaired onto the slice and evaluated exactly, with no solve, so
-``restarts`` and ``seed`` do not change it; the arcsin cap enters only that
-repair.  Every other point runs the Newton tail from its witness, and random
-restarts over the full schedule audit it on every ``_AUDIT_EVERY``-th grid
-point.  ``_solve_points`` lists each such point's rows once, its witness
-row first, and sends all of them through one blocked pass
-(``_solve_blocks``), whose ``_solve`` starts each row on its own stage, so a
-point query is at most one ``_solve``.  The quantities the solver reads are
+Every kind starts each point at its closed-form witness curve, and a point
+whose witness is a proven extremum is proven: ``_witness`` names both.  A
+proven point is its witness, repaired onto the slice and evaluated exactly,
+with no solve, so ``restarts`` and ``seed`` do not change it; the arcsin cap
+enters only that repair.  Every other point runs the Newton tail from its
+witness, and random restarts over the full schedule audit it on every
+``_AUDIT_EVERY``-th grid point.  ``_solve_points`` lists each such point's
+rows once, its witness row first, and sends all of them through one blocked
+pass (``_solve_blocks``), whose ``_solve`` starts each row on its own stage,
+so a point query is at most one ``_solve``.  The quantities the solver reads are
 the affine map of ``slice``.
 """
 
@@ -100,10 +95,8 @@ class ScanConfig:
 
     ``restarts`` is the number of random starts of each audited point, every
     ``_AUDIT_EVERY``-th grid point of an NS or SYM scan, where they compete
-    with the witness start on equal terms.  A C scan answers every point from
-    its proven witness with no solve, and an NS or SYM MIN scan every point
-    at S <= 2, so ``restarts`` and ``seed`` do not change those points (see
-    ``_solve_points``).
+    with the witness start on equal terms.  A proven point (``_witness``)
+    runs no solve, so ``restarts`` and ``seed`` do not change it.
     """
 
     set: FeasibleSet
@@ -488,27 +481,22 @@ def _project_active(job: _Job, z: np.ndarray) -> np.ndarray:
 
 def _qtilde_lambda(job: _Job, z: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Shrink further until the arcsin facets hold, up to the rounding of an
-    arcsin sum near pi (~9 ulps of pi); bisection on the scaling of the rows
-    that fail at ``lam``, a lone one of several run as two, as BLAS rounds
-    gemv unlike gemm (``_penalty``).  A one-row job broadcasts over all of z."""
+    arcsin sum near pi (~9 ulps of pi): bisection on the scaling of every row
+    once any row fails at ``lam``, each row that holds keeping its ``lam``."""
 
-    def holds(job: _Job, z: np.ndarray, l: np.ndarray) -> np.ndarray:
+    def holds(l: np.ndarray) -> np.ndarray:
         x = _x_from_z(job, l[:, None] * z)
         return _arcsin_margin(x[:, 4:].reshape(-1, 2, 2)) <= np.pi + 4e-15
 
-    rows = np.flatnonzero(~holds(job, z, lam))
-    if not rows.size:
+    ok = holds(lam)
+    if ok.all():
         return lam
-    rows = np.repeat(rows, 2) if rows.size == 1 < len(z) else rows
-    job, z = (job.take(rows) if len(job.s) > 1 else job), z[rows]
-    lo, hi = np.zeros(rows.size), lam[rows]
+    lo, hi = np.zeros(len(z)), lam
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        good = holds(job, z, mid)
+        good = holds(mid)
         lo, hi = np.where(good, mid, lo), np.where(good, hi, mid)
-    lam = lam.copy()
-    lam[rows] = lo
-    return lam
+    return np.where(ok, lam, lo)
 
 
 def _feasible_z(job: _Job, z: np.ndarray) -> np.ndarray:
@@ -558,9 +546,13 @@ def _null_basis_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _z_from_vector(points: _Job, vec8: np.ndarray) -> np.ndarray:
-    """Project 8-correlator vectors, one per row of ``points`` (or one vector
-    for a one-row job), into feasible z starts of those rows."""
-    return _feasible_z(points, (vec8 - points.off[_X].T) @ points.geo.zmap)
+    """Project 8-correlator vectors, one per row of ``points``, into feasible z
+    starts of those rows; a lone row runs as two, as BLAS rounds gemv unlike
+    gemm (``_penalty``), so it rounds as in a grid."""
+    n = len(vec8)
+    if n == 1:
+        points, vec8 = points.take([0, 0]), np.repeat(vec8, 2, axis=0)
+    return _feasible_z(points, (vec8 - points.off[_X].T) @ points.geo.zmap)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -623,56 +615,41 @@ def _solve_blocks(points: _Job, starts: list[np.ndarray], firsts: list[np.ndarra
     return out
 
 
-#: The curves whose witnesses start each kind's points, each on its own domain,
-#: a later curve taking over from an earlier one inside its domain.  On the
-#: correlation space C all of them are proven extrema (``curves``: Jensen for
-#: ``c_min``, the best slice vertex for ``c_max``, Tsirelson and Landau for
-#: ``qc_max``), so a C point is its witness (``_solve_points``).  NS and SYM
-#: MIN points up to S = 2 start at a product behavior instead (``_witness_z``).
-_WITNESS_CURVES = {
-    (FeasibleSet.NS, ScanMode.MIN, False): ("ns_min",),
-    (FeasibleSet.SYM, ScanMode.MIN, False): ("ns_min",),
-    (FeasibleSet.C, ScanMode.MIN, False): ("c_min",),
-    (FeasibleSet.C, ScanMode.MIN, True): ("c_min",),
-    (FeasibleSet.NS, ScanMode.MAX, False): ("ns_max",),
-    (FeasibleSet.SYM, ScanMode.MAX, False): ("ns_max",),
-    (FeasibleSet.C, ScanMode.MAX, False): ("c_max",),
-    (FeasibleSet.C, ScanMode.MAX, True): ("c_max", "qc_max"),
-}
+def _witness(points: _Job) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's witness start as feasible z, and whether it is proven.
 
-
-def _witness_z(points: _Job) -> np.ndarray:
-    """Each point's witness start: its kind's curves at its score (``_WITNESS_CURVES``), on NS and SYM
-    MIN up to S = 2 the symmetric product, as feasible z."""
-    geo = points.geo
-    x = np.empty((len(points.s), 8))
-    for curve in _WITNESS_CURVES[geo.set, geo.mode, geo.qtilde_cap]:
-        lo, hi = curves.CURVE_DOMAINS[curves.CurveId(curve)]
-        mine = (points.s >= lo - curves._DOMAIN_SLACK) & (points.s <= hi + curves._DOMAIN_SLACK)
-        x[mine] = curves.witness_vectors(curve, points.s[mine])
-    if geo.set is not FeasibleSet.C and geo.mode is ScanMode.MIN:
-        # up to S = 2 the symmetric product with both marginals sqrt(s/2) (1, 1): I = 0 with every
-        # probability positive below 2, where the family's product (A0 = 1) has probabilities at 0
-        low = points.s <= 2.0
-        half = np.maximum(points.s[low], 0.0) / 2.0
-        x[low] = np.repeat([np.sqrt(half), half], 4, axis=0).T
-    return _z_from_vector(points, x)
+    NS and SYM points start at ``ns_min`` or ``ns_max``, C points at
+    ``c_min`` or ``c_max``, and capped C MAX points from S = 2 on at
+    ``qc_max`` (``curves.witness_vectors``).  A point is proven where its
+    witness is a proven extremum of its kind: on every C kind, by ``curves``
+    (Jensen for ``c_min``, the best slice vertex for ``c_max``, Tsirelson and
+    Landau for ``qc_max``, and below S = 2 every point local, Fine, PRL 48,
+    291, 1982), and on NS and SYM MIN up to S = 2, where ``ns_min`` is a
+    product behavior with I = 0 and I >= 0 for every behavior (Cover and
+    Thomas, Elements of Information Theory, Thm 2.6.3).  A proven point is its
+    witness, repaired onto the slice and evaluated exactly, with no solve
+    (``_solve_points``).
+    """
+    geo, s = points.geo, points.s
+    space = "c" if geo.set is FeasibleSet.C else "ns"
+    x = curves.witness_vectors(f"{space}_{geo.mode.value}", s)
+    if geo.qtilde_cap and geo.mode is ScanMode.MAX:
+        x[s >= 2.0] = curves.witness_vectors("qc_max", s[s >= 2.0])
+    proven = (geo.set is FeasibleSet.C) | ((geo.mode is ScanMode.MIN) & (s <= 2.0))
+    return _z_from_vector(points, x), proven
 
 
 def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
     """Solve every point of ``points``; point k draws its random starts from
     ``default_rng(seeds[k])``.
 
-    Each point starts at its kind's witness at its score (``_witness_z``),
-    repaired exactly.  A point is proven where that witness is a proven
-    extremum: on C kinds at every score (``curves``), and on NS and SYM MIN
-    up to S = 2, where the witness is a product behavior with I = 0 and
-    I >= 0 holds for every behavior.  A proven point's witness is the
-    answer, evaluated exactly and ``converged`` by proof: no solve runs for
-    it, and ``restarts`` and ``seeds`` do not change it.  On every other
-    point the witness row is solved on the Newton tail alone, which doubles
-    as the start's KKT check, and every ``_AUDIT_EVERY``-th grid point also
-    has ``restarts`` random rows, an audit of the witness over the full
+    Each point starts at its kind's witness at its score, repaired exactly
+    (``_witness``).  A proven point's witness is the answer, evaluated
+    exactly and ``converged`` by proof: no solve runs for it, and
+    ``restarts`` and ``seeds`` do not change it.  On every other point the
+    witness row is solved on the Newton tail alone, which doubles as the
+    start's KKT check, and every ``_AUDIT_EVERY``-th grid point also has
+    ``restarts`` random rows, an audit of the witness over the full
     schedule.  All their rows go through one ``_solve_blocks``, so a query is
     at most one ``_solve``, and ``_finish`` picks each point's row, witness or
     random, with that row's own flag.  Audited points go first, so that
@@ -680,9 +657,7 @@ def _solve_points(points: _Job, restarts: int, seeds: list) -> list[ScanPoint]:
     block, whose early stages then ran on gathered subsets of fewer rows, and
     ``repro fig6``'s scan took about a fifth more CPU.
     """
-    z = _witness_z(points)
-    geo = points.geo
-    proven = (geo.set is FeasibleSet.C) | ((geo.mode is ScanMode.MIN) & (points.s <= 2.0))
+    z, proven = _witness(points)
     x = _x_from_z(points.take(proven), z[proven])
     out = {
         k: ScanPoint(s=float(points.s[k]), i=float(i), argopt=Correlators.from_vector(v), converged=True)
@@ -719,14 +694,13 @@ def optimize_at_s(
     """Extremize the mutual information at CHSH score exactly s.
 
     Multi-start local search; deterministic given ``seed``.  A query is a
-    one-point grid at index 0 (see ``_solve_points``).  On C kinds, and on NS
-    and SYM MIN at s <= 2, the witness is a proven extremum, so the answer is
-    that witness, repaired and evaluated exactly, ``converged`` by proof; no
-    solve runs, and ``restarts`` and ``seed`` do not change it.  Otherwise one
-    ``_solve`` runs its kind's witness at s over the Newton tail and its
-    ``restarts`` random starts over the full schedule (such a query is always
-    audited), and the best of these rows is the answer, with its own
-    ``converged`` flag.
+    one-point grid at index 0 (see ``_solve_points``).  At a proven point
+    (``_witness``) the answer is the witness, repaired and evaluated exactly,
+    ``converged`` by proof; no solve runs, and ``restarts`` and ``seed`` do
+    not change it.  Otherwise one ``_solve`` runs its kind's witness at s
+    over the Newton tail and its ``restarts`` random starts over the full
+    schedule (such a query is always audited), and the best of these rows is
+    the answer, with its own ``converged`` flag.
     """
     set_ = FeasibleSet(set_) if isinstance(set_, str) else set_
     mode = ScanMode(mode) if isinstance(mode, str) else mode
@@ -745,9 +719,8 @@ def scan(config: ScanConfig) -> BoundaryCurve:
     interact and each stops by its own rules, so a point's result does not
     depend on its block beyond rounding in shared matrix products.  Per-point
     failures are reported through ``converged=False``, never by aborting the
-    scan.  A C scan solves nothing, and an NS or SYM MIN scan nothing at
-    S <= 2: each such point is its proven witness, with ``converged=True``,
-    whatever ``restarts`` and ``seed`` are.
+    scan.  A proven point (``_witness``) solves nothing: it is its witness,
+    with ``converged=True``, whatever ``restarts`` and ``seed`` are.
     """
     grid = np.linspace(config.s_lo, config.s_hi, config.grid_points)
     points = _geometry(config.set, config.mode, config.qtilde_cap).at(grid)

@@ -12,7 +12,9 @@ two-parameter family of non-signaling behaviors (both marginals a = (a0, a1),
 C = a a^T + t sigma); ``slice._family_min`` gives the minimizer in closed
 form, a stationary point that is measured to be the family's minimum.  Its
 points are feasible behaviors, so it is a proven upper bound on the NS and
-SYM minimum of I; that it is the minimum is a measured conjecture.
+SYM minimum of I; that it is the minimum is a measured conjecture.  Up to
+S = 2 its points are the symmetric product (``slice._family_vectors``), with
+I = 0; which solver kinds that proves is stated in ``boundary._witness``.
 
 On the correlation space C (zero marginals) I = sum_xy g(C_xy) with g even
 and convex, and both C curves are proven extrema.  The relabelings that keep
@@ -176,7 +178,7 @@ def witness_vectors(curve: CurveId | str, s) -> np.ndarray:
         ws = w(s)
         return np.column_stack([np.zeros((len(s), 4)), ws, ws, ws, 3.0 * ws - s])
     if curve is CurveId.NS_MIN:
-        # the family's least-I point: a product up to S = 2, the isotropic PR mixture from 2 sqrt 2
+        # the family's least-I point: the symmetric product up to S = 2, the isotropic PR mixture from 2 sqrt 2
         return _family_vectors(s)
     # LOCAL_MIN: a product behavior attaining S = s, so I is identically zero
     half, zero, one = s / 2.0, np.zeros(len(s)), np.ones(len(s))

@@ -13,8 +13,10 @@ from .functionals import TSIRELSON, _s_max_ab, s_max
 #: normalized covariance divides by sqrt(1 - <A_x>^2)).
 DEGENERATE_EPS = 1e-9
 
-#: arcsin arguments within this of [-1, 1] are clamped (solver noise).
-CLAMP_TOL = 1e-9
+#: arcsin arguments within this of [-1, 1] are clamped.  A table validated at
+#: ``EXTERNAL_TOL`` reaches 1 + 3 tol: its sum up to 1 + tol, plus the two
+#: entries of -tol that clipping lifts to 0; 1e-15 covers the rounding of the sum.
+CLAMP_TOL = 3.0 * EXTERNAL_TOL + 1e-15
 
 #: How far S may exceed 2 in a local verdict.  The arcsin tests judge the behavior
 #: mixed with white noise to the scale ``_MIXED``, where S = 2 + _TEST_TOL falls to

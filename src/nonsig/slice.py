@@ -201,16 +201,20 @@ def _family_min(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _family_vectors(s) -> np.ndarray:
     """Correlator vectors (n, 8) of the family's least-I points at scores s (n,), clipped into [0, 4].
 
-    On [0, 2] the t = 0 member, a product behavior; on (2, 2 sqrt 2)
-    ``_family_min``; from 2 sqrt 2 on, a = 0, the isotropic PR mixture.
+    On [0, 2] the symmetric product a = sqrt(s/2) (1, 1), C = (s/2) (1, 1, 1, 1):
+    the t = 0 member with I = 0, every probability positive below 2, meeting
+    the arc's a = (1, 1) at 2; it is set directly, as the quadratic form would
+    round sqrt(s/2)^2.  On (2, 2 sqrt 2) ``_family_min``; from 2 sqrt 2 on,
+    a = 0, the isotropic PR mixture.
     """
     s = np.clip(np.asarray(s, dtype=float), 0.0, 4.0)
     a = np.zeros((len(s), 2))
-    low, mid, arc = s <= 1.0, (s > 1.0) & (s <= 2.0), (s > 2.0) & (s < TSIRELSON)
-    a[low, 0] = np.sqrt(s[low])
-    a[mid] = np.stack([np.ones(mid.sum()), 1.0 - np.sqrt(2.0 - s[mid])], axis=-1)
+    low, arc = s <= 2.0, (s > 2.0) & (s < TSIRELSON)
     a[arc] = _family_min(s[arc])[1]
-    return s[:, None] * _ANCHOR_DIR + a @ _FAMILY_LIN.T + np.einsum("juv,nu,nv->nj", _FAMILY_QUAD, a, a)
+    x = s[:, None] * _ANCHOR_DIR + a @ _FAMILY_LIN.T + np.einsum("juv,nu,nv->nj", _FAMILY_QUAD, a, a)
+    half = s[low] / 2.0
+    x[low] = np.repeat([np.sqrt(half), half], 4, axis=0).T
+    return x
 
 
 def _isotropic_eig(s: np.ndarray) -> np.ndarray:

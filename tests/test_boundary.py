@@ -41,16 +41,27 @@ def full_firsts(starts):
 TAIL = len(boundary._MU_SCHEDULE) - boundary._TAIL_STAGES
 
 
+def corner_product(s):
+    """The correlators (1, 8) of the family's corner product at s <= 2, its
+    t = 0 member with a = (sqrt s, 0) up to S = 1 and a = (1, 1 - sqrt(2 - s))
+    above, built as ``slice._family_vectors`` built it before the symmetric
+    product took its place."""
+    from nonsig.slice import _ANCHOR_DIR, _FAMILY_LIN, _FAMILY_QUAD
+
+    s = np.array([s])
+    a = np.array([[np.sqrt(s[0]), 0.0] if s[0] <= 1.0 else [1.0, 1.0 - np.sqrt(2.0 - s[0])]])
+    return s[:, None] * _ANCHOR_DIR + a @ _FAMILY_LIN.T + np.einsum("juv,nu,nv->nj", _FAMILY_QUAD, a, a)
+
+
 def audited_pass(set_, s, restarts, seed):
-    """An audited MIN query's blocked pass at s: the ``ns_min``
+    """An audited MIN query's blocked pass at s <= 2: the corner product's
     witness row from the Newton tail and ``restarts`` random rows from
     ``default_rng([seed])`` from stage 0, in one ``_solve_blocks``.  Up to
     S = 2 a MIN query answers by proof and runs no rows, so this runs them
-    directly, to test ``_finish``'s rules on them."""
-    from nonsig.curves import witness_vectors
-
+    directly, to test ``_finish``'s rules on them; the corner product, with
+    probabilities at 0, is the raw start these scenarios were built on."""
     point = boundary._geometry(FeasibleSet(set_), ScanMode.MIN, False).at([s])
-    witness = boundary._z_from_vector(point, witness_vectors("ns_min", [s]))
+    witness = boundary._z_from_vector(point, corner_product(s))
     rows = np.concatenate([witness, boundary._starts(point, restarts, np.random.default_rng([seed]))])
     (r,) = boundary._solve_blocks(point, [rows], [np.repeat([TAIL, 0], [1, restarts])])
     return r
@@ -418,7 +429,7 @@ class TestAuditRule:
         grid = np.linspace(2.5, 3.1, 21)
         assert np.array_equal(curve.s, grid)
         points = boundary._geometry(FeasibleSet.NS, ScanMode.MIN, False).at(grid)
-        witness = boundary._witness_z(points)
+        witness = boundary._witness(points)[0]
         for k, point in enumerate(curve.points):
             if k % 10:
                 (alone,) = boundary._solve_blocks(points.take([k]), [witness[k, None]], [np.array([TAIL])])
@@ -442,6 +453,37 @@ PROVEN_IDS = [f"{mode}-{cap}" if set_ == "c" else f"{set_}-{mode}" for set_, mod
 def proven(set_, mode, s):
     """Whether a point of the kind at score s answers by proof."""
     return set_ == "c" or (mode == "min" and s <= 2.0)
+
+
+class TestWitness:
+    """``_witness``: each kind's witness start and its proven mask."""
+
+    @pytest.mark.parametrize("n", [21, 150])
+    @pytest.mark.parametrize("set_, mode, cap", KINDS)
+    def test_one_point_witness_rounds_as_in_a_grid(self, set_, mode, cap, n):
+        grid = np.linspace(0.0, TSIRELSON if cap else 4.0, n)
+        points = boundary._geometry(FeasibleSet(set_), ScanMode(mode), cap).at(grid)
+        z, mask = boundary._witness(points)
+        assert np.array_equal(mask, [proven(set_, mode, s) for s in grid])
+        for k in range(n):
+            alone, alone_mask = boundary._witness(points.take([k]))
+            assert np.array_equal(alone, z[k, None]) and alone_mask == [mask[k]], k
+
+    @pytest.mark.parametrize("set_", ["ns", "sym"])
+    def test_min_witness_up_to_two_is_the_symmetric_product(self, set_):
+        """Up to S = 2 the ``ns_min`` witness is, bit for bit, the symmetric
+        product a = sqrt(s/2) (1, 1), C = (s/2) (1, 1, 1, 1), built as the MIN
+        start built it before ``ns_min`` held it."""
+        from nonsig.curves import witness_vectors
+
+        s = np.concatenate([[-5e-13], np.linspace(0.0, 2.0, 2001)])
+        half = np.maximum(s, 0.0) / 2.0
+        product = np.repeat([np.sqrt(half), half], 4, axis=0).T
+        assert np.array_equal(witness_vectors("ns_min", s), product)
+        points = boundary._geometry(FeasibleSet(set_), ScanMode.MIN, False).at(s)
+        z, mask = boundary._witness(points)
+        assert mask.all()
+        assert np.array_equal(z, boundary._z_from_vector(points, product))
 
 
 class TestProvenKinds:
@@ -504,7 +546,7 @@ class TestProvenKinds:
         grid = np.linspace(1.5, 2.5, 21)
         curve = scan(ScanConfig(FeasibleSet(set_), ScanMode.MIN, 1.5, 2.5, 21, restarts=6, seed=3))
         points = boundary._geometry(FeasibleSet(set_), ScanMode.MIN, False).at(grid)
-        witness = boundary._witness_z(points)
+        witness = boundary._witness(points)[0]
         for k, point in enumerate(curve.points):
             if grid[k] <= 2.0:
                 assert point.converged and abs(point.i) <= 4e-14, k
@@ -945,7 +987,9 @@ def full_bisection(job, z, lam):
 
 
 class TestQtildeLambda:
-    """``_qtilde_lambda`` bisects only the rows that fail the arcsin facets."""
+    """``_qtilde_lambda`` returns ``lam`` after one evaluation when every row
+    holds, and otherwise the scaling of every failing row bisected with all
+    rows of its batch."""
 
     @staticmethod
     def rows(scores, n, scale, seed):
@@ -970,7 +1014,7 @@ class TestQtildeLambda:
     @pytest.mark.parametrize(
         "scores, n, scale, seed, failing",
         [
-            # a lone failing row, whose gemv rounding would move its scaling
+            # a lone failing row among 40
             (np.linspace(2.0, 2.8, 40), 40, 0.1, 77, 1),
             (np.linspace(2.0, 2.8, 40), 40, 1.0, 3, 22),
             (np.array([2.7]), 30, 0.3, 3, 19),  # one point's starts, as ``_starts`` repairs them

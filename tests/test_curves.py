@@ -249,7 +249,7 @@ class TestCurveTable:
 
 
 class TestNsMin:
-    """The lower-boundary family: a product up to 2, its closed-form minimizer up to 2 sqrt 2, then bell_pr_min."""
+    """The lower-boundary family: the symmetric product up to 2, its closed-form minimizer up to 2 sqrt 2, then bell_pr_min."""
 
     def test_equals_closed_forms_outside_the_family_range(self):
         low = np.linspace(0.0, 2.0, 81)
@@ -282,6 +282,18 @@ class TestNsMin:
         c = curve_witness("ns_min", 2.5).correlators()
         assert np.allclose(np.abs(c.a), np.sqrt([0.4, 0.1]), atol=1e-12)
         assert np.allclose(c.a, c.b, atol=0.0)
+
+    def test_family_is_continuous_at_two(self):
+        # on both sides the witnesses meet the deterministic point x = 1 at S = 2: at
+        # S = 2 + d the arc's a1 is ~1 - sqrt(d), so x moves by ~2 sqrt(d)
+        from nonsig.slice import _family_vectors
+
+        d = np.logspace(-15, -2, 27)
+        at_two = _family_vectors(np.array([2.0]))
+        assert np.array_equal(at_two, np.ones((1, 8)))
+        for side in (2.0 - d, 2.0 + d):
+            gap = np.abs(_family_vectors(side) - at_two).max(axis=1)
+            assert np.all(gap <= 3.0 * np.sqrt(d))
 
     def test_rises_from_zero_at_two(self):
         ss = 2.0 + np.logspace(-9, -1, 30)

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from nonsig.behavior import (
+    EXTERNAL_TOL,
+    Behavior,
+    ValidationError,
     correlators_to_behavior,
     mix,
     named,
     random_behavior,
     random_correlator_vectors,
+    validate,
     Correlators,
 )
 from nonsig.curves import curve_witness
@@ -103,6 +107,47 @@ class TestReport:
     def test_raw_table_accepted(self):
         r = report(np.full((2, 2, 2, 2), 0.25))
         assert r.ns_valid and r.local
+
+    @staticmethod
+    def shared_coin(top, corner, off):
+        """The shared coin SC with table (0, 0) replaced: ``top`` on its
+        diagonal and ``off`` on its anti-diagonal, or the other way round
+        unless ``corner`` is the diagonal, so that C00 = +-(2 top - 2 off)."""
+        t = np.zeros((2, 2, 2, 2))
+        t[:, :, 0, 0] = t[:, :, 1, 1] = 0.5
+        t[0, 0] = [[top, off], [off, top]] if corner == "diagonal" else [[off, top], [top, off]]
+        return t
+
+    def test_validated_table_past_the_cube_gets_verdicts(self):
+        # validates at 1e-9, and clipping its two -0.9e-9 entries to 0 leaves C00 = 1 + 2e-9
+        t = self.shared_coin(0.5 + 1e-9, "diagonal", -0.9e-9)
+        assert validate(t).correlators().ab[0, 0] == pytest.approx(1.0 + 2e-9, abs=1e-15)
+        r = report(t)
+        assert r.ns_valid and (r.local, r.npa1, r.qtilde) == (False, True, True)
+
+    @pytest.mark.parametrize("corner", ["diagonal", "anti-diagonal"])
+    def test_every_validated_table_gets_verdicts(self, corner):
+        """Table (0, 0) summing to 1 + e tol, with entries of -f tol, for e and
+        f on [0, 1]: its |C00| reaches 1 + 3 tol, and every table that
+        validates gets verdicts."""
+        steps, reached = np.linspace(0.0, 1.0, 11), 0.0
+        for e in steps:
+            for f in steps:
+                t = self.shared_coin((1.0 + (e + 2.0 * f) * EXTERNAL_TOL) / 2.0, corner, -f * EXTERNAL_TOL)
+                try:
+                    p = validate(t)
+                except ValidationError:
+                    continue
+                r = report(t)
+                assert r.ns_valid and None not in (r.local, r.npa1, r.qtilde), (e, f)
+                reached = max(reached, abs(p.correlators().ab[0, 0]) - 1.0)
+        assert reached >= 2.8 * EXTERNAL_TOL
+
+    @pytest.mark.parametrize("excess", [4e-9, 1e-6])
+    def test_unvalidated_behavior_past_the_cube_raises(self, excess):
+        t = self.shared_coin(0.5 + excess / 2.0, "diagonal", 0.0)
+        with pytest.raises(ValidationError, match="correlator_range"):
+            report(Behavior(t))
 
     def test_json_shape(self):
         doc = report_to_json_dict(report(named("bell")))

@@ -2,6 +2,7 @@
 
 import ast
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,27 @@ def test_import_graph_has_no_cycle():
 
 def test_slice_needs_no_solver():
     assert import_graph()["slice"] <= {"behavior", "functionals"}
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_imports_only_numpy_and_the_standard_library(name):
+    found = set()
+    for node in ast.walk(ast.parse(MODULES[name].read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    assert found <= {"numpy"} | sys.stdlib_module_names, sorted(found - sys.stdlib_module_names)
+
+
+def test_boundary_reads_curves_only_through_witness_vectors():
+    tree = ast.parse(MODULES["boundary"].read_text(encoding="utf-8"))
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "curves"
+    }
+    assert used == {"witness_vectors"}
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
